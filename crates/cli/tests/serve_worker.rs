@@ -23,10 +23,13 @@ struct Daemon {
 
 impl Daemon {
     /// Spawns `maxfairclique serve --port 0 --workers <n>` and connects to the
-    /// address it prints.
-    fn spawn(workers: usize) -> Daemon {
-        let dir =
-            std::env::temp_dir().join(format!("rfc-serve-worker-{}-{workers}", std::process::id()));
+    /// address it prints. `test` names the scratch directory, so tests running at the
+    /// same time never share (and delete) each other's files.
+    fn spawn(test: &str, workers: usize) -> Daemon {
+        let dir = std::env::temp_dir().join(format!(
+            "rfc-serve-worker-{}-{test}-{workers}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let mut child = Command::new(env!("CARGO_BIN_EXE_maxfairclique"))
             .args(["serve", "--port", "0", "--workers", &workers.to_string()])
@@ -115,7 +118,7 @@ fn best_size(response: &JsonValue) -> u64 {
 
 #[test]
 fn sharded_daemon_survives_a_worker_kill_and_matches_the_library() {
-    let mut daemon = Daemon::spawn(2);
+    let mut daemon = Daemon::spawn("worker-kill", 2);
 
     // Load fig. 1 from a file the daemon can read.
     let graph = fixtures::fig1_graph();
@@ -197,7 +200,7 @@ fn sharded_daemon_survives_a_worker_kill_and_matches_the_library() {
 
 #[test]
 fn updates_survive_worker_respawn_via_history_replay() {
-    let mut daemon = Daemon::spawn(2);
+    let mut daemon = Daemon::spawn("history-replay", 2);
     let graph = fixtures::fig1_graph();
     let path = daemon.dir.join("fig1.graph");
     write_graph_to_path(&graph, &path).unwrap();

@@ -35,7 +35,7 @@
 //! implementations here use the corrected, provably sound forms — `degeneracy + 1`,
 //! `h-index + 1`, `2·(colorful degeneracy + 1) + δ`, and the optimum over mixed-color
 //! assignments — which preserve the asymptotic pruning behaviour the paper evaluates.
-//! DESIGN.md §4 documents each correction.
+//! The [`advanced`], [`classic`] and [`colorful`] module docs derive each corrected form.
 
 pub mod advanced;
 pub mod classic;

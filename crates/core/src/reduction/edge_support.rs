@@ -6,40 +6,46 @@
 //! per-edge state and [`peel_edges`] runs the generic peeling loop; the two reductions
 //! only differ in their violation predicate.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use rfc_graph::colorful::ColorGroups;
+use rfc_graph::colorful::{ColorCounts, ColorCountsBuilder, ColorGroups};
 use rfc_graph::coloring::Coloring;
-use rfc_graph::{Attribute, AttributedGraph, EdgeId};
+use rfc_graph::{Attribute, AttributedGraph, EdgeId, VertexId};
 
 /// Per-edge color/attribute counts over common neighbors, with the derived
 /// exclusive/mixed color groups.
 #[derive(Debug, Clone)]
 pub struct EdgeSupportState {
-    /// `counts[e][color] = [#common neighbors with attribute a, #with b]`.
-    counts: Vec<HashMap<u32, [u32; 2]>>,
+    /// Owner `e` holds `[#common neighbors with attribute a, #with b]` per color.
+    counts: ColorCounts,
     /// Color groups of every edge, kept in sync with `counts`.
     groups: Vec<ColorGroups>,
 }
 
 impl EdgeSupportState {
-    /// Builds the state by enumerating, for every edge, the common neighbors of its
-    /// endpoints. Runs in `O(Σ_(u,v)∈E (deg(u) + deg(v)))` time.
+    /// Builds the state from two passes of a stamped triangle listing: the first counts
+    /// the distinct common-neighbor colors of every edge, which sizes the flat count
+    /// array, and the second fills it.
     pub fn new(g: &AttributedGraph, coloring: &Coloring) -> Self {
-        let m = g.num_edges();
-        let mut counts: Vec<HashMap<u32, [u32; 2]>> = vec![HashMap::new(); m];
-        for e in 0..m as EdgeId {
-            let (u, v) = g.edge_endpoints(e);
-            let map = &mut counts[e as usize];
-            g.for_each_common_neighbor(u, v, |w, _, _| {
-                let entry = map.entry(coloring.color(w)).or_insert([0, 0]);
-                entry[g.attribute(w).index()] += 1;
-            });
-        }
-        let groups = counts
-            .iter()
-            .map(|map| ColorGroups::from_counts(map.values()))
+        let mut bound = 0;
+        let mut last_edge = vec![EdgeId::MAX; coloring.num_colors];
+        for_each_edge_common_neighbors(g, |e, common| {
+            for &w in common {
+                let seen = &mut last_edge[coloring.color(w) as usize];
+                bound += usize::from(*seen != e);
+                *seen = e;
+            }
+        });
+        let mut builder = ColorCountsBuilder::new(g.num_edges(), coloring.num_colors, bound);
+        for_each_edge_common_neighbors(g, |e, common| {
+            for &w in common {
+                builder.push(coloring.color(w), g.attribute(w));
+            }
+            builder.finish_owner(e);
+        });
+        let counts = builder.build();
+        let groups = (0..g.num_edges() as EdgeId)
+            .map(|e| counts.groups(e))
             .collect();
         Self { counts, groups }
     }
@@ -62,32 +68,43 @@ impl EdgeSupportState {
     /// Records that vertex `w` (with the given color and attribute) is no longer a
     /// common neighbor of edge `e`'s endpoints, updating the color groups.
     pub fn remove_common_neighbor(&mut self, e: EdgeId, color: u32, attr: Attribute) {
-        let map = &mut self.counts[e as usize];
-        let entry = map
-            .get_mut(&color)
-            .expect("removing a common neighbor that was never counted");
-        let before = (entry[0] > 0, entry[1] > 0);
-        let slot = &mut entry[attr.index()];
-        debug_assert!(*slot > 0, "common-neighbor count underflow");
-        *slot -= 1;
-        let after = (entry[0] > 0, entry[1] > 0);
-        if entry[0] == 0 && entry[1] == 0 {
-            map.remove(&color);
+        let (before, after) = self.counts.remove(e, color, attr);
+        self.groups[e as usize].reclassify(before, after);
+    }
+}
+
+/// Calls `f(e, common)` for every edge `e = (u, v)` in id order, where `common` lists
+/// the common neighbors of `u` and `v` in ascending order.
+///
+/// `N(u)` is stamped once per vertex `u`, and each edge `(u, v)` with `v > u` scans
+/// `N(v)` against the stamp. This is the triangle listing of truss decomposition (Wang &
+/// Cheng, PVLDB 2012); it replaces one sorted merge per edge. Edge ids number the
+/// lexicographically sorted edge list, so visiting each `u` in turn and its higher
+/// neighbors in ascending order visits the edges in id order.
+fn for_each_edge_common_neighbors(g: &AttributedGraph, mut f: impl FnMut(EdgeId, &[VertexId])) {
+    let mut stamped = vec![false; g.num_vertices()];
+    let mut common = vec![0; g.max_degree()];
+    for u in g.vertices() {
+        let neighbors = g.neighbors(u);
+        for &w in neighbors {
+            stamped[w as usize] = true;
         }
-        if before != after {
-            let groups = &mut self.groups[e as usize];
-            match before {
-                (true, true) => groups.mixed -= 1,
-                (true, false) => groups.exclusive[0] -= 1,
-                (false, true) => groups.exclusive[1] -= 1,
-                (false, false) => unreachable!("a counted color must have a positive count"),
+        let higher = neighbors.partition_point(|&v| v < u);
+        for (&v, &e) in neighbors[higher..]
+            .iter()
+            .zip(&g.neighbor_edge_ids(u)[higher..])
+        {
+            // Branch-free compaction: about half of N(v) is stamped in a dense region,
+            // so a filtering branch would mispredict on most candidates.
+            let mut len = 0;
+            for &w in g.neighbors(v) {
+                common[len] = w;
+                len += usize::from(stamped[w as usize]);
             }
-            match after {
-                (true, true) => groups.mixed += 1,
-                (true, false) => groups.exclusive[0] += 1,
-                (false, true) => groups.exclusive[1] += 1,
-                (false, false) => {}
-            }
+            f(e, &common[..len]);
+        }
+        for &w in neighbors {
+            stamped[w as usize] = false;
         }
     }
 }
@@ -126,6 +143,7 @@ where
     let mut alive = vec![true; m];
     let mut queued = vec![false; m];
     let mut queue: VecDeque<EdgeId> = VecDeque::new();
+    let mut affected: Vec<(EdgeId, EdgeId)> = Vec::new();
 
     for e in 0..m as EdgeId {
         if violates(&state, e) {
@@ -142,13 +160,13 @@ where
         let attr_u = g.attribute(u);
         let attr_v = g.attribute(v);
         // Collect the live triangles first to avoid borrowing conflicts in the closure.
-        let mut affected: Vec<(EdgeId, EdgeId)> = Vec::new();
+        affected.clear();
         g.for_each_common_neighbor(u, v, |_, e_uw, e_vw| {
             if alive[e_uw as usize] && alive[e_vw as usize] {
                 affected.push((e_uw, e_vw));
             }
         });
-        for (e_uw, e_vw) in affected {
+        for &(e_uw, e_vw) in &affected {
             // The triangle (u, v, w) disappears: edge (u, w) loses common neighbor v and
             // edge (v, w) loses common neighbor u.
             state.remove_common_neighbor(e_uw, color_v, attr_v);

@@ -24,7 +24,8 @@
 //! exact, this implementation uses canonical-order branching: candidates are processed
 //! in the chosen [`BranchOrder`] and each branch keeps only later-ordered neighbors, so
 //! every clique of the component is visited exactly once. All of the paper's pruning
-//! rules are applied unchanged. See DESIGN.md §4 for the full discussion.
+//! rules are applied unchanged; the upper bounds use the sound forms listed under
+//! *Soundness corrections* in the [`bounds`](crate::bounds) module docs.
 
 mod branch;
 pub(crate) mod control;

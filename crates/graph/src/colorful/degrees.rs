@@ -1,11 +1,11 @@
-//! Colorful degrees (Definition 2) and the per-vertex neighbor color counting structure
-//! shared by the colorful-core and enhanced-colorful-core peelings.
-
-use std::collections::HashMap;
+//! Colorful degrees (Definition 2) and the flat per-owner color counting structure
+//! shared by the colorful-core, enhanced-colorful-core and colorful-support peelings.
 
 use crate::attr::Attribute;
 use crate::coloring::Coloring;
 use crate::graph::{AttributedGraph, VertexId};
+
+use super::enhanced::ColorGroups;
 
 /// Per-vertex colorful degrees: `D_a(v)` and `D_b(v)` — the number of distinct colors
 /// among `v`'s neighbors with attribute `a` (resp. `b`).
@@ -37,6 +37,149 @@ impl ColorfulDegrees {
     }
 }
 
+/// Per-owner `(color, [count_a, count_b])` entries in one flat array.
+///
+/// An owner is a vertex (counting its neighbors) or an edge (counting the common
+/// neighbors of its endpoints), identified by a dense index. Each owner's entries form
+/// one slice sorted by color, so a lookup is a binary search. [`ColorCountsBuilder`]
+/// fills the table.
+///
+/// A color whose counts drop to `[0, 0]` keeps its entry; [`ColorCounts::remove`] treats
+/// such an entry exactly like a color that was never counted.
+#[derive(Debug, Clone)]
+pub struct ColorCounts {
+    /// `entries[offsets[i]..offsets[i + 1]]` belongs to owner `i`.
+    offsets: Vec<u32>,
+    entries: Vec<(u32, [u32; 2])>,
+}
+
+impl ColorCounts {
+    /// The neighbor color counts of every vertex of `g`, counting only vertices for which
+    /// `keep` holds, both as owners and as neighbors.
+    pub(crate) fn of_neighbors(
+        g: &AttributedGraph,
+        coloring: &Coloring,
+        keep: impl Fn(VertexId) -> bool,
+    ) -> Self {
+        let bound = g.vertices().filter(|&v| keep(v)).map(|v| g.degree(v)).sum();
+        let mut builder = ColorCountsBuilder::new(g.num_vertices(), coloring.num_colors, bound);
+        for v in g.vertices() {
+            if keep(v) {
+                for &u in g.neighbors(v) {
+                    if keep(u) {
+                        builder.push(coloring.color(u), g.attribute(u));
+                    }
+                }
+            }
+            builder.finish_owner(v);
+        }
+        builder.build()
+    }
+
+    #[inline]
+    fn range(&self, owner: u32) -> std::ops::Range<usize> {
+        let i = owner as usize;
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+
+    /// The entries of `owner`, sorted by color, including colors whose counts fell to zero.
+    #[inline]
+    pub fn entries(&self, owner: u32) -> &[(u32, [u32; 2])] {
+        &self.entries[self.range(owner)]
+    }
+
+    /// The exclusive/mixed color groups of `owner`.
+    pub fn groups(&self, owner: u32) -> ColorGroups {
+        ColorGroups::from_counts(self.entries(owner).iter().map(|(_, counts)| counts))
+    }
+
+    /// Removes one counted neighbor with the given color and attribute from `owner`.
+    /// Returns the color's `[count_a, count_b]` before and after the removal.
+    ///
+    /// # Panics
+    /// If `owner` has no neighbor of that color left, or none of that color and
+    /// attribute.
+    pub fn remove(&mut self, owner: u32, color: u32, attr: Attribute) -> ([u32; 2], [u32; 2]) {
+        let range = self.range(owner);
+        let entries = &mut self.entries[range];
+        let counts = match entries.binary_search_by_key(&color, |&(c, _)| c) {
+            Ok(at) if entries[at].1 != [0, 0] => &mut entries[at].1,
+            _ => panic!("removing a color that was never counted"),
+        };
+        let before = *counts;
+        let slot = &mut counts[attr.index()];
+        assert!(*slot > 0, "color count underflow");
+        *slot -= 1;
+        (before, *counts)
+    }
+}
+
+/// Fills a [`ColorCounts`] owner by owner, in index order.
+///
+/// The counts of the owner being filled accumulate in a color-indexed scratch row;
+/// closing the owner walks a bitset of the colors it touched, so its entries come out
+/// merged and sorted without a sort.
+#[derive(Debug)]
+pub struct ColorCountsBuilder {
+    counts: ColorCounts,
+    /// Per-color counts of the owner being filled.
+    pending: Vec<[u32; 2]>,
+    /// Bitset of the colors with a pending count.
+    touched: Vec<u64>,
+}
+
+impl ColorCountsBuilder {
+    /// A builder for `owners` owners whose colors lie in `0..num_colors`. `bound` is at
+    /// least the total number of entries, one per distinct color of each owner; the
+    /// entries array is allocated once with that capacity.
+    pub fn new(owners: usize, num_colors: usize, bound: usize) -> Self {
+        let mut offsets = Vec::with_capacity(owners + 1);
+        offsets.push(0);
+        Self {
+            counts: ColorCounts {
+                offsets,
+                entries: Vec::with_capacity(bound),
+            },
+            pending: vec![[0, 0]; num_colors],
+            touched: vec![0; num_colors.div_ceil(64)],
+        }
+    }
+
+    /// Counts one neighbor with the given color and attribute for the owner being filled.
+    #[inline]
+    pub fn push(&mut self, color: u32, attr: Attribute) {
+        let c = color as usize;
+        self.touched[c / 64] |= 1 << (c % 64);
+        self.pending[c][attr.index()] += 1;
+    }
+
+    /// Closes `owner`, which must be the next owner in index order, with the counts
+    /// pushed since the previous owner closed.
+    pub fn finish_owner(&mut self, owner: u32) {
+        assert_eq!(
+            owner as usize + 1,
+            self.counts.offsets.len(),
+            "color-count owners must be filled in index order"
+        );
+        for (at, word) in self.touched.iter_mut().enumerate() {
+            while *word != 0 {
+                let c = at * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                let counts = std::mem::take(&mut self.pending[c]);
+                self.counts.entries.push((c as u32, counts));
+            }
+        }
+        let end = u32::try_from(self.counts.entries.len())
+            .expect("color-count entries exceed u32 offsets");
+        self.counts.offsets.push(end);
+    }
+
+    /// The filled table.
+    pub fn build(self) -> ColorCounts {
+        self.counts
+    }
+}
+
 /// Mutable per-vertex counts of neighbors by `(color, attribute)`.
 ///
 /// `counts(v)[color] = [#a-neighbors of v with that color, #b-neighbors …]`. The peeling
@@ -44,53 +187,33 @@ impl ColorfulDegrees {
 /// degrees (a color contributes to `D_attr(v)` while its count for `attr` is non-zero).
 #[derive(Debug, Clone)]
 pub struct NeighborColorCounts {
-    counts: Vec<HashMap<u32, [u32; 2]>>,
+    counts: ColorCounts,
 }
 
 impl NeighborColorCounts {
     /// Builds the counts for every vertex of `g` under `coloring`.
     pub fn new(g: &AttributedGraph, coloring: &Coloring) -> Self {
-        let n = g.num_vertices();
-        let mut counts: Vec<HashMap<u32, [u32; 2]>> = vec![HashMap::new(); n];
-        for v in g.vertices() {
-            let map = &mut counts[v as usize];
-            for &u in g.neighbors(v) {
-                let entry = map.entry(coloring.color(u)).or_insert([0, 0]);
-                entry[g.attribute(u).index()] += 1;
-            }
+        Self {
+            counts: ColorCounts::of_neighbors(g, coloring, |_| true),
         }
-        Self { counts }
     }
 
     /// Builds the counts restricted to vertices in `mask` (both the center vertex and
     /// its neighbors must be in the mask).
     pub fn new_masked(g: &AttributedGraph, coloring: &Coloring, mask: &[bool]) -> Self {
-        let n = g.num_vertices();
-        let mut counts: Vec<HashMap<u32, [u32; 2]>> = vec![HashMap::new(); n];
-        for v in g.vertices() {
-            if !mask[v as usize] {
-                continue;
-            }
-            let map = &mut counts[v as usize];
-            for &u in g.neighbors(v) {
-                if !mask[u as usize] {
-                    continue;
-                }
-                let entry = map.entry(coloring.color(u)).or_insert([0, 0]);
-                entry[g.attribute(u).index()] += 1;
-            }
+        Self {
+            counts: ColorCounts::of_neighbors(g, coloring, |v| mask[v as usize]),
         }
-        Self { counts }
     }
 
     /// The colorful degrees implied by the current counts.
     pub fn colorful_degrees(&self) -> ColorfulDegrees {
-        let per_attr = self
-            .counts
-            .iter()
-            .map(|map| {
+        let ColorCounts { offsets, entries } = &self.counts;
+        let per_attr = offsets
+            .windows(2)
+            .map(|w| {
                 let mut d = [0u32; 2];
-                for &[ca, cb] in map.values() {
+                for &(_, [ca, cb]) in &entries[w[0] as usize..w[1] as usize] {
                     if ca > 0 {
                         d[0] += 1;
                     }
@@ -109,31 +232,26 @@ impl NeighborColorCounts {
     /// Returns `true` if the count for `(color, attribute)` dropped to zero — i.e. the
     /// colorful degree `D_attr(v)` decreased by one.
     pub fn remove_neighbor(&mut self, v: VertexId, color: u32, attr: Attribute) -> bool {
-        let map = &mut self.counts[v as usize];
-        let entry = map
-            .get_mut(&color)
-            .expect("removing a neighbor color that was never counted");
-        let slot = &mut entry[attr.index()];
-        assert!(*slot > 0, "neighbor color count underflow");
-        *slot -= 1;
-        let exhausted = *slot == 0;
-        if entry[0] == 0 && entry[1] == 0 {
-            map.remove(&color);
-        }
-        exhausted
+        let (_, after) = self.counts.remove(v, color, attr);
+        after[attr.index()] == 0
     }
 
     /// Current count for `(v, color, attr)`.
     pub fn count(&self, v: VertexId, color: u32, attr: Attribute) -> u32 {
-        self.counts[v as usize]
-            .get(&color)
-            .map(|e| e[attr.index()])
-            .unwrap_or(0)
+        let entries = self.counts.entries(v);
+        entries
+            .binary_search_by_key(&color, |&(c, _)| c)
+            .map_or(0, |i| entries[i].1[attr.index()])
     }
 
-    /// Iterates over `(color, [count_a, count_b])` entries of vertex `v`.
+    /// Iterates over `(color, [count_a, count_b])` entries of vertex `v`, in color order,
+    /// skipping colors none of whose neighbors remain.
     pub fn colors_of(&self, v: VertexId) -> impl Iterator<Item = (u32, [u32; 2])> + '_ {
-        self.counts[v as usize].iter().map(|(&c, &e)| (c, e))
+        self.counts
+            .entries(v)
+            .iter()
+            .copied()
+            .filter(|&(_, counts)| counts != [0, 0])
     }
 }
 
@@ -214,6 +332,9 @@ mod tests {
         let exhausted = counts.remove_neighbor(v, color_w, attr_w);
         assert!(exhausted);
         assert_eq!(counts.count(v, color_w, attr_w), 0);
+        // The exhausted color keeps its zeroed entry, which `colors_of` skips.
+        assert!(counts.colors_of(v).all(|(c, _)| c != color_w));
+        assert_eq!(counts.colors_of(v).count(), 2);
         let d = counts.colorful_degrees();
         // v lost one distinct color of w's attribute.
         let full = colorful_degrees(&g, &coloring);
@@ -247,5 +368,26 @@ mod tests {
         let mut counts = NeighborColorCounts::new(&g, &coloring);
         // Vertex 0 has no neighbor with a bogus color id 99.
         counts.remove_neighbor(0, 99, Attribute::A);
+    }
+
+    #[test]
+    #[should_panic(expected = "never counted")]
+    fn removing_an_exhausted_color_again_panics() {
+        let g = fixtures::path_graph(3);
+        let coloring = greedy_coloring(&g);
+        let mut counts = NeighborColorCounts::new(&g, &coloring);
+        // Vertex 0's only neighbor is vertex 1; its zeroed entry must count as absent.
+        let (color, attr) = (coloring.color(1), g.attribute(1));
+        assert!(counts.remove_neighbor(0, color, attr));
+        counts.remove_neighbor(0, color, attr);
+    }
+
+    #[test]
+    #[should_panic(expected = "underflow")]
+    fn removing_a_neighbor_of_an_uncounted_attribute_panics() {
+        let g = fixtures::path_graph(3);
+        let coloring = greedy_coloring(&g);
+        let mut counts = NeighborColorCounts::new(&g, &coloring);
+        counts.remove_neighbor(0, coloring.color(1), g.attribute(1).other());
     }
 }

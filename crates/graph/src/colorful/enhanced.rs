@@ -18,11 +18,10 @@
 
 use std::collections::VecDeque;
 
-use crate::attr::Attribute;
 use crate::coloring::Coloring;
 use crate::graph::{AttributedGraph, VertexId};
 
-use super::degrees::NeighborColorCounts;
+use super::degrees::ColorCounts;
 
 /// The partition of a vertex's (or an edge's common-) neighbor colors into exclusive and
 /// mixed groups.
@@ -39,24 +38,36 @@ impl ColorGroups {
     /// Builds groups from per-color attribute counts.
     pub fn from_counts<'a, I: IntoIterator<Item = &'a [u32; 2]>>(counts: I) -> Self {
         let mut g = ColorGroups::default();
+        // Branch-free: the exclusive/mixed split of a long count list is unpredictable.
         for &[a, b] in counts {
-            match (a > 0, b > 0) {
-                (true, true) => g.mixed += 1,
-                (true, false) => g.exclusive[0] += 1,
-                (false, true) => g.exclusive[1] += 1,
-                (false, false) => {}
-            }
+            let (a, b) = (usize::from(a > 0), usize::from(b > 0));
+            let both = a & b;
+            g.mixed += both;
+            g.exclusive[0] += a - both;
+            g.exclusive[1] += b - both;
         }
         g
     }
 
-    /// Classifies a single color given its per-attribute counts.
-    fn class_of(counts: [u32; 2]) -> Option<usize> {
+    /// The group counter of a color with the given per-attribute counts (`None` when
+    /// both are zero).
+    fn group_of(&mut self, counts: [u32; 2]) -> Option<&mut usize> {
         match (counts[0] > 0, counts[1] > 0) {
-            (true, true) => Some(2),
-            (true, false) => Some(0),
-            (false, true) => Some(1),
+            (true, true) => Some(&mut self.mixed),
+            (true, false) => Some(&mut self.exclusive[0]),
+            (false, true) => Some(&mut self.exclusive[1]),
             (false, false) => None,
+        }
+    }
+
+    /// Moves one color between the exclusive and mixed groups after its per-attribute
+    /// counts changed from `before` to `after`.
+    pub fn reclassify(&mut self, before: [u32; 2], after: [u32; 2]) {
+        if let Some(group) = self.group_of(before) {
+            *group -= 1;
+        }
+        if let Some(group) = self.group_of(after) {
+            *group += 1;
         }
     }
 
@@ -110,18 +121,9 @@ pub fn enhanced_colorful_degree_from_groups(ca: usize, cb: usize, cm: usize) -> 
 
 /// The enhanced colorful degree `ED(u)` of every vertex (Definition 4).
 pub fn enhanced_colorful_degrees(g: &AttributedGraph, coloring: &Coloring) -> Vec<usize> {
-    let counts = NeighborColorCounts::new(g, coloring);
+    let counts = ColorCounts::of_neighbors(g, coloring, |_| true);
     g.vertices()
-        .map(|v| {
-            let groups = ColorGroups::from_counts(
-                counts
-                    .colors_of(v)
-                    .map(|(_, c)| c)
-                    .collect::<Vec<_>>()
-                    .iter(),
-            );
-            groups.enhanced_degree()
-        })
+        .map(|v| counts.groups(v).enhanced_degree())
         .collect()
 }
 
@@ -137,15 +139,9 @@ pub fn enhanced_colorful_k_core_mask(
     if n == 0 {
         return alive;
     }
-    let mut counts = NeighborColorCounts::new(g, coloring);
+    let mut counts = ColorCounts::of_neighbors(g, coloring, |_| true);
     // Per-vertex color groups, maintained incrementally.
-    let mut groups: Vec<ColorGroups> = g
-        .vertices()
-        .map(|v| {
-            let per_color: Vec<[u32; 2]> = counts.colors_of(v).map(|(_, c)| c).collect();
-            ColorGroups::from_counts(per_color.iter())
-        })
-        .collect();
+    let mut groups: Vec<ColorGroups> = g.vertices().map(|v| counts.groups(v)).collect();
 
     let mut queue: VecDeque<VertexId> = VecDeque::new();
     let mut queued = vec![false; n];
@@ -166,33 +162,12 @@ pub fn enhanced_colorful_k_core_mask(
             if !alive[u as usize] {
                 continue;
             }
-            let before = [
-                counts.count(u, color_v, Attribute::A),
-                counts.count(u, color_v, Attribute::B),
-            ];
-            counts.remove_neighbor(u, color_v, attr_v);
-            let after = [
-                counts.count(u, color_v, Attribute::A),
-                counts.count(u, color_v, Attribute::B),
-            ];
-            let old_class = ColorGroups::class_of(before);
-            let new_class = ColorGroups::class_of(after);
-            if old_class != new_class {
-                let gu = &mut groups[u as usize];
-                match old_class {
-                    Some(2) => gu.mixed -= 1,
-                    Some(i) => gu.exclusive[i] -= 1,
-                    None => {}
-                }
-                match new_class {
-                    Some(2) => gu.mixed += 1,
-                    Some(i) => gu.exclusive[i] += 1,
-                    None => {}
-                }
-                if gu.enhanced_degree() < k && !queued[u as usize] {
-                    queue.push_back(u);
-                    queued[u as usize] = true;
-                }
+            let (before, after) = counts.remove(u, color_v, attr_v);
+            let gu = &mut groups[u as usize];
+            gu.reclassify(before, after);
+            if gu.enhanced_degree() < k && !queued[u as usize] {
+                queue.push_back(u);
+                queued[u as usize] = true;
             }
         }
     }
@@ -259,6 +234,23 @@ mod tests {
         };
         assert_eq!(groups.demand_assignment(5, 5), (3, 4));
         assert_eq!(groups.demand_assignment(1, 1), (3, 4));
+    }
+
+    #[test]
+    fn reclassify_moves_one_color_between_groups() {
+        let mut groups = ColorGroups {
+            exclusive: [1, 0],
+            mixed: 1,
+        };
+        // Mixed -> exclusive-a, then exclusive-a -> gone, then no change of group.
+        groups.reclassify([2, 1], [2, 0]);
+        assert_eq!(groups.exclusive, [2, 0]);
+        assert_eq!(groups.mixed, 0);
+        groups.reclassify([1, 0], [0, 0]);
+        assert_eq!(groups.exclusive, [1, 0]);
+        groups.reclassify([3, 0], [2, 0]);
+        assert_eq!(groups.exclusive, [1, 0]);
+        assert_eq!(groups.total(), 1);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`colorful_h_index`] — Definition 10.
 //! * [`enhanced_colorful_degrees`] / [`enhanced_colorful_k_core_mask`] — Definitions 4–5:
 //!   the variant in which every color must be assigned exclusively to one attribute.
+//! * [`ColorCounts`] — the flat per-vertex (or per-edge) `(color, [count_a, count_b])`
+//!   table that every colorful peeling here, and the edge-support peeling in `rfc-core`,
+//!   decrements.
 
 mod core;
 mod degrees;
@@ -22,7 +25,9 @@ pub use self::core::{
     colorful_core_decomposition, colorful_h_index, colorful_k_core_mask, colorful_k_core_vertices,
     ColorfulCoreDecomposition,
 };
-pub use self::degrees::{colorful_degrees, ColorfulDegrees, NeighborColorCounts};
+pub use self::degrees::{
+    colorful_degrees, ColorCounts, ColorCountsBuilder, ColorfulDegrees, NeighborColorCounts,
+};
 pub use self::enhanced::{
     enhanced_colorful_degree_from_groups, enhanced_colorful_degrees, enhanced_colorful_k_core_mask,
     enhanced_colorful_k_core_vertices, ColorGroups,

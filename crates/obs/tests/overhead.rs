@@ -6,15 +6,29 @@
 //! swap cannot perturb other tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per thread, because `cargo test`
+    /// runs this binary's tests on parallel threads and each test must count
+    /// only its own allocations.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are being destroyed.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,14 +53,14 @@ fn disabled_spans_do_not_allocate() {
         s.counter("w", 1);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10_000 {
         let mut s = rfc_obs::trace::span("hot");
         s.counter("work", 1);
         s.counter("more", 2);
         drop(s);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -63,12 +77,12 @@ fn disabled_metrics_handles_do_not_allocate_on_record() {
     let counter = rfc_obs::metrics::global().counter("overhead_test_total");
     let histogram = rfc_obs::metrics::global().histogram("overhead_test_us");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..10_000u64 {
         counter.inc();
         histogram.observe(i % 512);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,

@@ -2,10 +2,21 @@
 //! answers, traced spans must balance and nest, and the per-stage durations
 //! must account for the solve's wall time.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use rfc_core::prelude::*;
 use rfc_datasets::case_study::CaseStudy;
 use rfc_graph::json::JsonValue;
 use rfc_obs::trace::{self, BufferSink};
+
+/// The tracer is process-global: spans of work running while another test's
+/// tracer is installed land in that test's sink and unbalance its trace. Every
+/// test here holds this lock for its whole body, untraced baselines included.
+static TRACER: Mutex<()> = Mutex::new(());
+
+fn exclusive_tracer() -> MutexGuard<'static, ()> {
+    TRACER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn nba_graph() -> AttributedGraph {
     CaseStudy::ALL
@@ -55,6 +66,7 @@ fn parse_events(lines: &[String]) -> Vec<Event> {
 
 #[test]
 fn tracing_does_not_change_answers_and_spans_account_for_the_solve() {
+    let _tracer = exclusive_tracer();
     let graph = nba_graph();
     let query = serial_query(FairnessModel::Relative { k: 5, delta: 3 });
 
@@ -154,6 +166,7 @@ fn tracing_does_not_change_answers_and_spans_account_for_the_solve() {
 
 #[test]
 fn enumerate_trace_balances_and_answers_match() {
+    let _tracer = exclusive_tracer();
     let graph = nba_graph();
     let query = EnumQuery::new(FairnessModel::Relative { k: 5, delta: 3 })
         .with_threads(ThreadCount::Serial);

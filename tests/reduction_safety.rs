@@ -1,6 +1,8 @@
 //! Safety of the graph reductions: no reduction stage may change the maximum fair
 //! clique (Lemmas 1–4).
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -9,11 +11,13 @@ use rfc_core::prelude::*;
 use rfc_core::reduction::{
     apply_reductions,
     colorful_core::{colorful_core_reduction, en_colorful_core_reduction},
-    colorful_sup::colorful_sup_reduction,
-    en_colorful_sup::en_colorful_sup_reduction,
+    colorful_sup::{colorful_sup_alive_edges, colorful_sup_reduction},
+    edge_support::EdgeSupportState,
+    en_colorful_sup::{en_colorful_sup_alive_edges, en_colorful_sup_reduction},
 };
-use rfc_datasets::synthetic::erdos_renyi;
-use rfc_graph::AttributedGraph;
+use rfc_datasets::synthetic::{erdos_renyi, one_big_component, BigComponentConfig};
+use rfc_graph::coloring::{greedy_coloring, Coloring};
+use rfc_graph::{fixtures, AttributedGraph};
 
 fn optimum(g: &AttributedGraph, params: FairCliqueParams) -> Option<usize> {
     brute_force_max_fair_clique(g, params).map(|c| c.size())
@@ -102,5 +106,159 @@ fn reductions_are_idempotent() {
             let core_twice = en_colorful_core_reduction(&core_once, k);
             assert_eq!(core_once.num_edges(), core_twice.num_edges());
         }
+    }
+}
+
+/// From-scratch fixpoint of the two edge-support reductions (Lemmas 3 and 4).
+///
+/// Each round recomputes, for every live edge, the distinct colors of its common
+/// neighbors per attribute, counting a common neighbor only while both of its wing edges
+/// are live, and then drops every violator at once. Both predicates are monotone in the
+/// set of live edges, so this fixpoint does not depend on the order in which a peeling
+/// removes edges.
+fn reference_alive_edges(g: &AttributedGraph, k: usize, enhanced: bool) -> Vec<bool> {
+    let coloring = greedy_coloring(g);
+    let mut alive = vec![true; g.num_edges()];
+    loop {
+        let violators: Vec<usize> = (0..g.num_edges())
+            .filter(|&e| alive[e] && reference_violates(g, &coloring, &alive, e, k, enhanced))
+            .collect();
+        if violators.is_empty() {
+            return alive;
+        }
+        for e in violators {
+            alive[e] = false;
+        }
+    }
+}
+
+fn reference_violates(
+    g: &AttributedGraph,
+    coloring: &Coloring,
+    alive: &[bool],
+    e: usize,
+    k: usize,
+    enhanced: bool,
+) -> bool {
+    let (u, v) = g.edge_endpoints(e as u32);
+    // color -> whether an a-neighbor / a b-neighbor of that color is still common.
+    let mut colors: BTreeMap<u32, [bool; 2]> = BTreeMap::new();
+    g.for_each_common_neighbor(u, v, |w, e_uw, e_vw| {
+        if alive[e_uw as usize] && alive[e_vw as usize] {
+            colors.entry(coloring.color(w)).or_default()[g.attribute(w).index()] = true;
+        }
+    });
+    // Lemma 3: k-2 of the endpoints' shared attribute and k of the other, or k-1 of
+    // each for a mixed edge.
+    let need = match (g.attribute(u), g.attribute(v)) {
+        (Attribute::A, Attribute::A) => [k.saturating_sub(2), k],
+        (Attribute::B, Attribute::B) => [k, k.saturating_sub(2)],
+        _ => [k.saturating_sub(1), k.saturating_sub(1)],
+    };
+    let has = |pattern: [bool; 2]| colors.values().filter(|&&c| c == pattern).count();
+    let (only_a, only_b, mixed) = (has([true, false]), has([false, true]), has([true, true]));
+    if enhanced {
+        // Lemma 4: some split of the mixed colors must meet both demands.
+        !(0..=mixed).any(|to_a| only_a + to_a >= need[0] && only_b + mixed - to_a >= need[1])
+    } else {
+        only_a + mixed < need[0] || only_b + mixed < need[1]
+    }
+}
+
+/// The 800-vertex single component of the library-solve benchmark: a sparse background,
+/// a dense 240-vertex community and a planted 36-vertex fair clique.
+fn big_component(seed: u64) -> AttributedGraph {
+    let config = BigComponentConfig {
+        n: 800,
+        edge_prob: 16.0 / 800.0,
+        community: 240,
+        community_prob: 0.55,
+        planted_half: 18,
+        prob_a: 0.5,
+    };
+    one_big_component(&config, seed).0
+}
+
+/// `ColorfulSup` and `EnColorfulSup` keep exactly the edges of the reference fixpoint.
+#[test]
+fn support_reductions_match_the_reference_fixpoint() {
+    for seed in 0..6u64 {
+        for g in [
+            erdos_renyi(40, 0.2, 0.5, seed.wrapping_add(500)),
+            erdos_renyi(30, 0.5, 0.5, seed.wrapping_add(1000)),
+        ] {
+            for k in 1..=4usize {
+                assert_eq!(
+                    colorful_sup_alive_edges(&g, k),
+                    reference_alive_edges(&g, k, false),
+                    "ColorfulSup, seed {seed}, k {k}"
+                );
+                assert_eq!(
+                    en_colorful_sup_alive_edges(&g, k),
+                    reference_alive_edges(&g, k, true),
+                    "EnColorfulSup, seed {seed}, k {k}"
+                );
+            }
+        }
+    }
+}
+
+/// On the big component, both support reductions match the reference fixpoint, and the
+/// per-stage edge counts and serial search counters stay pinned, so a kernel rewrite
+/// that changes any reduction result or the branching shows up here.
+#[test]
+fn big_component_matches_the_reference_and_pinned_counts() {
+    let g = big_component(17);
+    assert_eq!(g.num_edges(), 22_730);
+    assert_eq!(
+        colorful_sup_alive_edges(&g, 3),
+        reference_alive_edges(&g, 3, false)
+    );
+    assert_eq!(
+        en_colorful_sup_alive_edges(&g, 3),
+        reference_alive_edges(&g, 3, true)
+    );
+    let params = FairCliqueParams::new(3, 1).unwrap();
+    let (_, stats) = apply_reductions(&g, params, &ReductionConfig::default());
+    let edges: Vec<usize> = stats.stages.iter().map(|s| s.edges).collect();
+    assert_eq!(edges, [22_696, 16_458, 16_443]);
+
+    let query = Query::new(FairnessModel::Relative { k: 3, delta: 1 })
+        .with_config(SearchConfig::default().with_threads(ThreadCount::Serial));
+    let solution = RfcSolver::new(g).solve(&query).unwrap();
+    assert_eq!(solution.best_size(), 36);
+    assert_eq!(solution.stats.heuristic_size, Some(36));
+    assert_eq!(solution.stats.branches, 214);
+    assert_eq!(solution.stats.bound_prunes, 214);
+}
+
+/// The flat per-edge counts keep a color whose counts reach zero, so removing it again
+/// must still fail as if it had never been counted.
+#[test]
+#[should_panic(expected = "never counted")]
+fn removing_an_exhausted_common_neighbor_color_panics() {
+    // Edge (0, 1) of the Fig. 2 fixture has seven pairwise non-adjacent common
+    // neighbors sharing one color: four a's (2..=5) and three b's (6..=8).
+    let g = fixtures::fig2_graph();
+    let coloring = greedy_coloring(&g);
+    let mut state = EdgeSupportState::new(&g, &coloring);
+    let e = g.edge_id(0, 1).unwrap();
+    for w in 2..=8u32 {
+        state.remove_common_neighbor(e, coloring.color(w), g.attribute(w));
+    }
+    state.remove_common_neighbor(e, coloring.color(2), Attribute::A);
+}
+
+/// Removing more common neighbors of one attribute than were counted panics even with
+/// debug assertions off.
+#[test]
+#[should_panic(expected = "underflow")]
+fn removing_too_many_common_neighbors_of_one_attribute_panics() {
+    let g = fixtures::fig2_graph();
+    let coloring = greedy_coloring(&g);
+    let mut state = EdgeSupportState::new(&g, &coloring);
+    let e = g.edge_id(0, 1).unwrap();
+    for _ in 0..5 {
+        state.remove_common_neighbor(e, coloring.color(2), Attribute::A);
     }
 }
