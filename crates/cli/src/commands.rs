@@ -1078,6 +1078,8 @@ fn parse_case_study(name: &str) -> Result<CaseStudy, String> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
     use super::*;
     use crate::args::parse;
 
@@ -1091,8 +1093,22 @@ mod tests {
         dir.join(name)
     }
 
+    /// The tracer is process-global: spans of any command running while the trace
+    /// test's tracer is installed land in its file and unbalance it. The trace test
+    /// holds this lock exclusively and every other command test holds it shared.
+    static TRACER: RwLock<()> = RwLock::new(());
+
+    fn shared_tracer() -> RwLockReadGuard<'static, ()> {
+        TRACER.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn exclusive_tracer() -> RwLockWriteGuard<'static, ()> {
+        TRACER.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn end_to_end_generate_stats_solve_reduce() {
+        let _tracer = shared_tracer();
         let graph_path = temp_path("nba.graph");
         let graph_arg = graph_path.to_string_lossy().to_string();
 
@@ -1158,6 +1174,7 @@ mod tests {
 
     #[test]
     fn scale_tier_end_to_end() {
+        let _tracer = shared_tracer();
         let rfcg_path = temp_path("scale_e2e.rfcg");
         let rfcg_arg = rfcg_path.to_string_lossy().to_string();
 
@@ -1218,6 +1235,7 @@ mod tests {
 
     #[test]
     fn solve_with_trace_writes_balanced_jsonl() {
+        let _tracer = exclusive_tracer();
         let graph_path = temp_path("trace_base.graph");
         let trace_path = temp_path("trace_out.jsonl");
         let graph_arg = graph_path.to_string_lossy().to_string();
@@ -1267,6 +1285,7 @@ mod tests {
 
     #[test]
     fn edge_list_input_roundtrip() {
+        let _tracer = shared_tracer();
         let edges_path = temp_path("tiny_edges.txt");
         let attrs_path = temp_path("tiny_attrs.txt");
         std::fs::write(&edges_path, "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n").unwrap();
@@ -1284,6 +1303,7 @@ mod tests {
 
     #[test]
     fn solution_json_is_well_formed() {
+        let _tracer = shared_tracer();
         let graph = rfc_graph::fixtures::fig1_graph();
         let model = FairnessModel::Relative { k: 3, delta: 1 };
         let solver = RfcSolver::new(graph);
@@ -1306,6 +1326,7 @@ mod tests {
 
     #[test]
     fn enumerate_text_and_jsonl_run_end_to_end() {
+        let _tracer = shared_tracer();
         let edges_path = temp_path("enum_edges.txt");
         let attrs_path = temp_path("enum_attrs.txt");
         // Balanced K4 plus a pendant vertex: one maximal fair clique for (2, 0).
@@ -1327,6 +1348,7 @@ mod tests {
 
     #[test]
     fn out_of_range_time_limit_is_an_error_not_a_panic() {
+        let _tracer = shared_tracer();
         let edges_path = temp_path("limit_edges.txt");
         std::fs::write(&edges_path, "0 1\n").unwrap();
         let edges_arg = edges_path.to_string_lossy().to_string();
@@ -1348,6 +1370,7 @@ mod tests {
 
     #[test]
     fn update_replays_a_jsonl_stream() {
+        let _tracer = shared_tracer();
         let graph_path = temp_path("update_base.graph");
         let stream_path = temp_path("update_stream.jsonl");
         let graph_arg = graph_path.to_string_lossy().to_string();
@@ -1410,6 +1433,7 @@ mod tests {
 
     #[test]
     fn helpful_errors_for_bad_input() {
+        let _tracer = shared_tracer();
         assert!(load_graph(&GraphInput::Combined("/definitely/missing.graph".into())).is_err());
         assert!(parse_dataset("nope").is_err());
         assert!(parse_case_study("nope").is_err());

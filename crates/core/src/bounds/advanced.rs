@@ -31,10 +31,7 @@ pub fn attribute_color_bound(
     coloring: &Coloring,
     params: FairCliqueParams,
 ) -> usize {
-    let (color_a, color_b, _mixed) = per_attribute_color_counts(sub, coloring);
-    // A color counted for both attributes contributes to both caps, exactly as in the
-    // paper's colorR∪C(a) / colorR∪C(b).
-    params.best_fair_total(color_a, color_b).unwrap_or(0)
+    attribute_color_cap(per_attribute_color_counts(sub, coloring), params)
 }
 
 /// `ubeac` (Lemma 9, sound variant): partitions the instance's colors into exclusive-a,
@@ -45,7 +42,30 @@ pub fn enhanced_attribute_color_bound(
     coloring: &Coloring,
     params: FairCliqueParams,
 ) -> usize {
-    let (ca_total, cb_total, mixed) = per_attribute_color_counts(sub, coloring);
+    enhanced_attribute_color_cap(per_attribute_color_counts(sub, coloring), params)
+}
+
+/// The number of colors used by at least one a-vertex, by at least one b-vertex, and
+/// by both, over the colored instance: `(colors_a, colors_b, mixed)`. The
+/// [`attribute_color_cap`] and [`enhanced_attribute_color_cap`] arithmetic turns it into
+/// `ubac` and `ubeac`, whichever representation of the instance it was counted on.
+pub(crate) type ColorAttributeCounts = (usize, usize, usize);
+
+/// `ubac` from per-attribute color counts. A color counted for both attributes
+/// contributes to both caps, exactly as in the paper's colorR∪C(a) / colorR∪C(b).
+pub(crate) fn attribute_color_cap(
+    (color_a, color_b, _mixed): ColorAttributeCounts,
+    params: FairCliqueParams,
+) -> usize {
+    params.best_fair_total(color_a, color_b).unwrap_or(0)
+}
+
+/// `ubeac` from per-attribute color counts: the best fair total over every way of
+/// assigning each mixed color to one attribute.
+pub(crate) fn enhanced_attribute_color_cap(
+    (ca_total, cb_total, mixed): ColorAttributeCounts,
+    params: FairCliqueParams,
+) -> usize {
     // Exclusive counts: colors used by exactly one attribute.
     let ca = ca_total - mixed;
     let cb = cb_total - mixed;
@@ -59,8 +79,8 @@ pub fn enhanced_attribute_color_bound(
 }
 
 /// Counts, over the colored instance subgraph, the number of colors used by at least one
-/// a-vertex, at least one b-vertex, and by both. Returns `(colors_a, colors_b, mixed)`.
-fn per_attribute_color_counts(sub: &AttributedGraph, coloring: &Coloring) -> (usize, usize, usize) {
+/// a-vertex, at least one b-vertex, and by both.
+fn per_attribute_color_counts(sub: &AttributedGraph, coloring: &Coloring) -> ColorAttributeCounts {
     let num_colors = coloring.num_colors;
     let mut seen = vec![[false; 2]; num_colors];
     for v in sub.vertices() {

@@ -13,7 +13,7 @@ pub fn degeneracy_bound(sub: &AttributedGraph) -> usize {
     if sub.num_vertices() == 0 {
         return 0;
     }
-    core_decomposition(sub).degeneracy as usize + 1
+    clique_cap(core_decomposition(sub).degeneracy as usize)
 }
 
 /// `ubh`: h-index-based bound on the clique number of `sub`.
@@ -21,7 +21,13 @@ pub fn h_index_bound(sub: &AttributedGraph) -> usize {
     if sub.num_vertices() == 0 {
         return 0;
     }
-    graph_h_index(sub) + 1
+    clique_cap(graph_h_index(sub))
+}
+
+/// The clique-size cap of a non-empty instance whose degeneracy (or h-index) is
+/// `value`: a clique of size `s` forces `value ≥ s − 1`.
+pub(crate) fn clique_cap(value: usize) -> usize {
+    value + 1
 }
 
 #[cfg(test)]

@@ -24,8 +24,7 @@ pub fn colorful_degeneracy_bound(
         return 0;
     }
     let decomp = colorful_core_decomposition(sub, coloring);
-    let cap_min = decomp.colorful_degeneracy as usize + 1;
-    params.best_fair_total(cap_min, usize::MAX).unwrap_or(0)
+    fair_cap(decomp.colorful_degeneracy as usize, params)
 }
 
 /// `ubch`: colorful-h-index-based bound.
@@ -37,8 +36,14 @@ pub fn colorful_h_index_bound(
     if sub.num_vertices() == 0 {
         return 0;
     }
-    let cap_min = colorful_h_index(sub, coloring) + 1;
-    params.best_fair_total(cap_min, usize::MAX).unwrap_or(0)
+    fair_cap(colorful_h_index(sub, coloring), params)
+}
+
+/// The fair-clique size cap of a non-empty instance whose colorful degeneracy (or
+/// colorful h-index) is `value`: the clique's minority side has at most `value + 1`
+/// vertices, and fairness caps the majority at `δ` more.
+pub(crate) fn fair_cap(value: usize, params: FairCliqueParams) -> usize {
+    params.best_fair_total(value + 1, usize::MAX).unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -36,8 +36,23 @@
 //! `h-index + 1`, `2·(colorful degeneracy + 1) + δ`, and the optimum over mixed-color
 //! assignments — which preserve the asymptotic pruning behaviour the paper evaluates.
 //! The [`advanced`], [`classic`] and [`colorful`] module docs derive each corrected form.
+//! The corrected arithmetic lives once, in crate-private helpers of those modules, and
+//! both evaluations below call it.
+//!
+//! ### Two evaluations of one bound
+//!
+//! [`instance_upper_bound`] is the CSR reference: it accepts any vertex set, builds the
+//! induced subgraph `G'` and a fresh greedy coloring, and evaluates every configured
+//! bound. The branch-and-bound does not call it: it evaluates the same bound on the
+//! bitset rows of the component it already holds (a crate-private kernel). The coloring
+//! is bit-parallel with one bitset per color class, no subgraph is built, and the kernel
+//! stops at the first bound that falls below the incumbent-derived target, so the
+//! expensive extra bound only runs where `ubAD` did not already prune. The kernel
+//! colors in the reference's order, so its values are identical; a differential test
+//! compares the two on every [`ExtraBound`].
 
 pub mod advanced;
+pub(crate) mod bitset_kernel;
 pub mod classic;
 pub mod colorful;
 pub mod colorful_path;
@@ -141,6 +156,9 @@ impl BoundConfig {
 ///
 /// Returns `0` when the instance is provably infeasible (no fair clique can exist in
 /// it), which prunes the branch outright.
+///
+/// This is the CSR reference: the branch-and-bound evaluates the same value on its
+/// bitset rows instead (see the module docs), and the two are compared in tests.
 pub fn instance_upper_bound(
     g: &AttributedGraph,
     vertices: &[VertexId],

@@ -101,7 +101,7 @@ use crate::heuristic::heur_rfc;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::{apply_reductions, apply_reductions_controlled, ReductionConfig};
 use crate::search::control::{SearchControl, StopReason};
-use crate::search::parallel::SharedIncumbent;
+use crate::search::parallel::{canonical_order, SharedIncumbent};
 use crate::search::{branch_and_bound, SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{Objective, Query, ReducedEntry, Solution, SolveError, Termination};
 
@@ -619,28 +619,25 @@ impl DynamicRfcSolver {
             flush_cache_metrics("solve", &cache_before, &entry.solve_cache.stats());
         }
 
-        // Merge the per-component pools: all cliques, largest first, ties broken by
-        // component order then pool order (deterministic for a deterministic cache).
-        let mut ranked: Vec<(usize, usize, usize)> = Vec::new();
+        // Merge the per-component pools in the canonical order `RfcSolver` uses. A
+        // pool holds ascending ranks and a component's ranks follow its sorted vertex
+        // list, so mapping a pool clique's ranks yields ascending vertex ids.
+        let mut ranked: Vec<(usize, usize)> = Vec::new();
         for (ci, cell) in per_comp.iter().enumerate() {
             if let Some(cliques) = cell {
-                for (qi, clique) in cliques.iter().enumerate() {
-                    ranked.push((ci, qi, clique.len()));
-                }
+                ranked.extend((0..cliques.len()).map(|qi| (ci, qi)));
             }
         }
-        ranked.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        let original = |&(ci, qi): &(usize, usize)| {
+            let vertices = &components[ci].vertices;
+            let ranks = &per_comp[ci].as_ref().expect("ranked entries exist")[qi];
+            ranks.iter().map(move |&r| vertices[r as usize])
+        };
+        ranked.sort_by(|a, b| canonical_order(original(a), original(b)));
         ranked.truncate(capacity);
         let cliques: Vec<FairClique> = ranked
-            .into_iter()
-            .map(|(ci, qi, _)| {
-                let ranks = &per_comp[ci].as_ref().expect("ranked entries exist")[qi];
-                let ids: Vec<VertexId> = ranks
-                    .iter()
-                    .map(|&r| components[ci].vertices[r as usize])
-                    .collect();
-                FairClique::from_vertices(&self.graph, ids)
-            })
+            .iter()
+            .map(|entry| FairClique::from_vertices(&self.graph, original(entry).collect()))
             .collect();
 
         let mut termination = match ctrl.stop_reason() {

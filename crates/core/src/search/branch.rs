@@ -6,7 +6,9 @@
 //! `candidates ∩ N(v)` step of every branch is then a fused AND+popcount into a
 //! pooled scratch bitset ([`BitsetPool`]), so steady-state branching allocates
 //! nothing, and iterating a candidate set's bits in ascending order *is* iterating it
-//! in branching order.
+//! in branching order. The shallow-node bounds run on the same rows: the instance
+//! `R ∪ C` goes to the bound kernel as a rank bitset together with the incumbent's
+//! target, and the kernel's buffers live next to the pool in the worker's [`Scratch`].
 //!
 //! The per-component state is split in two so one component can be searched by many
 //! workers:
@@ -30,7 +32,8 @@ use rfc_graph::bitset::{BitMatrix, Bitset, BitsetPool};
 use rfc_graph::subgraph::{induced_subgraph, InducedSubgraph};
 use rfc_graph::{Attribute, AttributeCounts, AttributedGraph, VertexId};
 
-use crate::bounds::{instance_upper_bound, ExtraBound};
+use crate::bounds::bitset_kernel::{rank_upper_bound, BoundScratch, RankGraph};
+use crate::bounds::ExtraBound;
 use crate::problem::FairCliqueParams;
 
 use super::control::SearchControl;
@@ -44,6 +47,9 @@ pub(super) struct ComponentContext {
     pub(super) sub: InducedSubgraph,
     /// `order[rank]` is the component-local vertex with that branching rank.
     pub(super) order: Vec<VertexId>,
+    /// `rank_of[v]` is the branching rank of component-local vertex `v` (the inverse
+    /// of `order`).
+    rank_of: Vec<usize>,
     /// Adjacency over ranks: bit `r` of row `q` is set iff the vertices ranked `q` and
     /// `r` are adjacent.
     pub(super) adj: BitMatrix,
@@ -67,20 +73,21 @@ impl ComponentContext {
         let cg = &sub.graph;
         let n = cg.num_vertices();
         let order = ordering_sequence(cg, config.branch_order);
-        let positions = positions_of(&order);
+        let rank_of = positions_of(&order);
         let mut adj = BitMatrix::new(n);
         for &(u, v) in cg.edge_list() {
-            adj.set_edge(positions[u as usize], positions[v as usize]);
+            adj.set_edge(rank_of[u as usize], rank_of[v as usize]);
         }
         let mut attr_a = Bitset::new(n);
         for v in cg.vertices() {
             if cg.attribute(v) == Attribute::A {
-                attr_a.insert(positions[v as usize]);
+                attr_a.insert(rank_of[v as usize]);
             }
         }
         Self {
             sub,
             order,
+            rank_of,
             adj,
             attr_a,
             split_depth: 0,
@@ -97,6 +104,32 @@ impl ComponentContext {
     /// Number of vertices of the component (the capacity of all its bitsets).
     pub(super) fn num_vertices(&self) -> usize {
         self.sub.graph.num_vertices()
+    }
+
+    /// The component in rank space, as the bound kernel reads it.
+    fn rank_graph(&self) -> RankGraph<'_> {
+        RankGraph {
+            adj: &self.adj,
+            attr_a: &self.attr_a,
+            key: &self.order,
+        }
+    }
+}
+
+/// One worker's reusable scratch: the candidate bitsets of the recursion and the
+/// buffers of the shallow-node bound kernel. Reset to each component's size, it lets
+/// steady-state nodes run without allocating.
+#[derive(Debug, Default)]
+pub(super) struct Scratch {
+    bitsets: BitsetPool,
+    bounds: BoundScratch,
+}
+
+impl Scratch {
+    /// Re-targets every buffer to a component of `n` vertices.
+    pub(super) fn reset(&mut self, n: usize) {
+        self.bitsets.reset(n);
+        self.bounds.reset(n);
     }
 }
 
@@ -132,8 +165,8 @@ pub(super) struct ComponentSearch<'a> {
     /// Budget/cancellation control; checked once per node so exhausted budgets unwind
     /// the whole recursion promptly.
     ctrl: &'a SearchControl,
-    /// This worker's scratch bitsets, reused across every node of the run.
-    scratch: &'a mut BitsetPool,
+    /// This worker's scratch buffers, reused across every node of the run.
+    scratch: &'a mut Scratch,
     /// Current partial clique, in component-local ids.
     r: Vec<VertexId>,
     /// Subtree tasks split off at shallow depths, for the caller to scatter.
@@ -150,12 +183,12 @@ impl<'a> ComponentSearch<'a> {
         stats: &'a mut SearchStats,
         incumbent: &'a SharedIncumbent,
         ctrl: &'a SearchControl,
-        scratch: &'a mut BitsetPool,
+        scratch: &'a mut Scratch,
     ) -> Self {
         debug_assert_eq!(
-            scratch.nbits(),
+            scratch.bitsets.nbits(),
             ctx.num_vertices(),
-            "scratch pool must be reset to the component size"
+            "scratch must be reset to the component size"
         );
         Self {
             ctx,
@@ -269,11 +302,21 @@ impl<'a> ComponentSearch<'a> {
         let use_expensive =
             depth <= bounds.max_depth && (bounds.advanced || bounds.extra != ExtraBound::None);
         if use_expensive {
-            let mut instance: Vec<VertexId> = Vec::with_capacity(self.r.len() + cand_total);
-            instance.extend_from_slice(&self.r);
-            instance.extend(candidates.iter().map(|rank| self.ctx.order[rank]));
-            let ub = instance_upper_bound(cg, &instance, params, bounds);
-            if ub < useful || ub < params.min_size() {
+            let goal = useful.max(params.min_size());
+            let mut instance = self.scratch.bitsets.acquire_copy(candidates);
+            for &v in &self.r {
+                instance.insert(self.ctx.rank_of[v as usize]);
+            }
+            let ub = rank_upper_bound(
+                &self.ctx.rank_graph(),
+                &instance,
+                params,
+                bounds,
+                goal,
+                &mut self.scratch.bounds,
+            );
+            self.scratch.bitsets.release(instance);
+            if ub < goal {
                 self.stats.bound_prunes += 1;
                 self.stats.prune_counts.colorful_bound += 1;
                 return;
@@ -286,7 +329,7 @@ impl<'a> ComponentSearch<'a> {
         // AND keeps only *later-ordered* neighbors, so every clique is visited once.
         // Nodes shallower than the split depth spawn their children as stealable
         // subtree tasks instead of recursing.
-        let mut rest = self.scratch.acquire_copy(candidates);
+        let mut rest = self.scratch.bitsets.acquire_copy(candidates);
         let mut remaining = cand_total;
         while let Some(rank) = rest.first_set() {
             if self.ctrl.stopped() {
@@ -305,6 +348,7 @@ impl<'a> ComponentSearch<'a> {
             next_counts.add(cg.attribute(v));
             let (next_candidates, next_total) = self
                 .scratch
+                .bitsets
                 .acquire_intersection(&rest, self.ctx.adj.row(rank));
             if depth < self.ctx.split_depth {
                 let mut r = self.r.clone();
@@ -322,11 +366,11 @@ impl<'a> ComponentSearch<'a> {
                 self.r.push(v);
                 self.branch(next_counts, &next_candidates, next_total, depth + 1);
                 self.r.pop();
-                self.scratch.release(next_candidates);
+                self.scratch.bitsets.release(next_candidates);
             }
             remaining -= 1;
         }
-        self.scratch.release(rest);
+        self.scratch.bitsets.release(rest);
     }
 }
 
@@ -346,7 +390,8 @@ mod tests {
         let mut stats = SearchStats::default();
         let incumbent = SharedIncumbent::with_floor(incumbent_size);
         let ctrl = SearchControl::unlimited();
-        let mut scratch = BitsetPool::new(ctx.num_vertices());
+        let mut scratch = Scratch::default();
+        scratch.reset(ctx.num_vertices());
         ComponentSearch::new(
             &ctx,
             0,
@@ -435,7 +480,8 @@ mod tests {
         let incumbent = SharedIncumbent::new(None);
         let ctrl = SearchControl::unlimited();
         let mut stats = SearchStats::default();
-        let mut scratch = BitsetPool::new(ctx.num_vertices());
+        let mut scratch = Scratch::default();
+        scratch.reset(ctx.num_vertices());
         let tasks = {
             let mut search = ComponentSearch::new(
                 &ctx,

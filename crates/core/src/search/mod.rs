@@ -372,7 +372,7 @@ pub(crate) fn branch_and_bound(
         // Deterministic serial path: components in discovery order, exactly the
         // classic sequential algorithm (improvements still flow through `incumbent`).
         let busy = std::time::Instant::now();
-        let mut scratch = rfc_graph::bitset::BitsetPool::new(0);
+        let mut scratch = branch::Scratch::default();
         for component in &components {
             if ctrl.stopped() {
                 break;

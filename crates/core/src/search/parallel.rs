@@ -42,12 +42,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use rfc_graph::bitset::BitsetPool;
 use rfc_graph::{AttributedGraph, VertexId};
 
 use crate::problem::FairCliqueParams;
 
-use super::branch::{ComponentContext, ComponentSearch, SubtreeTask};
+use super::branch::{ComponentContext, ComponentSearch, Scratch, SubtreeTask};
 use super::control::SearchControl;
 use super::steal;
 use super::{SearchConfig, SearchStats};
@@ -146,10 +145,13 @@ impl PoolState {
     }
 }
 
-/// `true` if `a` precedes `b` in canonical pool order (size desc, then lex asc on the
-/// sorted vertex ids).
-fn canonical_before(a: &[VertexId], b: &[VertexId]) -> bool {
-    a.len() > b.len() || (a.len() == b.len() && a < b)
+/// The canonical pool order of two cliques given as ascending vertex ids: size
+/// descending, then lexicographically ascending. Every top-k result is ranked by it.
+pub(crate) fn canonical_order<I>(a: I, b: I) -> std::cmp::Ordering
+where
+    I: ExactSizeIterator<Item = VertexId>,
+{
+    b.len().cmp(&a.len()).then_with(|| a.cmp(b))
 }
 
 impl SharedIncumbent {
@@ -241,9 +243,9 @@ impl SharedIncumbent {
         if clique.len() < state.useful() || clique.len() <= state.floor {
             return false;
         }
-        let at = state
-            .cliques
-            .partition_point(|c| canonical_before(c, &clique));
+        let at = state.cliques.partition_point(|c| {
+            canonical_order(c.iter().copied(), clique.iter().copied()).is_lt()
+        });
         if at >= state.capacity {
             // Everything already in the pool canonically precedes the offer.
             return false;
@@ -315,10 +317,10 @@ fn split_depth_for(n: usize, workers: usize, num_components: usize) -> usize {
     }
 }
 
-/// One worker's private accumulation: its stats and its reusable scratch bitsets.
+/// One worker's private accumulation: its stats and its reusable scratch buffers.
 struct WorkerState {
     stats: SearchStats,
-    scratch: BitsetPool,
+    scratch: Scratch,
 }
 
 /// Searches `components` of `reduced` on a work-stealing pool of `workers` threads
@@ -345,7 +347,7 @@ pub(super) fn search_components(
     let states = (0..workers)
         .map(|_| WorkerState {
             stats: SearchStats::default(),
-            scratch: BitsetPool::new(0),
+            scratch: Scratch::default(),
         })
         .collect();
 

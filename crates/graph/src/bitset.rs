@@ -110,6 +110,21 @@ impl Bitset {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// Removes every element, keeping the capacity.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Whether `self ∩ other` is non-empty (`other` as in
+    /// [`intersection_count`](Self::intersection_count)). Stops at the first common
+    /// word, so a hit on an early word costs one AND.
+    #[inline]
+    pub fn intersects(&self, other: &[u64]) -> bool {
+        debug_assert_eq!(self.words.len(), other.len(), "capacity mismatch");
+        self.words.iter().zip(other).any(|(a, b)| a & b != 0)
+    }
+
     /// The smallest element of the set, if any.
     #[inline]
     pub fn first_set(&self) -> Option<usize> {
@@ -559,6 +574,42 @@ mod tests {
             assert_eq!(out, expected, "nbits = {nbits}");
             assert_eq!(count, expected.count(), "nbits = {nbits}");
         }
+    }
+
+    #[test]
+    fn clear_empties_and_keeps_capacity() {
+        for nbits in [0usize, 1, 64, 130] {
+            let mut s = Bitset::full(nbits);
+            s.clear();
+            assert!(s.is_empty(), "nbits = {nbits}");
+            assert_eq!(s.capacity(), nbits);
+            assert_eq!(s, Bitset::new(nbits));
+        }
+    }
+
+    #[test]
+    fn intersects_matches_intersection_count() {
+        for nbits in [1usize, 63, 64, 65, 200, 1000] {
+            for (s1, s2) in [(3u64, 4u64), (8, 8), (13, 21)] {
+                let a = scrambled(nbits, s1);
+                let b = scrambled(nbits, s2);
+                assert_eq!(
+                    a.intersects(b.words()),
+                    a.intersection_count(b.words()) > 0,
+                    "nbits = {nbits}, seeds ({s1}, {s2})"
+                );
+            }
+        }
+        // Disjoint sets, then one shared bit in the last word only.
+        let mut a = Bitset::new(130);
+        let mut b = Bitset::new(130);
+        a.insert(0);
+        b.insert(1);
+        assert!(!a.intersects(b.words()));
+        a.insert(129);
+        b.insert(129);
+        assert!(a.intersects(b.words()));
+        assert!(!Bitset::new(0).intersects(&[]));
     }
 
     #[test]

@@ -464,3 +464,40 @@ fn reinserting_a_deleted_vertex_id_tracks_scratch() {
         "victim restored with flipped attribute",
     );
 }
+
+/// Top-k ties across components follow the canonical order `RfcSolver` documents
+/// (size descending, then lexicographic on sorted ids), not component order. Two
+/// overlapping fair 4-cliques share one component; the lexicographically second 4-clique
+/// lives in another component, so a merge by component order picks the wrong pair.
+#[test]
+fn top_k_ties_across_components_are_canonical() {
+    let mut b = GraphBuilder::new(23);
+    for v in [11, 12, 14, 21, 22] {
+        b.set_attribute(v, Attribute::B);
+    }
+    for clique in [[0, 10, 11, 12], [10, 11, 13, 14], [1, 20, 21, 22]] {
+        for (i, &u) in clique.iter().enumerate() {
+            for &v in &clique[i + 1..] {
+                b.add_edge(u, v);
+            }
+        }
+    }
+    let graph = b.build().unwrap();
+    let expected: Vec<Vec<VertexId>> = vec![vec![0, 10, 11, 12], vec![1, 20, 21, 22]];
+    let sets = |solution: &Solution| -> Vec<Vec<VertexId>> {
+        solution
+            .cliques
+            .iter()
+            .map(|clique| clique.vertices.clone())
+            .collect()
+    };
+    for threads in [ThreadCount::Serial, ThreadCount::Fixed(2)] {
+        let q = query(FairnessModel::Relative { k: 2, delta: 0 }, threads)
+            .with_objective(Objective::TopK(2));
+        let library = RfcSolver::new(graph.clone()).solve(&q).unwrap();
+        let dynamic = DynamicRfcSolver::new(graph.clone()).solve(&q).unwrap();
+        assert_eq!(sets(&library), expected, "library, {threads:?}");
+        assert_eq!(sets(&dynamic), expected, "dynamic, {threads:?}");
+        assert_eq!(dynamic.termination, library.termination, "{threads:?}");
+    }
+}

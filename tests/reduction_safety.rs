@@ -205,7 +205,8 @@ fn support_reductions_match_the_reference_fixpoint() {
 
 /// On the big component, both support reductions match the reference fixpoint, and the
 /// per-stage edge counts and serial search counters stay pinned, so a kernel rewrite
-/// that changes any reduction result or the branching shows up here.
+/// that changes any reduction result, the branching, or which bound cuts a node shows up
+/// here.
 #[test]
 fn big_component_matches_the_reference_and_pinned_counts() {
     let g = big_component(17);
@@ -230,6 +231,16 @@ fn big_component_matches_the_reference_and_pinned_counts() {
     assert_eq!(solution.stats.heuristic_size, Some(36));
     assert_eq!(solution.stats.branches, 214);
     assert_eq!(solution.stats.bound_prunes, 214);
+    assert_eq!(
+        solution.stats.prune_counts,
+        PruneCounts {
+            size_bound: 30,
+            attr_bound: 3,
+            colorful_bound: 180,
+            tail_cut: 1,
+            ..PruneCounts::default()
+        }
+    );
 }
 
 /// The flat per-edge counts keep a color whose counts reach zero, so removing it again
