@@ -22,7 +22,13 @@
 //!    the branch-and-bound / re-enumeration. Because the key is the content itself,
 //!    component merges, splits and vertex-id-preserving churn all invalidate exactly
 //!    the components they touch — there is no separate dirty-tracking protocol to
-//!    get out of sync.
+//!    get out of sync. The content carries a keyed digest, computed once when the
+//!    component is built with hash keys the solver draws at construction and keeps
+//!    for life, so hashing a lookup key costs O(1) however large the component. The
+//!    random keys stop clients from crafting colliding graph content. Equality still
+//!    compares the full content, so a hit on a key rebuilt by a commit costs one
+//!    content comparison, and a collision costs one comparison, never a wrong cached
+//!    answer.
 //!
 //! ## Soundness of the cache invalidation
 //!
@@ -81,7 +87,9 @@
 //!   so N worker processes holding replicas of the same committed graph partition the
 //!   work deterministically and a parent can merge their per-shard answers.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -103,7 +111,10 @@ use crate::reduction::{apply_reductions, apply_reductions_controlled, ReductionC
 use crate::search::control::{SearchControl, StopReason};
 use crate::search::parallel::{canonical_order, SharedIncumbent};
 use crate::search::{branch_and_bound, SearchConfig, SearchStats, ThreadCount};
-use crate::solver::{Objective, Query, ReducedEntry, Solution, SolveError, Termination};
+use crate::solver::{
+    certify_bound, colorful_upper_bound, Objective, Query, ReducedEntry, Solution, SolveError,
+    Termination,
+};
 
 /// What one [`DynamicRfcSolver::commit`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,12 +197,38 @@ pub struct DynCacheStats {
 /// and edges relabeled by rank in the component's sorted vertex list. Two components
 /// with equal canonical content are the same subproblem, so this is the key of the
 /// per-component result caches.
-#[derive(Debug, PartialEq, Eq, Hash)]
+///
+/// [`Hash`] writes only the digest, so hashing a key costs O(1) however large the
+/// component. The derived [`PartialEq`] compares fields in declaration order, so
+/// the digest first: only a hit or a digest collision compares the full content.
+#[derive(Debug, PartialEq, Eq)]
 struct CanonicalComponent {
+    /// Keyed hash of `attrs` and `edges`, computed once by [`CanonicalComponent::new`].
+    /// Declared first so that equality compares it before the content.
+    digest: u64,
     /// Attribute of each rank.
     attrs: Vec<Attribute>,
     /// Edges as rank pairs (`u < v`), sorted.
     edges: Vec<(u32, u32)>,
+}
+
+impl CanonicalComponent {
+    /// Digests the content with `keys`, which must be the same for every component
+    /// a cache ever compares: equal content then always gets equal digests.
+    fn new(attrs: Vec<Attribute>, edges: Vec<(u32, u32)>, keys: &RandomState) -> Self {
+        let digest = keys.hash_one((&attrs, &edges));
+        Self {
+            digest,
+            attrs,
+            edges,
+        }
+    }
+}
+
+impl Hash for CanonicalComponent {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
 }
 
 /// One eligible component of the current reduced graph.
@@ -290,6 +327,9 @@ pub struct DynamicRfcSolver {
     commits: u64,
     /// Reduction pipeline executions (full builds and dirty-component splices).
     preprocessing_runs: usize,
+    /// Hash keys of every component digest, drawn once so that a clean component
+    /// rebuilt by a later commit digests the same and still hits the caches.
+    digest_keys: RandomState,
 }
 
 impl DynamicRfcSolver {
@@ -306,6 +346,7 @@ impl DynamicRfcSolver {
             cache_capacity: None,
             commits: 0,
             preprocessing_runs: 0,
+            digest_keys: RandomState::new(),
         }
     }
 
@@ -647,17 +688,11 @@ impl DynamicRfcSolver {
             None => Termination::Optimal,
         };
         let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
-        let upper_bound = if termination.is_complete() {
-            Some(best_size)
-        } else {
-            // Global colorful bound over the reduced graph — sound (if loose) for any
-            // shard, and enough to certify an incumbent that meets it.
-            let ub = crate::solver::colorful_upper_bound(&reduced.graph, params).max(best_size);
-            if query.objective == Objective::Maximum && ub == best_size && best_size > 0 {
-                termination = Termination::Optimal;
-            }
-            Some(ub)
-        };
+        // Global colorful bound over the reduced graph — sound (if loose) for any
+        // shard, and enough to certify an incumbent that meets it.
+        let upper_bound = certify_bound(query.objective, best_size, &mut termination, || {
+            Some(colorful_upper_bound(&reduced.graph, params))
+        });
         stats.elapsed_micros = start.elapsed().as_micros() as u64;
         crate::solver::flush_search_metrics(&stats);
         Ok(Solution {
@@ -859,7 +894,11 @@ impl DynamicRfcSolver {
                 let graph = graph?;
                 self.preprocessing_runs += 1;
                 let reduced = Arc::new(ReducedEntry { graph, stats });
-                let components = Arc::new(build_components(&reduced.graph, params.min_size()));
+                let components = Arc::new(build_components(
+                    &reduced.graph,
+                    params.min_size(),
+                    &self.digest_keys,
+                ));
                 self.entries.insert(
                     *key,
                     DynEntry {
@@ -879,10 +918,14 @@ impl DynamicRfcSolver {
             }) => {
                 let reduced = Arc::new(self.splice(&old, &changed, params, &key.1));
                 self.preprocessing_runs += 1;
-                let components = Arc::new(build_components(&reduced.graph, params.min_size()));
+                let components = Arc::new(build_components(
+                    &reduced.graph,
+                    params.min_size(),
+                    &self.digest_keys,
+                ));
                 // Drop results for components that no longer exist; identical
                 // components (the clean majority) keep their entries and will hit.
-                let live: std::collections::HashSet<&CanonicalComponent> =
+                let live: HashSet<&CanonicalComponent> =
                     components.iter().map(|c| c.canon.as_ref()).collect();
                 solve_cache.retain(|k| live.contains(k.2.as_ref()));
                 enum_cache.retain(|k| live.contains(k.2.as_ref()));
@@ -1009,8 +1052,13 @@ fn flush_cache_metrics(kind: &str, before: &CacheStats, after: &CacheStats) {
     }
 }
 
-/// The eligible components of a reduced graph with their canonical content keys.
-fn build_components(reduced: &AttributedGraph, min_size: usize) -> Vec<DynComponent> {
+/// The eligible components of a reduced graph with their canonical content keys,
+/// digested with the solver's `keys`.
+fn build_components(
+    reduced: &AttributedGraph,
+    min_size: usize,
+    keys: &RandomState,
+) -> Vec<DynComponent> {
     let active: Vec<VertexId> = reduced
         .vertices()
         .filter(|&v| reduced.degree(v) + 1 >= min_size)
@@ -1037,7 +1085,7 @@ fn build_components(reduced: &AttributedGraph, min_size: usize) -> Vec<DynCompon
             edges.sort_unstable();
             DynComponent {
                 vertices,
-                canon: Arc::new(CanonicalComponent { attrs, edges }),
+                canon: Arc::new(CanonicalComponent::new(attrs, edges, keys)),
             }
         })
         .collect()
@@ -1604,6 +1652,31 @@ mod tests {
         assert_eq!(solver.cache_stats().solve.len, 2);
         solver.set_cache_capacity(Some(1));
         assert_eq!(solver.cache_stats().solve.len, 1);
+    }
+
+    #[test]
+    fn equal_digests_with_different_content_never_share_a_cache_entry() {
+        let keys = RandomState::new();
+        let attrs = vec![Attribute::A, Attribute::B, Attribute::A];
+        let edges = vec![(0, 1), (0, 2), (1, 2)];
+        let real = CanonicalComponent::new(attrs.clone(), edges.clone(), &keys);
+        // Same digest and attributes, one edge short: a forced collision.
+        let forged = CanonicalComponent {
+            digest: real.digest,
+            attrs: attrs.clone(),
+            edges: edges[..2].to_vec(),
+        };
+        assert_eq!(keys.hash_one(&real), keys.hash_one(&forged));
+        assert_ne!(real, forged);
+        let rebuilt = CanonicalComponent::new(attrs, edges, &keys);
+        assert_eq!(real, rebuilt);
+
+        let model = FairnessModel::Relative { k: 1, delta: 0 };
+        let mut cache: LruCache<SolveKey, Arc<Vec<Vec<u32>>>> = LruCache::new(None);
+        cache.insert((model, 1, Arc::new(real)), Arc::new(vec![vec![0, 1, 2]]));
+        assert!(cache.get(&(model, 1, Arc::new(forged))).is_none());
+        assert!(cache.get(&(model, 1, Arc::new(rebuilt))).is_some());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
     }
 
     #[test]

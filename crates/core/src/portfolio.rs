@@ -63,8 +63,8 @@ use crate::search::control::SearchControl;
 use crate::search::parallel::SharedIncumbent;
 use crate::search::{branch_and_bound, BranchOrder, SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{
-    colorful_upper_bound, flush_search_metrics, stopped_termination, CancelToken, Objective, Query,
-    ReducedEntry, RfcSolver, Solution, SolveError, Termination,
+    certify_bound, colorful_upper_bound, flush_search_metrics, stopped_termination, CancelToken,
+    Objective, Query, ReducedEntry, RfcSolver, Solution, SolveError, Termination,
 };
 
 /// Configuration of one [`RfcSolver::solve_portfolio`] call.
@@ -368,27 +368,14 @@ fn solve_portfolio(
     } else {
         Termination::BudgetExhausted
     };
-    let upper_bound = if termination.is_complete() {
-        Some(best_size)
-    } else if entries.is_empty() {
-        // Every member was stopped before finishing a reduction: no sound bound.
-        None
-    } else {
-        let ub = entries
+    // No entry means every member was stopped before finishing a reduction: no
+    // sound bound.
+    let upper_bound = certify_bound(query.objective, best_size, &mut termination, || {
+        entries
             .iter()
             .map(|e| colorful_upper_bound(&e.graph, params))
             .min()
-            .unwrap_or(0)
-            .max(best_size);
-        if query.objective == Objective::Maximum && ub == best_size {
-            termination = if best_size > 0 {
-                Termination::Optimal
-            } else {
-                Termination::Infeasible
-            };
-        }
-        Some(ub)
-    };
+    });
     stats.elapsed_micros = start.elapsed().as_micros() as u64;
 
     span.counter("members", reports.len() as u64);

@@ -773,24 +773,9 @@ impl RfcSolver {
             None => Termination::Optimal,
         };
         let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
-        let upper_bound = if termination.is_complete() {
-            Some(best_size)
-        } else {
-            // The colorful bound never undercuts a verified clique; max() guards the
-            // invariant anyway so a reported gap can never go negative.
-            let ub = colorful_upper_bound(&reduced.graph, params).max(best_size);
-            // A best-so-far that meets the proven bound *is* the exact answer: certify
-            // it instead of reporting a hollow "budget exhausted" (single-maximum
-            // queries only — top-k completeness needs more than a size bound).
-            if query.objective == Objective::Maximum && ub == best_size {
-                termination = if best_size > 0 {
-                    Termination::Optimal
-                } else {
-                    Termination::Infeasible
-                };
-            }
-            Some(ub)
-        };
+        let upper_bound = certify_bound(query.objective, best_size, &mut termination, || {
+            Some(colorful_upper_bound(&reduced.graph, params))
+        });
         stats.elapsed_micros = start.elapsed().as_micros() as u64;
         solve_span.counter("branches", stats.branches);
         solve_span.counter("cliques", cliques.len() as u64);
@@ -850,6 +835,40 @@ pub(crate) fn stopped_termination(ctrl: &SearchControl) -> Termination {
         Some(StopReason::Cancelled) => Termination::Cancelled,
         _ => Termination::BudgetExhausted,
     }
+}
+
+/// The `upper_bound` a solve reports, certifying `termination` when the bound proves
+/// the best-so-far exact. The one rule every solve entry point applies.
+///
+/// A complete search bounds itself at `best_size`. Otherwise `bound` is evaluated (it
+/// returns a sound bound on the whole query, or `None` when none was computed) and
+/// raised to `best_size`, so a reported gap is never negative. A best-so-far that
+/// meets it *is* the exact answer: a single-maximum query then reports
+/// [`Termination::Optimal`], or [`Termination::Infeasible`] when both are 0, instead
+/// of a hollow early stop. Top-k queries keep their early stop, since top-k
+/// completeness needs more than a size bound.
+///
+/// Public only so that merges of per-shard answers certify the same way; not part
+/// of the stable API.
+#[doc(hidden)]
+pub fn certify_bound(
+    objective: Objective,
+    best_size: usize,
+    termination: &mut Termination,
+    bound: impl FnOnce() -> Option<usize>,
+) -> Option<usize> {
+    if termination.is_complete() {
+        return Some(best_size);
+    }
+    let ub = bound()?.max(best_size);
+    if objective == Objective::Maximum && ub == best_size {
+        *termination = if best_size > 0 {
+            Termination::Optimal
+        } else {
+            Termination::Infeasible
+        };
+    }
+    Some(ub)
 }
 
 /// A sound upper bound on the size of any fair clique of `g` under `params`, from a

@@ -362,7 +362,9 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
-        // No tracer installed: guards are inert shells.
+        // No tracer installed: guards are inert shells. Holding the install lock
+        // keeps the other tests in this binary from installing one meanwhile.
+        let _no_tracer = INSTALL.lock().unwrap_or_else(PoisonError::into_inner);
         let mut s = span("nobody-listens");
         assert!(!s.is_recording());
         s.counter("ignored", 1);

@@ -24,10 +24,15 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use rfc_core::Shard;
+use rfc_core::search::canonical_order;
+use rfc_core::solver::certify_bound;
+use rfc_core::{Objective, Shard, Termination};
 use rfc_graph::json::JsonValue;
+use rfc_graph::VertexId;
 
-use crate::protocol::{is_terminal, ErrorCode, ErrorResponse, Request};
+use crate::protocol::{
+    is_terminal, termination_from_str, termination_str, ErrorCode, ErrorResponse, Request,
+};
 use crate::{Counters, Flow, Handler};
 
 /// One worker child process with its pipes.
@@ -195,9 +200,9 @@ impl ShardedEngine {
     fn handle_solve(&self, graph: &str, request: &Request) -> Result<String, ErrorResponse> {
         let _guard = self.state_lock.read().expect("state lock poisoned");
         let count = self.workers.len();
-        let top = match request {
-            Request::Solve { spec, .. } => spec.top.unwrap_or(1),
-            _ => 1,
+        let objective = match request {
+            Request::Solve { spec, .. } => spec.top.map_or(Objective::Maximum, Objective::TopK),
+            _ => Objective::Maximum,
         };
         let mut results: Vec<Option<Result<Vec<JsonValue>, ErrorResponse>>> =
             (0..count).map(|_| None).collect();
@@ -220,7 +225,7 @@ impl ShardedEngine {
             }
             terminals.push(terminal);
         }
-        Ok(merge_solve(graph, &terminals, top))
+        Ok(merge_solve(graph, &terminals, objective))
     }
 
     fn handle_enumerate(
@@ -543,21 +548,43 @@ fn termination_rank(termination: &str) -> u8 {
     }
 }
 
-/// Merges per-shard solve terminals: best cliques across shards, summed branch
-/// counts, max wall-clock, ANDed cache-hit flags, and the strongest early-stop
+/// Merges per-shard solve terminals the way `RfcSolver` ranks and certifies one
+/// solve: best cliques across shards in the library's [`canonical_order`], summed
+/// branch counts, max wall-clock, ANDed cache-hit flags, and the strongest early-stop
 /// termination (all-infeasible stays infeasible; any shard's clique makes the merge
 /// non-infeasible).
-fn merge_solve(graph: &str, terminals: &[JsonValue], top: usize) -> String {
-    let mut cliques: Vec<JsonValue> = Vec::new();
+///
+/// Each shard's `upper_bound` is sound for its own components, so their maximum
+/// bounds the whole graph; there is none if any shard has none. The library's
+/// [`certify_bound`] then raises it to the merged best and certifies a
+/// single-maximum best that meets it.
+fn merge_solve(graph: &str, terminals: &[JsonValue], objective: Objective) -> String {
+    // Each clique with its vertex ids, which the canonical order ranks.
+    let mut cliques: Vec<(Vec<VertexId>, &JsonValue)> = Vec::new();
     let mut branches: u64 = 0;
     let mut elapsed: u64 = 0;
     let mut cache_hit = true;
     let mut any_early: Option<&str> = None;
     let mut all_infeasible = true;
+    let mut bound: Option<usize> = Some(0);
     for terminal in terminals {
         if let Some(shard_cliques) = terminal.get("cliques").and_then(JsonValue::as_array) {
-            cliques.extend(shard_cliques.iter().cloned());
+            cliques.extend(shard_cliques.iter().map(|clique| {
+                let vertices = clique
+                    .get("vertices")
+                    .and_then(JsonValue::as_array)
+                    .map(|ids| {
+                        ids.iter()
+                            .filter_map(|id| id.as_u64()?.try_into().ok())
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                (vertices, clique)
+            }));
         }
+        bound = bound
+            .zip(terminal.get("upper_bound").and_then(JsonValue::as_usize))
+            .map(|(merged, shard)| merged.max(shard));
         branches += terminal
             .get("branches")
             .and_then(JsonValue::as_u64)
@@ -586,32 +613,37 @@ fn merge_solve(graph: &str, terminals: &[JsonValue], top: usize) -> String {
             }
         }
     }
-    cliques.sort_by_key(|clique| {
-        std::cmp::Reverse(clique.get("size").and_then(JsonValue::as_u64).unwrap_or(0))
+    cliques.sort_by(|(a, _), (b, _)| canonical_order(a.iter().copied(), b.iter().copied()));
+    cliques.truncate(match objective {
+        Objective::Maximum => 1,
+        Objective::TopK(n) => n,
     });
-    cliques.truncate(top);
-    let termination = if let Some(early) = any_early {
-        early
-    } else if all_infeasible && cliques.is_empty() {
-        "infeasible"
-    } else {
-        "optimal"
+    let best = cliques.first().map_or(0, |(vertices, _)| vertices.len());
+    let mut termination = match any_early.and_then(termination_from_str) {
+        Some(early) => early,
+        None if all_infeasible && cliques.is_empty() => Termination::Infeasible,
+        None => Termination::Optimal,
     };
+    let upper_bound = certify_bound(objective, best, &mut termination, || bound);
     let mut line = format!(
         "{{\"ok\":true,\"op\":\"solve\",\"graph\":\"{}\",\"termination\":\"{}\",\"cliques\":[",
         rfc_graph::json::escaped(graph),
-        termination
+        termination_str(termination)
     );
-    for (i, clique) in cliques.iter().enumerate() {
+    for (i, (_, clique)) in cliques.iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
         line.push_str(&clique.to_string());
     }
+    let opt = |v: Option<usize>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
     use std::fmt::Write as _;
     let _ = write!(
         line,
-        "],\"branches\":{branches},\"elapsed_us\":{elapsed},\"reduction_cache_hit\":{cache_hit}}}"
+        "],\"branches\":{branches},\"elapsed_us\":{elapsed},\"upper_bound\":{},\
+         \"optimality_gap\":{},\"reduction_cache_hit\":{cache_hit}}}",
+        opt(upper_bound),
+        opt(upper_bound.map(|b| b - best)),
     );
     line
 }
@@ -636,7 +668,7 @@ mod tests {
                     r#"{"ok":true,"op":"solve","graph":"g","termination":"optimal","cliques":[{"size":8,"vertices":[6,7,8,9,10,11,12,13]}],"branches":7,"elapsed_us":90,"reduction_cache_hit":false}"#,
                 ),
             ],
-            1,
+            Objective::Maximum,
         );
         let value = JsonValue::parse(&merged).unwrap();
         assert_eq!(
@@ -660,6 +692,79 @@ mod tests {
     }
 
     #[test]
+    fn merge_breaks_size_ties_by_canonical_vertex_order() {
+        // Shard order must not decide a tie: the lexicographically smaller clique
+        // wins, as in `RfcSolver`'s canonical ranking.
+        let merged = merge_solve(
+            "g",
+            &[
+                terminal(
+                    r#"{"ok":true,"termination":"optimal","cliques":[{"size":4,"vertices":[10,11,13,14]}],"branches":0,"elapsed_us":0,"upper_bound":4,"reduction_cache_hit":true}"#,
+                ),
+                terminal(
+                    r#"{"ok":true,"termination":"optimal","cliques":[{"size":4,"vertices":[0,10,11,12]}],"branches":0,"elapsed_us":0,"upper_bound":4,"reduction_cache_hit":true}"#,
+                ),
+            ],
+            Objective::Maximum,
+        );
+        let value = JsonValue::parse(&merged).unwrap();
+        let cliques = value.get("cliques").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(cliques.len(), 1);
+        let vertices: Vec<u64> = cliques[0]
+            .get("vertices")
+            .and_then(JsonValue::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(JsonValue::as_u64)
+            .collect();
+        assert_eq!(vertices, [0, 10, 11, 12]);
+    }
+
+    #[test]
+    fn merge_passes_the_largest_shard_bound_through() {
+        let bound_and_gap = |terminals: &[&str], objective: Objective| {
+            let values: Vec<JsonValue> = terminals.iter().map(|t| terminal(t)).collect();
+            let value = JsonValue::parse(&merge_solve("g", &values, objective)).unwrap();
+            (
+                value
+                    .get("termination")
+                    .and_then(JsonValue::as_str)
+                    .unwrap()
+                    .to_string(),
+                value.get("upper_bound").and_then(JsonValue::as_u64),
+                value.get("optimality_gap").and_then(JsonValue::as_u64),
+            )
+        };
+        let best5 = r#"{"ok":true,"termination":"optimal","cliques":[{"size":5,"vertices":[1,2,3,4,5]}],"branches":0,"elapsed_us":0,"upper_bound":5,"reduction_cache_hit":true}"#;
+        let budget7 = r#"{"ok":true,"termination":"budget_exhausted","cliques":[{"size":3,"vertices":[6,7,8]}],"branches":0,"elapsed_us":0,"upper_bound":7,"reduction_cache_hit":true}"#;
+        let budget5 = r#"{"ok":true,"termination":"budget_exhausted","cliques":[],"branches":0,"elapsed_us":0,"upper_bound":5,"reduction_cache_hit":true}"#;
+        let budget0 = r#"{"ok":true,"termination":"budget_exhausted","cliques":[],"branches":0,"elapsed_us":0,"upper_bound":0,"reduction_cache_hit":true}"#;
+        let unbounded = r#"{"ok":true,"termination":"budget_exhausted","cliques":[],"branches":0,"elapsed_us":0,"upper_bound":null,"reduction_cache_hit":true}"#;
+        assert_eq!(
+            bound_and_gap(&[best5, budget7], Objective::Maximum),
+            ("budget_exhausted".to_string(), Some(7), Some(2))
+        );
+        // A best that meets the merged bound is certified, for the maximum only.
+        assert_eq!(
+            bound_and_gap(&[best5, budget5], Objective::Maximum),
+            ("optimal".to_string(), Some(5), Some(0))
+        );
+        assert_eq!(
+            bound_and_gap(&[best5, budget5], Objective::TopK(1)),
+            ("budget_exhausted".to_string(), Some(5), Some(0))
+        );
+        assert_eq!(
+            bound_and_gap(&[budget0, budget0], Objective::Maximum),
+            ("infeasible".to_string(), Some(0), Some(0))
+        );
+        // One shard without a bound leaves the merge without one.
+        assert_eq!(
+            bound_and_gap(&[best5, unbounded], Objective::Maximum),
+            ("budget_exhausted".to_string(), None, None)
+        );
+    }
+
+    #[test]
     fn merge_termination_precedence() {
         let optimal = r#"{"ok":true,"termination":"optimal","cliques":[{"size":3}],"branches":0,"elapsed_us":0,"reduction_cache_hit":true}"#;
         let infeasible = r#"{"ok":true,"termination":"infeasible","cliques":[],"branches":0,"elapsed_us":0,"reduction_cache_hit":true}"#;
@@ -667,7 +772,7 @@ mod tests {
         let cancelled = r#"{"ok":true,"termination":"cancelled","cliques":[],"branches":0,"elapsed_us":0,"reduction_cache_hit":true}"#;
         let merged_termination = |terminals: &[&str]| {
             let values: Vec<JsonValue> = terminals.iter().map(|t| terminal(t)).collect();
-            let merged = merge_solve("g", &values, 1);
+            let merged = merge_solve("g", &values, Objective::Maximum);
             JsonValue::parse(&merged)
                 .unwrap()
                 .get("termination")

@@ -501,3 +501,30 @@ fn top_k_ties_across_components_are_canonical() {
         assert_eq!(dynamic.termination, library.termination, "{threads:?}");
     }
 }
+
+/// Bound certification follows one rule on every entry point: a budget-stopped
+/// single-maximum solve whose bound is 0 proves infeasibility. An all-`A` K5 passes
+/// the coloring gate for k = 2 but holds no fair clique; with no heuristic and a
+/// zero node budget the search stops at once with a colorful bound of 0.
+#[test]
+fn a_zero_bound_certifies_infeasible_like_the_library() {
+    let mut b = GraphBuilder::new(5);
+    for u in 0..5 {
+        for v in (u + 1)..5 {
+            b.add_edge(u, v);
+        }
+    }
+    let graph = b.build().unwrap();
+    let mut config = SearchConfig::default().with_threads(ThreadCount::Serial);
+    config.reductions = ReductionConfig::none();
+    config.use_heuristic = false;
+    let q = Query::new(FairnessModel::Relative { k: 2, delta: 1 })
+        .with_config(config)
+        .with_budget(Budget::default().with_node_limit(0));
+    let library = RfcSolver::new(graph.clone()).solve(&q).unwrap();
+    let dynamic = DynamicRfcSolver::new(graph).solve(&q).unwrap();
+    assert_eq!(library.termination, Termination::Infeasible);
+    assert_eq!(dynamic.termination, library.termination);
+    assert_eq!(dynamic.upper_bound, Some(0));
+    assert_eq!(dynamic.optimality_gap(), library.optimality_gap());
+}
