@@ -31,8 +31,8 @@ USAGE:
   maxfairclique generate  --dataset NAME | --case-study NAME | --scale N
                           [--output FILE] [--seed S] [--planted-half H]
                           [--prob-a P]
-  maxfairclique serve     [--host H] [--port P] [--workers N] [--max-active N]
-                          [--max-queue N] [--cache-cap N] [--time-limit SECS]
+  maxfairclique serve     [--host H] [--port P] [--max-active N] [--max-queue N]
+                          [--cache-cap N] [--time-limit SECS]
   maxfairclique client    --connect HOST:PORT
                           ( --load NAME --path FILE | --solve NAME
                           | --enumerate NAME | --update NAME --stream FILE
@@ -41,7 +41,6 @@ USAGE:
                           [-k K] [-d DELTA] [--weak] [--strong] [--top N]
                           [--limit N] [--min-size S] [--time-limit SECS]
                           [--node-limit N]
-  maxfairclique worker    [--cache-cap N]   (internal: spawned by `serve --workers`)
 
 SCALE TIER:
   `--graph FILE.rfcg` routes solve / enumerate / heuristic / reduce / stats
@@ -107,8 +106,6 @@ SERVING (see the README \"Serving\" section for the wire protocol):
   --host H            daemon bind interface (default 127.0.0.1)
   --port P            daemon port (default 7464; 0 picks an ephemeral port,
                       printed on the `listening on` line)
-  --workers N         worker child processes; 0 (default) serves in-process,
-                      N >= 1 shards every query across N replica processes
   --max-active N      concurrent requests before new ones queue (default 4)
   --max-queue N       queued requests before `overloaded` errors (default 16)
   --cache-cap N       LRU capacity of the per-component result caches
@@ -305,8 +302,6 @@ pub enum Command {
         host: String,
         /// Bind port (`0`: ephemeral).
         port: u16,
-        /// Worker child processes (`0`: in-process engine).
-        workers: usize,
         /// Concurrent requests before queueing.
         max_active: usize,
         /// Queued requests before `overloaded`.
@@ -322,12 +317,6 @@ pub enum Command {
         connect: String,
         /// The single action to perform.
         action: ClientAction,
-    },
-    /// Internal: serve the protocol over stdin/stdout (spawned by
-    /// `serve --workers`).
-    Worker {
-        /// LRU capacity of the per-component result caches (`None`: unbounded).
-        cache_cap: Option<usize>,
     },
     /// Print the usage text.
     Help,
@@ -448,7 +437,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 | "--output"
                 | "--host"
                 | "--port"
-                | "--workers"
                 | "--max-active"
                 | "--max-queue"
                 | "--cache-cap"
@@ -742,7 +730,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Serve {
                 host: get("--host").unwrap_or_else(|| "127.0.0.1".to_string()),
                 port,
-                workers: parse_usize("--workers", 0)?,
                 max_active: parse_usize("--max-active", 4)?,
                 max_queue: parse_usize("--max-queue", 16)?,
                 cache_cap,
@@ -835,16 +822,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 ClientAction::Shutdown
             };
             Ok(Command::Client { connect, action })
-        }
-        "worker" => {
-            let cache_cap = match get("--cache-cap") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("invalid value for `--cache-cap`: `{v}`"))?,
-                ),
-            };
-            Ok(Command::Worker { cache_cap })
         }
         other => Err(format!("unknown subcommand `{other}`")),
     }
@@ -1168,7 +1145,6 @@ mod tests {
             Command::Serve {
                 host,
                 port,
-                workers,
                 max_active,
                 max_queue,
                 cache_cap,
@@ -1176,20 +1152,19 @@ mod tests {
             } => {
                 assert_eq!(host, "127.0.0.1");
                 assert_eq!(port, 7464);
-                assert_eq!((workers, max_active, max_queue), (0, 4, 16));
+                assert_eq!((max_active, max_queue), (4, 16));
                 assert_eq!((cache_cap, time_limit), (None, None));
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv(
-            "serve --host 0.0.0.0 --port 0 --workers 3 --max-active 2 --max-queue 1 --cache-cap 64 --time-limit 0.5",
+            "serve --host 0.0.0.0 --port 0 --max-active 2 --max-queue 1 --cache-cap 64 --time-limit 0.5",
         ))
         .unwrap()
         {
             Command::Serve {
                 host,
                 port,
-                workers,
                 max_active,
                 max_queue,
                 cache_cap,
@@ -1197,7 +1172,7 @@ mod tests {
             } => {
                 assert_eq!(host, "0.0.0.0");
                 assert_eq!(port, 0);
-                assert_eq!((workers, max_active, max_queue), (3, 2, 1));
+                assert_eq!((max_active, max_queue), (2, 1));
                 assert_eq!(cache_cap, Some(64));
                 assert_eq!(time_limit, Some(0.5));
             }
@@ -1282,14 +1257,6 @@ mod tests {
                 action: ClientAction::Shutdown,
                 ..
             }
-        ));
-        assert!(matches!(
-            parse(&argv("worker --cache-cap 8")).unwrap(),
-            Command::Worker { cache_cap: Some(8) }
-        ));
-        assert!(matches!(
-            parse(&argv("worker")).unwrap(),
-            Command::Worker { cache_cap: None }
         ));
     }
 

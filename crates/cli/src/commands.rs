@@ -842,7 +842,6 @@ pub fn run(command: Command) -> Result<(), String> {
         Command::Serve {
             host,
             port,
-            workers,
             max_active,
             max_queue,
             cache_cap,
@@ -855,19 +854,9 @@ pub fn run(command: Command) -> Result<(), String> {
                         .map_err(|_| format!("`--time-limit {secs}` is out of range"))?,
                 ),
             };
-            // Workers run this same binary's `worker` subcommand over pipes.
-            let exe = std::env::current_exe()
-                .map_err(|e| format!("cannot locate the maxfairclique binary: {e}"))?;
-            let mut worker_cmd = vec![exe.to_string_lossy().into_owned(), "worker".to_string()];
-            if let Some(cap) = cache_cap {
-                worker_cmd.push("--cache-cap".to_string());
-                worker_cmd.push(cap.to_string());
-            }
             let server = Server::bind(ServeConfig {
                 host,
                 port,
-                workers,
-                worker_cmd,
                 max_active,
                 max_queue,
                 engine: EngineConfig {
@@ -884,15 +873,6 @@ pub fn run(command: Command) -> Result<(), String> {
             server.run().map_err(|e| format!("daemon failed: {e}"))
         }
         Command::Client { connect, action } => run_client(&mut out, &connect, action),
-        Command::Worker { cache_cap } => {
-            match rfc_serve::worker::run_worker(EngineConfig {
-                cache_capacity: cache_cap,
-                default_time_limit: None,
-            }) {
-                0 => Ok(()),
-                _ => Err("worker terminated on an I/O failure".to_string()),
-            }
-        }
     }
 }
 
@@ -923,7 +903,6 @@ fn client_request_line(action: ClientAction) -> Result<String, String> {
                 threads: None,
                 portfolio: None,
                 anytime: false,
-                shard: None,
             },
         }
         .to_line(),
@@ -945,7 +924,6 @@ fn client_request_line(action: ClientAction) -> Result<String, String> {
                 time_limit_ms: secs_to_ms(time_limit),
                 node_limit,
                 threads: None,
-                shard: None,
             },
         }
         .to_line(),

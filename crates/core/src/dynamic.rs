@@ -83,9 +83,9 @@
 //!   counters for a daemon `stats` endpoint.
 //! * **Component sharding** — [`solve_shard`](DynamicRfcSolver::solve_shard) /
 //!   [`enumerate_shard`](DynamicRfcSolver::enumerate_shard) restrict a query to the
-//!   components a [`Shard`] owns (`component_index % shard.count() == shard.index()`),
-//!   so N worker processes holding replicas of the same committed graph partition the
-//!   work deterministically and a parent can merge their per-shard answers.
+//!   components a [`Shard`] owns (`component_index % shard.count() == shard.index()`).
+//!   Solvers that committed the same updates list the same components, so the
+//!   shards of one partition split a query's components without overlap.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -137,11 +137,10 @@ pub struct CommitOutcome {
 
 /// One shard of a component-partitioned query: of the reduced graph's component
 /// list, a [`Shard`] owns the components whose index `i` satisfies
-/// `i % count == index`. Replica workers that committed the same update stream build
-/// identical component lists, so the partition is deterministic across processes;
-/// components are independent subproblems, so the global answer is the merge of the
-/// per-shard answers (largest clique wins for `solve`, stream concatenation for
-/// `enumerate`).
+/// `i % count == index`. Solvers that committed the same update stream build
+/// identical component lists, so the partition is deterministic. Components are
+/// independent subproblems: the largest clique over a partition's shards is the
+/// global maximum, and their enumeration streams together are the global stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shard {
     index: usize,
@@ -459,6 +458,13 @@ impl DynamicRfcSolver {
         Ok(None)
     }
 
+    /// Drops every update buffered since the last commit. The committed graph, its
+    /// caches and the ids removed by earlier commits stay as they are.
+    pub fn rollback(&mut self) {
+        self.delta = GraphDelta::with_tombstones(self.removed_vertices.clone());
+        self.pending_ops = 0;
+    }
+
     /// Folds the buffered updates into the committed graph and invalidates only what
     /// the batch can affect (see the [module docs](self) for the rules). Cheap when
     /// the batch is empty or cancels out.
@@ -571,9 +577,9 @@ impl DynamicRfcSolver {
     /// Like [`solve`](Self::solve), but restricted to the components `shard` owns.
     ///
     /// [`Termination::Infeasible`] then means "no fair clique *in this shard's
-    /// components*" — the parent merging per-shard answers downgrades it to a global
-    /// verdict only when every shard is infeasible. Per-component cache hits and
-    /// inserts touch owned components only.
+    /// components*"; the whole query is infeasible only when every shard of the
+    /// partition is. Per-component cache hits and inserts touch owned components
+    /// only.
     pub fn solve_shard(&mut self, query: &Query, shard: Shard) -> Result<Solution, SolveError> {
         let start = Instant::now();
         let params = self.resolve(query.fairness)?;
@@ -1508,6 +1514,25 @@ mod tests {
         assert_eq!(other.graph().degree(14), 7);
         let _ = other.commit();
         assert_eq!(other.graph().degree(14), 0);
+    }
+
+    #[test]
+    fn rollback_drops_the_pending_batch_and_keeps_committed_tombstones() {
+        let mut solver = DynamicRfcSolver::new(fixtures::fig1_graph());
+        solver.remove_vertex(14).unwrap();
+        let _ = solver.commit();
+        let committed = solver.graph().clone();
+        // A batch that restores 14 and removes 5, then is thrown away.
+        solver.restore_vertex(14, Attribute::A).unwrap();
+        solver.remove_vertex(5).unwrap();
+        solver.rollback();
+        assert_eq!(solver.pending_ops(), 0);
+        let outcome = solver.commit();
+        assert_eq!((outcome.ops, outcome.changed_vertices), (0, 0));
+        assert_eq!(solver.graph(), &committed);
+        // 14 is still removed: removing it again fails, restoring it works.
+        assert!(solver.remove_vertex(14).is_err());
+        solver.restore_vertex(14, Attribute::A).unwrap();
     }
 
     #[test]

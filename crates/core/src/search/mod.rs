@@ -34,8 +34,6 @@ pub(crate) mod parallel;
 pub(crate) mod steal;
 
 pub use ordering::{ordering_positions, ordering_sequence, BranchOrder};
-#[doc(hidden)]
-pub use parallel::canonical_order;
 pub use parallel::ThreadCount;
 
 use rfc_graph::components::components_of_subset;

@@ -147,11 +147,7 @@ impl PoolState {
 
 /// The canonical pool order of two cliques given as ascending vertex ids: size
 /// descending, then lexicographically ascending. Every top-k result is ranked by it.
-///
-/// Public only so that merges of per-shard answers rank them the same way; not
-/// part of the stable API.
-#[doc(hidden)]
-pub fn canonical_order<I>(a: I, b: I) -> std::cmp::Ordering
+pub(crate) fn canonical_order<I>(a: I, b: I) -> std::cmp::Ordering
 where
     I: ExactSizeIterator<Item = VertexId>,
 {

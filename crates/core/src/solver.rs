@@ -847,11 +847,7 @@ pub(crate) fn stopped_termination(ctrl: &SearchControl) -> Termination {
 /// [`Termination::Optimal`], or [`Termination::Infeasible`] when both are 0, instead
 /// of a hollow early stop. Top-k queries keep their early stop, since top-k
 /// completeness needs more than a size bound.
-///
-/// Public only so that merges of per-shard answers certify the same way; not part
-/// of the stable API.
-#[doc(hidden)]
-pub fn certify_bound(
+pub(crate) fn certify_bound(
     objective: Objective,
     best_size: usize,
     termination: &mut Termination,

@@ -1,9 +1,8 @@
 //! The in-process engine: a registry of named graphs, each behind a
 //! `Mutex<DynamicRfcSolver>`, serving parsed [`Request`]s.
 //!
-//! This is the single implementation of request semantics — the TCP daemon uses it
-//! directly in in-process mode, each `maxfairclique worker` child wraps one over
-//! stdin/stdout, and the multi-process executor merges the answers of N of them.
+//! This is the single implementation of request semantics; the TCP daemon's
+//! connection threads all call the one engine it owns.
 //!
 //! Sharing model: one mutex per *graph*, so queries against different graphs run
 //! concurrently while queries against the same graph serialize — which is exactly
@@ -20,7 +19,7 @@ use std::time::Duration;
 use rfc_core::enumerate::LimitSink;
 use rfc_core::portfolio::PortfolioConfig;
 use rfc_core::solver::RfcSolver;
-use rfc_core::{CancelToken, CliqueSink, DynamicRfcSolver, FairClique, Shard, SinkFlow};
+use rfc_core::{CancelToken, CliqueSink, DynamicRfcSolver, FairClique, SinkFlow};
 use rfc_graph::io::read_graph_from_path;
 use rfc_graph::json::JsonValue;
 use rfc_graph::UpdateOp;
@@ -135,12 +134,6 @@ impl LocalEngine {
         let query = spec.to_query(token, self.config.default_time_limit);
         let mut solver = slot.solver.lock().expect("solver lock poisoned");
         let solution = if let Some(members) = spec.portfolio {
-            if spec.shard.is_some() {
-                return Err(ErrorResponse::new(
-                    ErrorCode::InvalidParams,
-                    "\"portfolio\" cannot be combined with \"shard\"",
-                ));
-            }
             // The racing portfolio solves a snapshot of the committed graph; the
             // per-component dynamic cache is bypassed, so budget-bound answers
             // always carry a freshly certified upper bound. The slot lock is
@@ -154,9 +147,8 @@ impl LocalEngine {
                 .map_err(|e| ErrorResponse::new(ErrorCode::InvalidParams, e.to_string()))?
                 .solution
         } else {
-            let shard = spec.shard.unwrap_or_else(Shard::full);
             solver
-                .solve_shard(&query, shard)
+                .solve(&query)
                 .map_err(|e| ErrorResponse::new(ErrorCode::InvalidParams, e.to_string()))?
         };
         Ok(solve_response(graph, &solution))
@@ -175,15 +167,14 @@ impl LocalEngine {
         let token = CancelToken::new();
         let _guard = self.track_query(token.clone());
         let query = spec.to_query(token, self.config.default_time_limit);
-        let shard = spec.shard.unwrap_or_else(Shard::full);
         let mut sink = EmitSink { emit, error: None };
         let mut solver = slot.solver.lock().expect("solver lock poisoned");
         let outcome = match spec.limit {
             Some(limit) => {
                 let mut limited = LimitSink::new(&mut sink, limit);
-                solver.enumerate_shard(&query, shard, &mut limited)
+                solver.enumerate(&query, &mut limited)
             }
-            None => solver.enumerate_shard(&query, shard, &mut sink),
+            None => solver.enumerate(&query, &mut sink),
         };
         drop(solver);
         if let Some(error) = sink.error {
@@ -205,15 +196,18 @@ impl LocalEngine {
         let slot = self.slot(graph)?;
         let mut solver = slot.solver.lock().expect("solver lock poisoned");
         for (i, op) in ops.iter().enumerate() {
-            solver.apply_op(op).map_err(|e| {
-                ErrorResponse::new(
+            if let Err(e) = solver.apply_op(op) {
+                // A rejected request leaves the graph as it found it: the ops it
+                // buffered before the bad one must not ride along with the next
+                // `update`. An explicit `commit` op before the bad one stands.
+                solver.rollback();
+                return Err(ErrorResponse::new(
                     ErrorCode::InvalidParams,
                     format!("op {i} ({}) rejected: {e}", op.to_jsonl()),
-                )
-            })?;
+                ));
+            }
         }
-        // An implicit trailing commit: a request is a batch, and every replica
-        // observing the same request stream lands on the same committed graph.
+        // An implicit trailing commit: a request is a batch.
         let outcome = solver.commit();
         let response = JsonValue::object(vec![
             ("ok", JsonValue::from(true)),
@@ -382,7 +376,7 @@ impl Handler for LocalEngine {
 }
 
 /// The wire op name of a request, for the per-op latency histogram label.
-pub(crate) fn request_op_name(request: &Request) -> &'static str {
+fn request_op_name(request: &Request) -> &'static str {
     match request {
         Request::Load { .. } => "load",
         Request::Solve { .. } => "solve",
@@ -551,19 +545,15 @@ mod tests {
             Some(0)
         );
 
-        // `anytime` without `portfolio` and `portfolio` + `shard` are typed errors.
-        for bad in [
-            r#"{"op":"solve","graph":"fig1","k":3,"delta":1,"anytime":true}"#,
-            r#"{"op":"solve","graph":"fig1","k":3,"delta":1,"portfolio":2,"shard":{"index":0,"count":2}}"#,
-        ] {
-            let (lines, flow) = run(&engine, bad);
-            assert_eq!(flow, Flow::Continue);
-            assert_eq!(
-                lines[0].get("error").and_then(JsonValue::as_str),
-                Some("invalid_params"),
-                "{bad}"
-            );
-        }
+        // `anytime` without `portfolio` is a typed error.
+        let bad = r#"{"op":"solve","graph":"fig1","k":3,"delta":1,"anytime":true}"#;
+        let (lines, flow) = run(&engine, bad);
+        assert_eq!(flow, Flow::Continue);
+        assert_eq!(
+            lines[0].get("error").and_then(JsonValue::as_str),
+            Some("invalid_params"),
+            "{bad}"
+        );
     }
 
     #[test]
@@ -644,6 +634,48 @@ mod tests {
         assert!(best_after <= best_before);
         // The update really was committed.
         assert!(update[0].get("commits").and_then(JsonValue::as_u64) >= Some(1));
+    }
+
+    #[test]
+    fn rejected_update_leaves_the_graph_unchanged() {
+        let (engine, _dir) = engine_with_fig1();
+        // Vertex 6 belongs to the size-7 answer; vertex 99 does not exist.
+        let (lines, flow) = run(
+            &engine,
+            r#"{"op":"update","graph":"fig1","ops":[{"op":"remove_vertex","v":6},{"op":"insert_edge","u":0,"v":99}]}"#,
+        );
+        assert_eq!(flow, Flow::Continue);
+        assert_eq!(
+            lines[0].get("error").and_then(JsonValue::as_str),
+            Some("invalid_params")
+        );
+        let (stats, _) = run(&engine, r#"{"op":"stats"}"#);
+        let graphs = stats[0]
+            .get("graphs")
+            .and_then(JsonValue::as_array)
+            .unwrap();
+        assert_eq!(
+            graphs[0].get("pending_ops").and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        // The next update commits nothing of the rejected one.
+        let (update, _) = run(&engine, r#"{"op":"update","graph":"fig1","ops":[]}"#);
+        assert_eq!(
+            update[0]
+                .get("changed_vertices")
+                .and_then(JsonValue::as_u64),
+            Some(0)
+        );
+        assert_eq!(
+            update[0].get("m").and_then(JsonValue::as_u64),
+            Some(fixtures::fig1_graph().num_edges() as u64)
+        );
+        let (solve, _) = run(&engine, r#"{"op":"solve","graph":"fig1","k":3,"delta":1}"#);
+        let cliques = solve[0]
+            .get("cliques")
+            .and_then(JsonValue::as_array)
+            .unwrap();
+        assert_eq!(cliques[0].get("size").and_then(JsonValue::as_u64), Some(7));
     }
 
     #[test]

@@ -21,17 +21,13 @@
 //! * **Budgets and admission control**: every query gets a per-request
 //!   [`rfc_core::CancelToken`] registered with the engine (a `shutdown` cancels
 //!   all in-flight work, which returns verified best-so-far answers), time/node
-//!   budgets are honored per request, and a bounded worker pool + queue depth
-//!   limit ([`server::Admission`]) returns a typed `overloaded` error instead of
-//!   stalling when the daemon is saturated.
-//! * **A multi-process shard executor** ([`executor::ShardedEngine`]): the daemon
-//!   can spawn N `maxfairclique worker` child processes over `std::process`
-//!   stdin/stdout pipes, replicate every graph into each worker, and fan a query
-//!   out with a distinct [`rfc_core::Shard`] per worker — component `i` belongs to
-//!   worker `i % N` — merging the per-shard incumbents / enumeration streams into
-//!   one answer. Process isolation means a worker crash degrades to a typed
-//!   `worker_failed` error (and a transparent respawn + state replay on the next
-//!   request) instead of taking the daemon down.
+//!   budgets are honored per request, and a bounded set of execution slots +
+//!   queue depth limit ([`server::Admission`]) returns a typed `overloaded` error
+//!   instead of stalling when the daemon is saturated.
+//!
+//! Every request takes one path: [`Server`] → [`LocalEngine`] →
+//! [`rfc_core::DynamicRfcSolver`], all in one process. Concurrent clients share
+//! the cores and the per-component caches through the connection threads.
 //!
 //! The wire protocol, error codes and admission semantics are documented in the
 //! repository README ("Serving") and in [`protocol`].
@@ -40,16 +36,13 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod executor;
 pub mod protocol;
 pub mod server;
-pub mod worker;
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use engine::{EngineConfig, LocalEngine};
-pub use executor::ShardedEngine;
 pub use protocol::{ErrorCode, ErrorResponse, Request};
 pub use server::{Admission, ServeConfig, Server};
 
@@ -62,17 +55,17 @@ pub enum Flow {
     Shutdown,
 }
 
-/// One request handler: the in-process [`LocalEngine`] or the multi-process
-/// [`ShardedEngine`]. `emit` receives every response line (stream lines first,
-/// exactly one terminal line last) without trailing newlines; an `Err` from `emit`
-/// means the client is gone and the handler should stop streaming.
+/// One request handler, such as the [`LocalEngine`] the [`Server`] runs. `emit`
+/// receives every response line (stream lines first, exactly one terminal line
+/// last) without trailing newlines; an `Err` from `emit` means the client is gone
+/// and the handler should stop streaming.
 pub trait Handler: Send + Sync {
     /// Handles one raw request line.
     fn handle(&self, line: &str, emit: &mut dyn FnMut(&str) -> io::Result<()>) -> io::Result<Flow>;
 }
 
-/// Daemon-level request counters, shared between the server loop and the engines
-/// (which render them in `stats` responses).
+/// Daemon-level request counters, shared between the server loop and the engine
+/// (which renders them in `stats` responses).
 #[derive(Debug, Default)]
 pub struct Counters {
     /// Requests received (including malformed ones).

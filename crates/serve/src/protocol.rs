@@ -1,4 +1,4 @@
-//! The `maxfaircliqued` wire protocol: line-delimited JSON over TCP (or pipes).
+//! The `maxfaircliqued` wire protocol: line-delimited JSON over TCP.
 //!
 //! One JSON object per line in each direction. Every request produces **exactly one
 //! terminal response line** — an object with an `"ok"` field — optionally preceded
@@ -23,10 +23,9 @@
 //! `model` is `"relative"` (default), `"weak"` or `"strong"`; `delta` applies to the
 //! relative model only (default 1). `top` switches solve to the top-k objective.
 //! `threads` sets the per-query search parallelism (default serial: the daemon
-//! parallelizes across clients, not within queries). `shard` —
-//! `{"index":i,"count":n}` — restricts the query to the components a
-//! [`Shard`] owns; the daemon's worker executor uses it internally, and the `update`
-//! ops array reuses the [`UpdateOp`] JSONL objects verbatim.
+//! parallelizes across clients, not within queries). The `update` ops array reuses
+//! the [`UpdateOp`] JSONL objects verbatim. Fields a request does not use are
+//! ignored.
 //!
 //! ## Responses
 //!
@@ -46,8 +45,8 @@
 use std::time::Duration;
 
 use rfc_core::{
-    Budget, EnumQuery, EnumTermination, FairClique, FairnessModel, Objective, Query, Shard,
-    Solution, Termination,
+    Budget, EnumQuery, EnumTermination, FairClique, FairnessModel, Objective, Query, Solution,
+    Termination,
 };
 use rfc_graph::json::{escaped, JsonValue};
 use rfc_graph::UpdateOp;
@@ -80,9 +79,6 @@ pub enum ErrorCode {
     LoadFailed,
     /// An I/O failure while serving the request.
     Io,
-    /// A worker process died while serving the request. The daemon respawns the
-    /// worker (replaying the graph state) for subsequent requests.
-    WorkerFailed,
     /// The daemon is shutting down and no longer accepts work.
     ShuttingDown,
 }
@@ -99,7 +95,6 @@ impl ErrorCode {
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::LoadFailed => "load_failed",
             ErrorCode::Io => "io_error",
-            ErrorCode::WorkerFailed => "worker_failed",
             ErrorCode::ShuttingDown => "shutting_down",
         }
     }
@@ -162,8 +157,6 @@ pub struct QuerySpec {
     pub portfolio: Option<usize>,
     /// With `portfolio`: also run the anytime local-search improver.
     pub anytime: bool,
-    /// Component shard this query is restricted to (executor-internal).
-    pub shard: Option<Shard>,
 }
 
 /// Parameters of an `enumerate` request.
@@ -181,8 +174,6 @@ pub struct EnumSpec {
     pub node_limit: Option<u64>,
     /// Per-query search threads (default serial).
     pub threads: Option<usize>,
-    /// Component shard this query is restricted to (executor-internal).
-    pub shard: Option<Shard>,
 }
 
 /// One parsed request line.
@@ -234,7 +225,7 @@ pub enum Request {
 impl Request {
     /// Parses one request line. Errors are typed: non-JSON input is
     /// [`ErrorCode::ParseError`], structurally invalid requests are
-    /// [`ErrorCode::BadRequest`], bad model/shard numbers are
+    /// [`ErrorCode::BadRequest`], bad model or budget numbers are
     /// [`ErrorCode::InvalidParams`].
     pub fn parse(line: &str) -> Result<Request, ErrorResponse> {
         let value = JsonValue::parse(line)
@@ -341,7 +332,6 @@ impl Request {
                 if spec.anytime {
                     pairs.push(("anytime", JsonValue::from(true)));
                 }
-                shard_field(&mut pairs, spec.shard);
                 JsonValue::object(pairs)
             }
             Request::Enumerate { graph, spec } => {
@@ -362,7 +352,6 @@ impl Request {
                     spec.node_limit,
                     spec.threads,
                 );
-                shard_field(&mut pairs, spec.shard);
                 JsonValue::object(pairs)
             }
             Request::Update { graph, ops } => JsonValue::object(vec![
@@ -398,7 +387,6 @@ impl QuerySpec {
             threads: None,
             portfolio: None,
             anytime: false,
-            shard: None,
         }
     }
 
@@ -433,7 +421,6 @@ impl QuerySpec {
             threads,
             portfolio,
             anytime,
-            shard: shard_from_json(value)?,
         })
     }
 
@@ -463,7 +450,6 @@ impl EnumSpec {
             time_limit_ms: None,
             node_limit: None,
             threads: None,
-            shard: None,
         }
     }
 
@@ -476,7 +462,6 @@ impl EnumSpec {
             time_limit_ms,
             node_limit,
             threads,
-            shard: shard_from_json(value)?,
         })
     }
 
@@ -595,39 +580,6 @@ fn budget_fields(
     }
 }
 
-fn shard_field(pairs: &mut Vec<(&str, JsonValue)>, shard: Option<Shard>) {
-    if let Some(shard) = shard {
-        pairs.push((
-            "shard",
-            JsonValue::object(vec![
-                ("index", JsonValue::from(shard.index())),
-                ("count", JsonValue::from(shard.count())),
-            ]),
-        ));
-    }
-}
-
-fn shard_from_json(value: &JsonValue) -> Result<Option<Shard>, ErrorResponse> {
-    let Some(shard) = value.get("shard") else {
-        return Ok(None);
-    };
-    let invalid = || {
-        ErrorResponse::new(
-            ErrorCode::InvalidParams,
-            "invalid \"shard\" (need {\"index\":i,\"count\":n} with i < n)",
-        )
-    };
-    let index = shard
-        .get("index")
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(invalid)?;
-    let count = shard
-        .get("count")
-        .and_then(JsonValue::as_usize)
-        .ok_or_else(invalid)?;
-    Shard::new(index, count).map(Some).ok_or_else(invalid)
-}
-
 fn opt_usize(value: &JsonValue, key: &str) -> Result<Option<usize>, ErrorResponse> {
     value
         .get(key)
@@ -663,17 +615,6 @@ pub fn termination_str(t: Termination) -> &'static str {
         Termination::Infeasible => "infeasible",
         Termination::BudgetExhausted => "budget_exhausted",
         Termination::Cancelled => "cancelled",
-    }
-}
-
-/// Parses a solve termination from its wire string.
-pub fn termination_from_str(s: &str) -> Option<Termination> {
-    match s {
-        "optimal" => Some(Termination::Optimal),
-        "infeasible" => Some(Termination::Infeasible),
-        "budget_exhausted" => Some(Termination::BudgetExhausted),
-        "cancelled" => Some(Termination::Cancelled),
-        _ => None,
     }
 }
 
@@ -759,7 +700,6 @@ mod tests {
                     threads: Some(2),
                     portfolio: Some(4),
                     anytime: true,
-                    shard: Shard::new(1, 4),
                 },
             },
             Request::Enumerate {
@@ -771,7 +711,6 @@ mod tests {
                     time_limit_ms: None,
                     node_limit: None,
                     threads: None,
-                    shard: None,
                 },
             },
             Request::Update {
@@ -821,10 +760,6 @@ mod tests {
                 ErrorCode::InvalidParams,
             ),
             (
-                "{\"op\":\"solve\",\"graph\":\"g\",\"k\":2,\"shard\":{\"index\":2,\"count\":2}}",
-                ErrorCode::InvalidParams,
-            ),
-            (
                 "{\"op\":\"update\",\"graph\":\"g\",\"ops\":[{\"op\":\"warp\"}]}",
                 ErrorCode::InvalidParams,
             ),
@@ -853,19 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn termination_strings_round_trip() {
-        for t in [
-            Termination::Optimal,
-            Termination::Infeasible,
-            Termination::BudgetExhausted,
-            Termination::Cancelled,
-        ] {
-            assert_eq!(termination_from_str(termination_str(t)), Some(t));
-        }
-        assert_eq!(termination_from_str("victory"), None);
-    }
-
-    #[test]
     fn query_spec_lowers_budget_and_threads() {
         let spec = QuerySpec {
             model: FairnessModel::Relative { k: 2, delta: 1 },
@@ -875,7 +797,6 @@ mod tests {
             threads: Some(1),
             portfolio: None,
             anytime: false,
-            shard: None,
         };
         let query = spec.to_query(CancelToken::new(), None);
         assert_eq!(query.objective, Objective::TopK(3));

@@ -1,19 +1,17 @@
 //! The TCP daemon: `std::net::TcpListener`, one thread per connection, bounded
 //! request lines, and admission control in front of the engine.
 //!
-//! The server is transport only — request semantics live behind the [`Handler`]
-//! trait ([`LocalEngine`] in-process, or [`ShardedEngine`] when worker
-//! processes are configured).
+//! The server is transport only: request semantics live in the [`LocalEngine`]
+//! it owns, which every connection thread calls through the [`Handler`] trait.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::engine::{EngineConfig, LocalEngine};
-use crate::executor::ShardedEngine;
 use crate::protocol::{ErrorCode, ErrorResponse, Request, MAX_LINE_BYTES};
 use crate::{Counters, Flow, Handler};
 
@@ -25,12 +23,6 @@ pub struct ServeConfig {
     /// Port to bind (`0` = OS-assigned ephemeral port; read it back via
     /// [`Server::local_addr`]).
     pub port: u16,
-    /// Number of `worker` child processes. `0` serves in-process; `n >= 1` spawns
-    /// `n` replicas and shards every query across them.
-    pub workers: usize,
-    /// Command line (argv) that starts one worker process, e.g.
-    /// `["maxfairclique", "worker"]`. Required when `workers > 0`.
-    pub worker_cmd: Vec<String>,
     /// Maximum requests executing concurrently before new ones queue.
     pub max_active: usize,
     /// Maximum requests waiting for a slot before the daemon answers `overloaded`.
@@ -47,8 +39,6 @@ impl Default for ServeConfig {
         Self {
             host: "127.0.0.1".to_string(),
             port: 0,
-            workers: 0,
-            worker_cmd: Vec::new(),
             max_active: 4,
             max_queue: 16,
             max_line_bytes: MAX_LINE_BYTES,
@@ -215,39 +205,25 @@ fn drain_through_newline(reader: &mut dyn BufRead) -> io::Result<()> {
 /// The `maxfaircliqued` daemon.
 pub struct Server {
     listener: TcpListener,
-    handler: Arc<dyn Handler>,
-    admission: Arc<Admission>,
+    engine: LocalEngine,
+    admission: Admission,
     counters: Arc<Counters>,
     max_line_bytes: usize,
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
 }
 
 impl Server {
-    /// Binds the listen socket and builds the engine (in-process for
-    /// `config.workers == 0`, otherwise the multi-process shard executor — which
-    /// spawns the worker children immediately).
+    /// Binds the listen socket and builds the in-process engine.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind((config.host.as_str(), config.port))?;
         let counters = Arc::new(Counters::default());
-        let handler: Arc<dyn Handler> = if config.workers == 0 {
-            Arc::new(LocalEngine::new(
-                config.engine.clone(),
-                Arc::clone(&counters),
-            ))
-        } else {
-            Arc::new(ShardedEngine::spawn(
-                &config.worker_cmd,
-                config.workers,
-                Arc::clone(&counters),
-            )?)
-        };
         Ok(Server {
             listener,
-            handler,
-            admission: Arc::new(Admission::new(config.max_active, config.max_queue)),
+            engine: LocalEngine::new(config.engine, Arc::clone(&counters)),
+            admission: Admission::new(config.max_active, config.max_queue),
             counters,
             max_line_bytes: config.max_line_bytes,
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: AtomicBool::new(false),
         })
     }
 
@@ -263,51 +239,48 @@ impl Server {
 
     /// Serves connections until a client issues `shutdown`. In-flight queries are
     /// cancelled (returning verified best-so-far answers), every open connection is
-    /// closed, and all connection threads are joined before returning.
+    /// closed, and `run` returns once every connection thread has finished.
+    ///
+    /// Connection threads run inside a [`std::thread::scope`] and are detached as
+    /// they are spawned, so a closed connection releases its thread (and its stack)
+    /// at once, however long the daemon runs. A connection thread's panic is not
+    /// swallowed: the scope re-raises it from `run` at shutdown.
     pub fn run(self) -> io::Result<()> {
         let addr = self.local_addr()?;
-        let open: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let next_conn = AtomicU64::new(0);
-        let mut threads = Vec::new();
-        for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            let id = next_conn.fetch_add(1, Ordering::Relaxed);
-            if let Ok(clone) = stream.try_clone() {
-                open.lock()
-                    .expect("connection registry poisoned")
-                    .insert(id, clone);
-            }
-            let handler = Arc::clone(&self.handler);
-            let admission = Arc::clone(&self.admission);
-            let counters = Arc::clone(&self.counters);
-            let stop = Arc::clone(&self.stop);
-            let open_registry = Arc::clone(&open);
-            let max_line = self.max_line_bytes;
-            threads.push(std::thread::spawn(move || {
-                let _ = serve_connection(stream, &*handler, &admission, &counters, &stop, max_line);
-                open_registry
-                    .lock()
-                    .expect("connection registry poisoned")
-                    .remove(&id);
-                if stop.load(Ordering::Relaxed) {
-                    // Wake the acceptor so the listener loop observes the stop flag.
-                    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
+        let open: Mutex<HashMap<u64, TcpStream>> = Mutex::new(HashMap::new());
+        let server = &self;
+        std::thread::scope(|scope| {
+            for (id, stream) in (0u64..).zip(self.listener.incoming()) {
+                if self.stop.load(Ordering::Relaxed) {
+                    break;
                 }
-            }));
-        }
-        // Unblock every connection thread still waiting on a read.
-        for (_, stream) in open.lock().expect("connection registry poisoned").drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        for thread in threads {
-            let _ = thread.join();
-        }
+                let Ok(stream) = stream else {
+                    continue;
+                };
+                if let Ok(clone) = stream.try_clone() {
+                    open.lock()
+                        .expect("connection registry poisoned")
+                        .insert(id, clone);
+                }
+                let open = &open;
+                // Dropping the handle detaches the thread; the scope still waits
+                // for it before returning.
+                drop(scope.spawn(move || {
+                    let _ = serve_connection(stream, server);
+                    open.lock()
+                        .expect("connection registry poisoned")
+                        .remove(&id);
+                    if server.stop.load(Ordering::Relaxed) {
+                        // Wake the acceptor so the listener loop observes the stop flag.
+                        let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
+                    }
+                }));
+            }
+            // Unblock every connection thread still waiting on a read.
+            for (_, stream) in open.lock().expect("connection registry poisoned").drain() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        });
         Ok(())
     }
 }
@@ -322,14 +295,9 @@ fn needs_admission(line: &str) -> bool {
     )
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    handler: &dyn Handler,
-    admission: &Admission,
-    counters: &Counters,
-    stop: &AtomicBool,
-    max_line_bytes: usize,
-) -> io::Result<()> {
+fn serve_connection(stream: TcpStream, server: &Server) -> io::Result<()> {
+    let counters = &server.counters;
+    let max_line_bytes = server.max_line_bytes;
     // One `write_all` per response line: `writeln!` straight to the socket would
     // split payload and newline into separate segments, and the Nagle /
     // delayed-ACK interaction turns every request into a ~40 ms stall.
@@ -362,7 +330,7 @@ fn serve_connection(
             continue;
         }
         let permit = if needs_admission(&line) {
-            match admission.try_acquire() {
+            match server.admission.try_acquire() {
                 Some(permit) => Some(permit),
                 None => {
                     Counters::bump(&counters.requests);
@@ -379,12 +347,12 @@ fn serve_connection(
         } else {
             None
         };
-        let flow = handler.handle(&line, &mut send);
+        let flow = server.engine.handle(&line, &mut send);
         drop(permit);
         match flow? {
             Flow::Continue => {}
             Flow::Shutdown => {
-                stop.store(true, Ordering::Relaxed);
+                server.stop.store(true, Ordering::Relaxed);
                 return Ok(());
             }
         }
