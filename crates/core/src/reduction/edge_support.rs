@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use rfc_graph::colorful::{ColorCounts, ColorCountsBuilder, ColorGroups};
 use rfc_graph::coloring::Coloring;
-use rfc_graph::{Attribute, AttributedGraph, EdgeId, VertexId};
+use rfc_graph::{Attribute, AttributedGraph, EdgeId};
 
 /// Per-edge color/attribute counts over common neighbors, with the derived
 /// exclusive/mixed color groups.
@@ -23,31 +23,34 @@ pub struct EdgeSupportState {
 }
 
 impl EdgeSupportState {
-    /// Builds the state from two passes of a stamped triangle listing: the first counts
-    /// the distinct common-neighbor colors of every edge, which sizes the flat count
-    /// array, and the second fills it.
+    /// Builds the state from one pass of a stamped triangle listing that hands each
+    /// edge's common neighbors to the builder as packed color keys.
+    ///
+    /// The flat count array is sized by `Σ_e min(deg u − 1, deg v − 1, #colors)`: an
+    /// edge's common neighbors exclude its endpoints, and it has at most one entry per
+    /// color. The slack is never written, so it costs address space, not resident memory.
     pub fn new(g: &AttributedGraph, coloring: &Coloring) -> Self {
-        let mut bound = 0;
-        let mut last_edge = vec![EdgeId::MAX; coloring.num_colors];
-        for_each_edge_common_neighbors(g, |e, common| {
-            for &w in common {
-                let seen = &mut last_edge[coloring.color(w) as usize];
-                bound += usize::from(*seen != e);
-                *seen = e;
-            }
-        });
-        let mut builder = ColorCountsBuilder::new(g.num_edges(), coloring.num_colors, bound);
-        for_each_edge_common_neighbors(g, |e, common| {
-            for &w in common {
-                builder.push(coloring.color(w), g.attribute(w));
-            }
-            builder.finish_owner(e);
-        });
-        let counts = builder.build();
-        let groups = (0..g.num_edges() as EdgeId)
-            .map(|e| counts.groups(e))
+        let m = g.num_edges();
+        let colors = coloring.num_colors;
+        let bound = g
+            .edge_list()
+            .iter()
+            .map(|&(u, v)| (g.degree(u).min(g.degree(v)) - 1).min(colors))
+            .sum();
+        let keys: Vec<u32> = g
+            .vertices()
+            .map(|w| ColorCountsBuilder::key(coloring.color(w), g.attribute(w)))
             .collect();
-        Self { counts, groups }
+        let mut builder = ColorCountsBuilder::new(m, colors, bound);
+        let mut groups = Vec::with_capacity(m);
+        for_each_edge_common_keys(g, &keys, |e, common| {
+            builder.push_keys(common);
+            groups.push(builder.finish_owner(e));
+        });
+        Self {
+            counts: builder.build(),
+            groups,
+        }
     }
 
     /// The color groups (exclusive-a, exclusive-b, mixed) of edge `e`.
@@ -74,20 +77,22 @@ impl EdgeSupportState {
 }
 
 /// Calls `f(e, common)` for every edge `e = (u, v)` in id order, where `common` lists
-/// the common neighbors of `u` and `v` in ascending order.
+/// `keys[w]` for the common neighbors `w` of `u` and `v` in ascending order of `w`.
+/// Every key must be non-zero.
 ///
-/// `N(u)` is stamped once per vertex `u`, and each edge `(u, v)` with `v > u` scans
-/// `N(v)` against the stamp. This is the triangle listing of truss decomposition (Wang &
-/// Cheng, PVLDB 2012); it replaces one sorted merge per edge. Edge ids number the
+/// `N(u)` is stamped with its keys once per vertex `u` (0 means "not a neighbor"), and
+/// each edge `(u, v)` with `v > u` scans `N(v)` against the stamp. This is the triangle
+/// listing of truss decomposition (Wang & Cheng, PVLDB 2012); it replaces one sorted
+/// merge per edge, and a triangle corner costs one stamp read. Edge ids number the
 /// lexicographically sorted edge list, so visiting each `u` in turn and its higher
 /// neighbors in ascending order visits the edges in id order.
-fn for_each_edge_common_neighbors(g: &AttributedGraph, mut f: impl FnMut(EdgeId, &[VertexId])) {
-    let mut stamped = vec![false; g.num_vertices()];
+fn for_each_edge_common_keys(g: &AttributedGraph, keys: &[u32], mut f: impl FnMut(EdgeId, &[u32])) {
+    let mut stamp = vec![0; g.num_vertices()];
     let mut common = vec![0; g.max_degree()];
     for u in g.vertices() {
         let neighbors = g.neighbors(u);
         for &w in neighbors {
-            stamped[w as usize] = true;
+            stamp[w as usize] = keys[w as usize];
         }
         let higher = neighbors.partition_point(|&v| v < u);
         for (&v, &e) in neighbors[higher..]
@@ -98,13 +103,14 @@ fn for_each_edge_common_neighbors(g: &AttributedGraph, mut f: impl FnMut(EdgeId,
             // so a filtering branch would mispredict on most candidates.
             let mut len = 0;
             for &w in g.neighbors(v) {
-                common[len] = w;
-                len += usize::from(stamped[w as usize]);
+                let key = stamp[w as usize];
+                common[len] = key;
+                len += usize::from(key != 0);
             }
             f(e, &common[..len]);
         }
         for &w in neighbors {
-            stamped[w as usize] = false;
+            stamp[w as usize] = 0;
         }
     }
 }
@@ -144,6 +150,9 @@ where
     let mut queued = vec![false; m];
     let mut queue: VecDeque<EdgeId> = VecDeque::new();
     let mut affected: Vec<(EdgeId, EdgeId)> = Vec::new();
+    // While an edge is processed, `at[w]` is 1 + the position of `w` in the stamped
+    // endpoint's neighbor list; otherwise 0.
+    let mut at = vec![0u32; g.num_vertices()];
 
     for e in 0..m as EdgeId {
         if violates(&state, e) {
@@ -159,13 +168,30 @@ where
         let color_v = coloring.color(v);
         let attr_u = g.attribute(u);
         let attr_v = g.attribute(v);
-        // Collect the live triangles first to avoid borrowing conflicts in the closure.
+        // Collect the live triangles `(e_uw, e_vw)` in ascending order of `w`: stamp the
+        // positions of the endpoint with fewer neighbors, `s`, and scan the other's, `t`.
+        let (s, t) = if g.degree(v) < g.degree(u) {
+            (v, u)
+        } else {
+            (u, v)
+        };
+        let (neighbors_s, edges_s) = (g.neighbors(s), g.neighbor_edge_ids(s));
+        for (i, &w) in (1..).zip(neighbors_s) {
+            at[w as usize] = i;
+        }
         affected.clear();
-        g.for_each_common_neighbor(u, v, |_, e_uw, e_vw| {
-            if alive[e_uw as usize] && alive[e_vw as usize] {
-                affected.push((e_uw, e_vw));
+        for (&w, &e_tw) in g.neighbors(t).iter().zip(g.neighbor_edge_ids(t)) {
+            let i = at[w as usize] as usize;
+            if i != 0 {
+                let e_sw = edges_s[i - 1];
+                if alive[e_sw as usize] && alive[e_tw as usize] {
+                    affected.push(if s == u { (e_sw, e_tw) } else { (e_tw, e_sw) });
+                }
             }
-        });
+        }
+        for &w in neighbors_s {
+            at[w as usize] = 0;
+        }
         for &(e_uw, e_vw) in &affected {
             // The triangle (u, v, w) disappears: edge (u, w) loses common neighbor v and
             // edge (v, w) loses common neighbor u.

@@ -118,13 +118,15 @@ impl ColorCounts {
 ///
 /// The counts of the owner being filled accumulate in a color-indexed scratch row;
 /// closing the owner walks a bitset of the colors it touched, so its entries come out
-/// merged and sorted without a sort.
+/// merged and sorted without a sort, and its [`ColorGroups`] come from the same walk.
+/// [`ColorCountsBuilder::push_keys`] takes a whole owner's neighbors as packed keys
+/// ([`ColorCountsBuilder::key`]) and marks colors below 64 in a register word.
 #[derive(Debug)]
 pub struct ColorCountsBuilder {
     counts: ColorCounts,
     /// Per-color counts of the owner being filled.
     pending: Vec<[u32; 2]>,
-    /// Bitset of the colors with a pending count.
+    /// Bitset of the colors with a pending count; word 0 always exists.
     touched: Vec<u64>,
 }
 
@@ -132,7 +134,15 @@ impl ColorCountsBuilder {
     /// A builder for `owners` owners whose colors lie in `0..num_colors`. `bound` is at
     /// least the total number of entries, one per distinct color of each owner; the
     /// entries array is allocated once with that capacity.
+    ///
+    /// # Panics
+    /// If `num_colors` exceeds `u32::MAX / 2`, the range of the packed keys.
     pub fn new(owners: usize, num_colors: usize, bound: usize) -> Self {
+        // Every color is then below `u32::MAX / 2`, and key 0 decodes to no color.
+        assert!(
+            num_colors <= (u32::MAX / 2) as usize,
+            "{num_colors} colors exceed the packed keys"
+        );
         let mut offsets = Vec::with_capacity(owners + 1);
         offsets.push(0);
         Self {
@@ -141,37 +151,76 @@ impl ColorCountsBuilder {
                 entries: Vec::with_capacity(bound),
             },
             pending: vec![[0, 0]; num_colors],
-            touched: vec![0; num_colors.div_ceil(64)],
+            touched: vec![0; num_colors.div_ceil(64).max(1)],
         }
+    }
+
+    /// The packed key `1 + 2·color + attribute` of a neighbor, as
+    /// [`ColorCountsBuilder::push_keys`] takes it. No key is 0, so callers can use 0 for
+    /// "not a neighbor".
+    ///
+    /// # Panics
+    /// If `color` is not below `u32::MAX / 2`.
+    #[inline]
+    pub fn key(color: u32, attr: Attribute) -> u32 {
+        assert!(
+            color < u32::MAX / 2,
+            "color {color} exceeds the packed keys"
+        );
+        1 + 2 * color + attr.index() as u32
     }
 
     /// Counts one neighbor with the given color and attribute for the owner being filled.
     #[inline]
     pub fn push(&mut self, color: u32, attr: Attribute) {
-        let c = color as usize;
-        self.touched[c / 64] |= 1 << (c % 64);
-        self.pending[c][attr.index()] += 1;
+        self.push_keys(&[Self::key(color, attr)]);
+    }
+
+    /// Counts one neighbor per packed key ([`ColorCountsBuilder::key`]) for the owner
+    /// being filled.
+    ///
+    /// # Panics
+    /// If a key is 0 or its color is not below the builder's `num_colors`.
+    #[inline]
+    pub fn push_keys(&mut self, keys: &[u32]) {
+        let mut low = 0u64;
+        for &key in keys {
+            let slot = key - 1;
+            let c = (slot / 2) as usize;
+            self.pending[c][(slot % 2) as usize] += 1;
+            // Colors below 64 stay in a register; on graphs with fewer than 64 colors
+            // the other branch is never taken.
+            if c < 64 {
+                low |= 1 << c;
+            } else {
+                self.touched[c / 64] |= 1 << (c % 64);
+            }
+        }
+        self.touched[0] |= low;
     }
 
     /// Closes `owner`, which must be the next owner in index order, with the counts
-    /// pushed since the previous owner closed.
-    pub fn finish_owner(&mut self, owner: u32) {
+    /// pushed since the previous owner closed, and returns its color groups.
+    pub fn finish_owner(&mut self, owner: u32) -> ColorGroups {
         assert_eq!(
             owner as usize + 1,
             self.counts.offsets.len(),
             "color-count owners must be filled in index order"
         );
+        let mut groups = ColorGroups::default();
         for (at, word) in self.touched.iter_mut().enumerate() {
             while *word != 0 {
                 let c = at * 64 + word.trailing_zeros() as usize;
                 *word &= *word - 1;
                 let counts = std::mem::take(&mut self.pending[c]);
+                groups.add(counts);
                 self.counts.entries.push((c as u32, counts));
             }
         }
         let end = u32::try_from(self.counts.entries.len())
             .expect("color-count entries exceed u32 offsets");
         self.counts.offsets.push(end);
+        groups
     }
 
     /// The filled table.
@@ -358,6 +407,26 @@ mod tests {
         // Vertices outside the mask have empty counts.
         assert_eq!(d.degree(0, Attribute::A), 0);
         assert_eq!(d.degree(0, Attribute::B), 0);
+    }
+
+    #[test]
+    fn packed_keys_count_colors_on_both_sides_of_a_word() {
+        let mut builder = ColorCountsBuilder::new(2, 130, 8);
+        let key = ColorCountsBuilder::key;
+        builder.push_keys(&[key(129, Attribute::A), key(3, Attribute::B)]);
+        builder.push(3, Attribute::A);
+        builder.push_keys(&[key(70, Attribute::B), key(129, Attribute::A)]);
+        let groups = builder.finish_owner(0);
+        builder.push_keys(&[key(64, Attribute::A)]);
+        assert_eq!(builder.finish_owner(1).exclusive, [1, 0]);
+        let counts = builder.build();
+        assert_eq!(
+            counts.entries(0),
+            [(3, [1, 1]), (70, [0, 1]), (129, [2, 0])]
+        );
+        assert_eq!(counts.entries(1), [(64, [1, 0])]);
+        assert_eq!(groups, counts.groups(0));
+        assert_eq!((groups.exclusive, groups.mixed), ([1, 1], 1));
     }
 
     #[test]

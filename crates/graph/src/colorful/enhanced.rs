@@ -38,15 +38,21 @@ impl ColorGroups {
     /// Builds groups from per-color attribute counts.
     pub fn from_counts<'a, I: IntoIterator<Item = &'a [u32; 2]>>(counts: I) -> Self {
         let mut g = ColorGroups::default();
-        // Branch-free: the exclusive/mixed split of a long count list is unpredictable.
-        for &[a, b] in counts {
-            let (a, b) = (usize::from(a > 0), usize::from(b > 0));
-            let both = a & b;
-            g.mixed += both;
-            g.exclusive[0] += a - both;
-            g.exclusive[1] += b - both;
+        for &counts in counts {
+            g.add(counts);
         }
         g
+    }
+
+    /// Adds one color with the given per-attribute counts to its group.
+    #[inline]
+    pub(crate) fn add(&mut self, [a, b]: [u32; 2]) {
+        // Branch-free: the exclusive/mixed split of a long count list is unpredictable.
+        let (a, b) = (usize::from(a > 0), usize::from(b > 0));
+        let both = a & b;
+        self.mixed += both;
+        self.exclusive[0] += a - both;
+        self.exclusive[1] += b - both;
     }
 
     /// The group counter of a color with the given per-attribute counts (`None` when

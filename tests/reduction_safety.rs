@@ -16,8 +16,9 @@ use rfc_core::reduction::{
     en_colorful_sup::{en_colorful_sup_alive_edges, en_colorful_sup_reduction},
 };
 use rfc_datasets::synthetic::{erdos_renyi, one_big_component, BigComponentConfig};
+use rfc_graph::colorful::{enhanced_colorful_degrees, ColorGroups};
 use rfc_graph::coloring::{greedy_coloring, Coloring};
-use rfc_graph::{fixtures, AttributedGraph};
+use rfc_graph::{fixtures, AttributedGraph, GraphBuilder};
 
 fn optimum(g: &AttributedGraph, params: FairCliqueParams) -> Option<usize> {
     brute_force_max_fair_clique(g, params).map(|c| c.size())
@@ -241,6 +242,126 @@ fn big_component_matches_the_reference_and_pinned_counts() {
             ..PruneCounts::default()
         }
     );
+}
+
+/// Vertex count of [`wide_clique_graph`]'s clique, on vertices `0..WIDE_CLIQUE`.
+const WIDE_CLIQUE: u32 = 70;
+
+/// A 70-vertex balanced clique joined by random edges to a 60-vertex Erdős–Rényi
+/// background. Its greedy coloring needs more than 64 colors, so the count kernels see
+/// colors on both sides of a 64-bit word.
+fn wide_clique_graph(seed: u64) -> AttributedGraph {
+    let clique = fixtures::balanced_clique(WIDE_CLIQUE as usize);
+    let background = erdos_renyi(60, 0.3, 0.5, seed);
+    let mut attrs = clique.attributes().to_vec();
+    attrs.extend_from_slice(background.attributes());
+    let mut builder = GraphBuilder::with_attributes(attrs);
+    builder.add_edges(clique.edge_list().iter().copied());
+    builder.add_edges(
+        background
+            .edge_list()
+            .iter()
+            .map(|&(u, v)| (u + WIDE_CLIQUE, v + WIDE_CLIQUE)),
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let total = WIDE_CLIQUE + background.num_vertices() as u32;
+    for u in 0..WIDE_CLIQUE {
+        for w in WIDE_CLIQUE..total {
+            if rng.gen_bool(0.15) {
+                builder.add_edge(u, w);
+            }
+        }
+    }
+    builder.build().unwrap()
+}
+
+/// The exclusive/mixed groups of `(color, attribute)` pairs, counted from scratch.
+fn groups_from_scratch(neighbors: impl IntoIterator<Item = (u32, Attribute)>) -> ColorGroups {
+    let mut colors: BTreeMap<u32, [bool; 2]> = BTreeMap::new();
+    for (color, attr) in neighbors {
+        colors.entry(color).or_default()[attr.index()] = true;
+    }
+    let has = |pattern: [bool; 2]| colors.values().filter(|&&c| c == pattern).count();
+    ColorGroups {
+        exclusive: [has([true, false]), has([false, true])],
+        mixed: has([true, true]),
+    }
+}
+
+/// With more than 64 colors, the per-edge and per-vertex counts equal a from-scratch
+/// count and both support reductions match the reference fixpoint, at a k that keeps the
+/// clique's edges and one that peels them.
+#[test]
+fn count_kernels_match_from_scratch_counts_above_64_colors() {
+    for seed in [3u64, 4] {
+        let g = wide_clique_graph(seed);
+        let coloring = greedy_coloring(&g);
+        assert!(
+            coloring.num_colors > 64,
+            "only {} colors",
+            coloring.num_colors
+        );
+
+        let state = EdgeSupportState::new(&g, &coloring);
+        for (e, &(u, v)) in g.edge_list().iter().enumerate() {
+            let expected = groups_from_scratch(
+                g.common_neighbors(u, v)
+                    .into_iter()
+                    .map(|w| (coloring.color(w), g.attribute(w))),
+            );
+            let e = e as u32;
+            assert_eq!(state.groups(e), expected, "seed {seed}, edge ({u}, {v})");
+            assert_eq!(
+                state.colorful_support(e),
+                (
+                    expected.exclusive[0] + expected.mixed,
+                    expected.exclusive[1] + expected.mixed
+                ),
+                "seed {seed}, edge ({u}, {v})"
+            );
+        }
+
+        let degrees = enhanced_colorful_degrees(&g, &coloring);
+        for v in g.vertices() {
+            let expected = groups_from_scratch(
+                g.neighbors(v)
+                    .iter()
+                    .map(|&w| (coloring.color(w), g.attribute(w))),
+            );
+            assert_eq!(
+                degrees[v as usize],
+                expected.enhanced_degree(),
+                "seed {seed}, vertex {v}"
+            );
+        }
+
+        // At k = 35 the clique alone gives each of its edges the support Lemma 3 asks
+        // for; at k = 40 it gives none, and the sparse background cannot make up for it.
+        let clique_edges = |alive: &[bool]| {
+            g.edge_list()
+                .iter()
+                .zip(alive)
+                .filter(|&(&(_, v), &keep)| v < WIDE_CLIQUE && keep)
+                .count()
+        };
+        let all = (WIDE_CLIQUE * (WIDE_CLIQUE - 1) / 2) as usize;
+        for (k, clique_kept) in [(3, all), (35, all), (40, 0)] {
+            let plain = colorful_sup_alive_edges(&g, k);
+            assert_eq!(
+                plain,
+                reference_alive_edges(&g, k, false),
+                "seed {seed}, k {k}"
+            );
+            let enhanced = en_colorful_sup_alive_edges(&g, k);
+            assert_eq!(
+                enhanced,
+                reference_alive_edges(&g, k, true),
+                "seed {seed}, k {k}"
+            );
+            assert_eq!(clique_edges(&plain), clique_kept, "seed {seed}, k {k}");
+            assert_eq!(clique_edges(&enhanced), clique_kept, "seed {seed}, k {k}");
+        }
+    }
 }
 
 /// The flat per-edge counts keep a color whose counts reach zero, so removing it again
