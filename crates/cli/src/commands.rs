@@ -181,21 +181,11 @@ fn enum_termination_desc(
     }
 }
 
-/// The stable machine-readable name of a [`Termination`].
-fn termination_str(termination: Termination) -> &'static str {
-    match termination {
-        Termination::Optimal => "optimal",
-        Termination::Infeasible => "infeasible",
-        Termination::BudgetExhausted => "budget_exhausted",
-        Termination::Cancelled => "cancelled",
-    }
-}
-
 /// Renders a [`Solution`] as one machine-readable JSON object (the `solve
 /// --format json` output).
 fn solution_json(model: FairnessModel, solution: &Solution) -> String {
     use std::fmt::Write as _;
-    let termination = termination_str(solution.termination);
+    let termination = protocol::termination_str(solution.termination);
     let mut s = String::new();
     let _ = write!(
         s,
@@ -397,7 +387,7 @@ pub fn run(command: Command) -> Result<(), String> {
                         out,
                         "portfolio member {}: {}, {} branches, {} µs{}",
                         member.label,
-                        termination_str(member.termination),
+                        protocol::termination_str(member.termination),
                         member.branches,
                         member.elapsed_micros,
                         if member.winner { " (winner)" } else { "" }

@@ -70,29 +70,22 @@
 //! across churn rates (`BENCH_dynamic.json`).
 //!
 //! Unlike [`RfcSolver`](crate::solver::RfcSolver), the dynamic solver takes `&mut self` on queries (its caches
-//! are plain maps, not lock-protected): shard one solver per thread, or wrap it in a
+//! are plain maps, not lock-protected): keep one solver per thread, or wrap it in a
 //! mutex, for concurrent serving (the `rfc-serve` daemon does the latter — the type
 //! is `Send`, so a `Mutex<DynamicRfcSolver>` is shareable across connection threads,
 //! and the per-component result caches then act as a cross-client query cache).
 //!
-//! Two serving-oriented controls live here as well:
-//!
-//! * **Bounded caches** — [`set_cache_capacity`](DynamicRfcSolver::set_cache_capacity)
-//!   puts an LRU bound on the per-component result caches (unbounded by default),
-//!   and [`cache_stats`](DynamicRfcSolver::cache_stats) reports hit/miss/eviction
-//!   counters for a daemon `stats` endpoint.
-//! * **Component sharding** — [`solve_shard`](DynamicRfcSolver::solve_shard) /
-//!   [`enumerate_shard`](DynamicRfcSolver::enumerate_shard) restrict a query to the
-//!   components a [`Shard`] owns (`component_index % shard.count() == shard.index()`).
-//!   Solvers that committed the same updates list the same components, so the
-//!   shards of one partition split a query's components without overlap.
+//! For serving, [`set_cache_capacity`](DynamicRfcSolver::set_cache_capacity) puts an
+//! LRU bound on the per-component result caches (unbounded by default), and
+//! [`cache_stats`](DynamicRfcSolver::cache_stats) reports hit/miss/eviction counters
+//! for a daemon `stats` endpoint.
 
+use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use rfc_graph::coloring::greedy_coloring;
 use rfc_graph::components::{components_of_subset, connected_components};
@@ -102,18 +95,18 @@ use rfc_graph::{Attribute, AttributedGraph, GraphBuilder, VertexId};
 
 use crate::cache::{CacheStats, LruCache};
 use crate::enumerate::{
-    enumerate_one_component, CliqueSink, EnumOutcome, EnumProblem, EnumQuery, EnumStats,
-    EnumTermination, SinkFlow,
+    enumerate_one_component, CliqueSink, EnumOutcome, EnumProblem, EnumQuery, EnumStats, SinkFlow,
 };
-use crate::heuristic::heur_rfc;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
-use crate::reduction::{apply_reductions, apply_reductions_controlled, ReductionConfig};
-use crate::search::control::{SearchControl, StopReason};
+use crate::reduction::{
+    apply_reductions, apply_reductions_controlled, ReductionConfig, ReductionStats,
+};
+use crate::search::control::SearchControl;
 use crate::search::parallel::{canonical_order, SharedIncumbent};
-use crate::search::{branch_and_bound, SearchConfig, SearchStats, ThreadCount};
+use crate::search::{SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{
-    certify_bound, colorful_upper_bound, Objective, Query, ReducedEntry, Solution, SolveError,
-    Termination,
+    fan_out, run_enumerate, run_solve, search_phase, traced_reduce, Enumerated, Query, QueryRun,
+    ReducedEntry, Searched, Solution, SolveError,
 };
 
 /// What one [`DynamicRfcSolver::commit`] did.
@@ -133,52 +126,6 @@ pub struct CommitOutcome {
     pub num_vertices: usize,
     /// Edges of the committed graph.
     pub num_edges: usize,
-}
-
-/// One shard of a component-partitioned query: of the reduced graph's component
-/// list, a [`Shard`] owns the components whose index `i` satisfies
-/// `i % count == index`. Solvers that committed the same update stream build
-/// identical component lists, so the partition is deterministic. Components are
-/// independent subproblems: the largest clique over a partition's shards is the
-/// global maximum, and their enumeration streams together are the global stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Shard {
-    index: usize,
-    count: usize,
-}
-
-impl Shard {
-    /// Shard `index` of `count` total. Returns `None` unless
-    /// `index < count` and `count >= 1`.
-    pub fn new(index: usize, count: usize) -> Option<Shard> {
-        (count >= 1 && index < count).then_some(Shard { index, count })
-    }
-
-    /// The trivial shard owning every component.
-    pub fn full() -> Shard {
-        Shard { index: 0, count: 1 }
-    }
-
-    /// This shard's index in `0..count`.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total number of shards in the partition.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Whether this shard owns component `i`.
-    pub fn owns(&self, i: usize) -> bool {
-        i % self.count == self.index
-    }
-}
-
-impl Default for Shard {
-    fn default() -> Self {
-        Shard::full()
-    }
 }
 
 /// Aggregated per-component result-cache counters across every
@@ -240,12 +187,12 @@ struct DynComponent {
     canon: Arc<CanonicalComponent>,
 }
 
-/// Cache key of a per-component solve result: fairness model, pool capacity
-/// (1 = maximum objective, n = top-n), component content.
-type SolveKey = (FairnessModel, usize, Arc<CanonicalComponent>);
-/// Cache key of a per-component enumeration result: model, effective minimum size,
-/// component content.
-type EnumKey = (FairnessModel, usize, Arc<CanonicalComponent>);
+/// Cache key of a per-component result: fairness model, then a solve's pool
+/// capacity (1 = maximum objective, n = top-n) or an enumeration's effective
+/// minimum size, then the component content.
+type ComponentKey = (FairnessModel, usize, Arc<CanonicalComponent>);
+/// One component's cached cliques, in canonical ranks.
+type ComponentCliques = Arc<Vec<Vec<u32>>>;
 /// Reduced-graph cache key, identical to [`RfcSolver`](crate::solver::RfcSolver)'s.
 type EntryKey = (usize, ReductionConfig);
 
@@ -274,10 +221,20 @@ struct DynEntry {
     /// Per-component top-`capacity` fair cliques (canonical ranks, largest first;
     /// empty = no fair clique in the component). LRU-bounded when the owner set a
     /// cache capacity.
-    solve_cache: LruCache<SolveKey, Arc<Vec<Vec<u32>>>>,
+    solve_cache: LruCache<ComponentKey, ComponentCliques>,
     /// Per-component maximal fair cliques (canonical ranks, deterministic
     /// enumeration order). Same bound.
-    enum_cache: LruCache<EnumKey, Arc<Vec<Vec<u32>>>>,
+    enum_cache: LruCache<ComponentKey, ComponentCliques>,
+}
+
+impl DynEntry {
+    /// The eligible components of a current entry (a refcount bump, no copying).
+    fn components(&self) -> Arc<Vec<DynComponent>> {
+        match &self.state {
+            EntryState::Current { components, .. } => Arc::clone(components),
+            EntryState::Stale { .. } => unreachable!("ensure_entry left a stale entry"),
+        }
+    }
 }
 
 /// An incremental maximum-fair-clique solver over a mutable graph (see the [module
@@ -566,105 +523,77 @@ impl DynamicRfcSolver {
     /// without any recomputation or splicing.
     ///
     /// Budgets and cancellation only gate *fresh* search work: a query whose
-    /// components are all answered from cache reports [`Termination::Optimal`] even
-    /// under an exhausted budget or a pre-cancelled token, because the cached result
-    /// is exact and no budgeted work ran. Components whose search was cut short are
-    /// never cached.
+    /// components are all answered from cache reports
+    /// [`Termination::Optimal`](crate::solver::Termination::Optimal) even under an
+    /// exhausted budget or a pre-cancelled token, because the cached result is exact
+    /// and no budgeted work ran. Components whose search was cut short are never
+    /// cached.
+    ///
+    /// Components missing from the cache are searched largest first, with the rule
+    /// of [`RfcSolver::solve_batch`](crate::solver::RfcSolver::solve_batch): a lone
+    /// miss, or any misses when `config.threads` resolves to 1, run one after another
+    /// on the query's own thread count, so a single dirty component gets the
+    /// work-stealing search; otherwise the misses fan out over the threads and each
+    /// is searched serially.
     pub fn solve(&mut self, query: &Query) -> Result<Solution, SolveError> {
-        self.solve_shard(query, Shard::full())
+        let (num_vertices, num_colors) = (self.graph.num_vertices(), self.num_colors);
+        run_solve("solve", query, num_vertices, num_colors, |run, capacity| {
+            self.solve_components(query, run, capacity)
+        })
     }
 
-    /// Like [`solve`](Self::solve), but restricted to the components `shard` owns.
-    ///
-    /// [`Termination::Infeasible`] then means "no fair clique *in this shard's
-    /// components*"; the whole query is infeasible only when every shard of the
-    /// partition is. Per-component cache hits and inserts touch owned components
-    /// only.
-    pub fn solve_shard(&mut self, query: &Query, shard: Shard) -> Result<Solution, SolveError> {
-        let start = Instant::now();
-        let params = self.resolve(query.fairness)?;
-        let capacity = match query.objective {
-            Objective::Maximum => 1,
-            Objective::TopK(0) => return Err(SolveError::EmptyTopK),
-            Objective::TopK(n) => n,
-        };
-        let mut stats = SearchStats::default();
-        if params.min_size() > self.num_colors {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(Solution {
-                cliques: Vec::new(),
-                termination: Termination::Infeasible,
-                stats,
-                reduction_cache_hit: false,
-                upper_bound: Some(0),
-            });
-        }
+    /// Streams every maximal fair clique of the committed graph into `sink`,
+    /// re-enumerating only components whose content changed — everything else is
+    /// replayed from the per-component cache, so after an update only the cliques
+    /// intersecting the changed neighborhood cost fresh search work. Same contract
+    /// as [`RfcSolver::enumerate`](crate::solver::RfcSolver::enumerate); emission
+    /// order is components in discovery order with each component's deterministic
+    /// enumeration order, and [`EnumStats::components_searched`] counts only the
+    /// freshly enumerated components. The components to re-enumerate fan out over
+    /// `threads` with the rule [`solve`](Self::solve) documents.
+    pub fn enumerate(
+        &mut self,
+        query: &EnumQuery,
+        sink: &mut dyn CliqueSink,
+    ) -> Result<EnumOutcome, SolveError> {
+        let (num_vertices, num_colors) = (self.graph.num_vertices(), self.num_colors);
+        run_enumerate(query, num_vertices, num_colors, |run, problem| {
+            self.enumerate_components(query, run, problem, sink)
+        })
+    }
 
-        // Anchored before any fresh reduction work so `Budget.time_limit` covers the
-        // whole query; cached entries and cached components stay budget-exempt (see
-        // the contract above).
-        let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
-        let key = (params.k, query.config.reductions);
-        let Some(hit) = self.ensure_entry_controlled(&key, Some(&ctrl)) else {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(Solution {
-                cliques: Vec::new(),
-                termination: crate::solver::stopped_termination(&ctrl),
-                stats,
-                reduction_cache_hit: false,
-                upper_bound: None,
-            });
+    /// The search of [`solve`](Self::solve): the reduce step, then every component
+    /// from cache or through the fan-out, merged in canonical order.
+    fn solve_components(&mut self, query: &Query, run: &QueryRun, capacity: usize) -> Searched {
+        let key = (run.params.k, query.config.reductions);
+        let (reduced, hit) = match traced_reduce(|| self.ensure_entry(&key, &run.ctrl)) {
+            Ok(pair) => pair,
+            Err(partial) => return Searched::stopped(partial),
         };
-        let (reduced, components) = self.entry_snapshot(&key);
-        stats.reduction = reduced.stats.clone();
-
-        let cache_key =
-            |canon: &Arc<CanonicalComponent>| (query.fairness, capacity, Arc::clone(canon));
-        let mut per_comp: Vec<Option<Arc<Vec<Vec<u32>>>>> = vec![None; components.len()];
-        let cache_before = {
-            let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-            let before = entry.solve_cache.stats();
-            for (i, c) in components.iter().enumerate() {
-                if shard.owns(i) {
-                    per_comp[i] = entry.solve_cache.get(&cache_key(&c.canon)).cloned();
-                }
-            }
-            before
-        };
-        let misses: Vec<usize> = (0..components.len())
-            .filter(|&i| shard.owns(i) && per_comp[i].is_none())
-            .collect();
-
-        let results = run_misses(
-            &misses,
-            query.config.threads,
-            &ctrl,
-            |i| components[i].vertices.len(),
-            |i, ctrl| {
+        let entry = self.entries.get_mut(&key).expect("entry was just ensured");
+        let components = entry.components();
+        let (params, ctrl, config) = (run.params, &run.ctrl, &query.config);
+        let (per_comp, mut stats) = component_results(
+            &mut entry.solve_cache,
+            "solve",
+            &components,
+            (query.fairness, capacity),
+            config.threads,
+            ctrl,
+            |vertices, pinned| {
+                let threads = pinned.unwrap_or(config.threads);
                 solve_component(
                     &reduced.graph,
-                    &components[i].vertices,
+                    vertices,
                     params,
-                    &query.config,
+                    config,
+                    threads,
                     capacity,
                     ctrl,
                 )
             },
         );
-        {
-            let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-            for (i, (cliques, completed, component_stats)) in results {
-                stats += &component_stats;
-                let cliques = Arc::new(cliques);
-                if completed {
-                    entry
-                        .solve_cache
-                        .insert(cache_key(&components[i].canon), Arc::clone(&cliques));
-                }
-                per_comp[i] = Some(cliques);
-            }
-            flush_cache_metrics("solve", &cache_before, &entry.solve_cache.stats());
-        }
+        stats.reduction = reduced.stats.clone();
 
         // Merge the per-component pools in the canonical order `RfcSolver` uses. A
         // pool holds ascending ranks and a component's ranks follow its sorted vertex
@@ -682,278 +611,149 @@ impl DynamicRfcSolver {
         };
         ranked.sort_by(|a, b| canonical_order(original(a), original(b)));
         ranked.truncate(capacity);
-        let cliques: Vec<FairClique> = ranked
+        let cliques = ranked
             .iter()
             .map(|entry| FairClique::from_vertices(&self.graph, original(entry).collect()))
             .collect();
-
-        let mut termination = match ctrl.stop_reason() {
-            Some(StopReason::Budget) => Termination::BudgetExhausted,
-            Some(StopReason::Cancelled) => Termination::Cancelled,
-            None if cliques.is_empty() => Termination::Infeasible,
-            None => Termination::Optimal,
-        };
-        let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
-        // Global colorful bound over the reduced graph — sound (if loose) for any
-        // shard, and enough to certify an incumbent that meets it.
-        let upper_bound = certify_bound(query.objective, best_size, &mut termination, || {
-            Some(colorful_upper_bound(&reduced.graph, params))
-        });
-        stats.elapsed_micros = start.elapsed().as_micros() as u64;
-        crate::solver::flush_search_metrics(&stats);
-        Ok(Solution {
+        Searched {
             cliques,
-            termination,
             stats,
             reduction_cache_hit: hit,
-            upper_bound,
-        })
-    }
-
-    /// Streams every maximal fair clique of the committed graph into `sink`,
-    /// re-enumerating only components whose content changed — everything else is
-    /// replayed from the per-component cache, so after an update only the cliques
-    /// intersecting the changed neighborhood cost fresh search work. Same contract
-    /// as [`RfcSolver::enumerate`](crate::solver::RfcSolver::enumerate); emission
-    /// order is components in discovery order with each component's deterministic
-    /// enumeration order, and [`EnumStats::components_searched`] counts only the
-    /// freshly enumerated components.
-    pub fn enumerate(
-        &mut self,
-        query: &EnumQuery,
-        sink: &mut dyn CliqueSink,
-    ) -> Result<EnumOutcome, SolveError> {
-        self.enumerate_shard(query, Shard::full(), sink)
-    }
-
-    /// Like [`enumerate`](Self::enumerate), but restricted to the components `shard`
-    /// owns: the shard emits exactly the maximal fair cliques living in its
-    /// components, so concatenating the streams of a full partition yields the
-    /// global enumeration (cliques never span components).
-    pub fn enumerate_shard(
-        &mut self,
-        query: &EnumQuery,
-        shard: Shard,
-        sink: &mut dyn CliqueSink,
-    ) -> Result<EnumOutcome, SolveError> {
-        let start = Instant::now();
-        let params = self.resolve(query.fairness)?;
-        let min_size = params.min_size().max(query.min_size);
-        let mut stats = EnumStats::default();
-        if min_size > self.num_colors {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(EnumOutcome {
-                emitted: 0,
-                termination: EnumTermination::Complete,
-                stats,
-                reduction_cache_hit: false,
-            });
+            reduced: vec![reduced],
+            termination: None,
         }
+    }
 
-        // Same anchoring as `solve_shard`: the clock starts before fresh reduction
-        // work, while cache-served entries stay budget-exempt.
-        let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
-        let key = (params.k, query.reductions);
-        let Some(hit) = self.ensure_entry_controlled(&key, Some(&ctrl)) else {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(EnumOutcome {
-                emitted: 0,
-                termination: match crate::solver::stopped_termination(&ctrl) {
-                    Termination::Cancelled => EnumTermination::Cancelled,
-                    _ => EnumTermination::BudgetExhausted,
-                },
-                stats,
-                reduction_cache_hit: false,
-            });
+    /// The search of [`enumerate`](Self::enumerate): the reduce step, then every
+    /// eligible component from cache or through the fan-out, emitted in discovery
+    /// order.
+    fn enumerate_components(
+        &mut self,
+        query: &EnumQuery,
+        run: &QueryRun,
+        problem: EnumProblem,
+        sink: &mut dyn CliqueSink,
+    ) -> Enumerated {
+        let key = (run.params.k, query.reductions);
+        let (reduced, hit) = match traced_reduce(|| self.ensure_entry(&key, &run.ctrl)) {
+            Ok(pair) => pair,
+            Err(partial) => return Enumerated::stopped(partial),
         };
-        let (reduced, components) = self.entry_snapshot(&key);
-        stats.reduction = reduced.stats.clone();
-
-        // Sharding partitions the raw component index space (stable across shards);
-        // the eligibility filter then applies within the owned set.
-        let eligible: Vec<usize> = (0..components.len())
-            .filter(|&i| shard.owns(i) && components[i].vertices.len() >= min_size)
+        let entry = self.entries.get_mut(&key).expect("entry was just ensured");
+        let components = entry.components();
+        let eligible: Vec<&DynComponent> = components
+            .iter()
+            .filter(|c| c.vertices.len() >= problem.min_size)
             .collect();
-        let cache_key =
-            |canon: &Arc<CanonicalComponent>| (query.fairness, min_size, Arc::clone(canon));
-        let mut per_comp: Vec<Option<Arc<Vec<Vec<u32>>>>> = vec![None; eligible.len()];
-        let cache_before = {
-            let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-            let before = entry.enum_cache.stats();
-            for (slot, &i) in eligible.iter().enumerate() {
-                per_comp[slot] = entry
-                    .enum_cache
-                    .get(&cache_key(&components[i].canon))
-                    .cloned();
-            }
-            before
-        };
-        let misses: Vec<usize> = (0..eligible.len())
-            .filter(|&slot| per_comp[slot].is_none())
-            .collect();
-
-        let problem = EnumProblem {
-            model: query.fairness,
-            params,
-            min_size,
-        };
-        let results = run_misses(
-            &misses,
+        let ctrl = &run.ctrl;
+        let (per_comp, mut stats) = component_results(
+            &mut entry.enum_cache,
+            "enumerate",
+            &eligible,
+            (query.fairness, problem.min_size),
             query.threads,
-            &ctrl,
-            |slot| components[eligible[slot]].vertices.len(),
-            |slot, ctrl| {
-                enumerate_component(
-                    &reduced.graph,
-                    &components[eligible[slot]].vertices,
-                    problem,
-                    ctrl,
-                )
-            },
+            ctrl,
+            |vertices, _| enumerate_component(&reduced.graph, vertices, problem, ctrl),
         );
-        {
-            let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-            for (slot, (cliques, completed, component_stats)) in results {
-                stats += &component_stats;
-                let cliques = Arc::new(cliques);
-                if completed {
-                    entry.enum_cache.insert(
-                        cache_key(&components[eligible[slot]].canon),
-                        Arc::clone(&cliques),
-                    );
-                }
-                per_comp[slot] = Some(cliques);
-            }
-            flush_cache_metrics("enumerate", &cache_before, &entry.enum_cache.stats());
-        }
+        stats.reduction = reduced.stats.clone();
 
         // Emission: components in discovery order; cached components replay their
         // stored order, fresh ones their deterministic enumeration order.
         let mut emitted = 0u64;
         let mut sink_stopped = false;
-        'emission: for (slot, &ci) in eligible.iter().enumerate() {
-            let Some(cliques) = &per_comp[slot] else {
+        'emission: for (component, cliques) in eligible.iter().zip(&per_comp) {
+            let Some(cliques) = cliques else {
                 continue; // never reached before a budget/cancel stop
             };
             for ranks in cliques.iter() {
-                let ids: Vec<VertexId> = ranks
-                    .iter()
-                    .map(|&r| components[ci].vertices[r as usize])
-                    .collect();
+                let ids = ranks.iter().map(|&r| component.vertices[r as usize]);
                 emitted += 1;
-                if sink.emit(FairClique::from_vertices(&self.graph, ids)) == SinkFlow::Stop {
+                if sink.emit(FairClique::from_vertices(&self.graph, ids.collect()))
+                    == SinkFlow::Stop
+                {
                     sink_stopped = true;
                     break 'emission;
                 }
             }
         }
-
-        let termination = match ctrl.stop_reason() {
-            Some(StopReason::Budget) => EnumTermination::BudgetExhausted,
-            Some(StopReason::Cancelled) => EnumTermination::Cancelled,
-            None if sink_stopped => EnumTermination::SinkStopped,
-            None => EnumTermination::Complete,
-        };
-        stats.elapsed_micros = start.elapsed().as_micros() as u64;
-        Ok(EnumOutcome {
+        Enumerated {
             emitted,
-            termination,
+            sink_stopped,
             stats,
             reduction_cache_hit: hit,
-        })
+        }
     }
 
-    /// Validates and resolves a fairness model against the committed graph.
-    fn resolve(&self, fairness: FairnessModel) -> Result<FairCliqueParams, SolveError> {
-        fairness
-            .resolve(self.graph.num_vertices())
-            .map_err(SolveError::InvalidParams)
-    }
-
-    /// Makes the entry for `key` current (computing or splicing its reduced graph
-    /// as needed) and returns whether it was already current — the
-    /// [`reduction_cache_hit`](Solution::reduction_cache_hit) the query reports —
-    /// with the query's budget/cancel control gating the *fresh* reduction work:
-    /// a current entry is always served (`Some`,
-    /// untouched by the control — cached answers stay exact and budget-exempt), but
-    /// a tripped control aborts before a missing entry is computed or a stale one is
-    /// spliced, returning `None` with nothing cached.
-    fn ensure_entry_controlled(
+    /// The dynamic reduce step: makes the entry for `key` current (computing or
+    /// splicing its reduced graph as needed) and returns its reduced graph with
+    /// whether it was already current — the
+    /// [`reduction_cache_hit`](Solution::reduction_cache_hit) the query reports.
+    ///
+    /// A current entry is always served, untouched by the control: cached answers
+    /// stay exact and budget-exempt. A tripped control stops the query before a
+    /// missing entry is computed or a stale one is spliced, or between pipeline
+    /// stages; the error carries the partial stage counters, and nothing is cached.
+    fn ensure_entry(
         &mut self,
         key: &EntryKey,
-        ctrl: Option<&SearchControl>,
-    ) -> Option<bool> {
-        if matches!(
-            self.entries.get(key).map(|e| &e.state),
-            Some(EntryState::Current { .. })
-        ) {
-            return Some(true);
+        ctrl: &SearchControl,
+    ) -> Result<(Arc<ReducedEntry>, bool), ReductionStats> {
+        if let Some(EntryState::Current { reduced, .. }) = self.entries.get(key).map(|e| &e.state) {
+            return Ok((Arc::clone(reduced), true));
         }
-        if ctrl.is_some_and(|c| c.check_now()) {
-            return None;
+        if ctrl.check_now() {
+            return Err(ReductionStats::default());
         }
         let params = FairCliqueParams::new(key.0, 0).expect("k >= 1 was validated by the caller");
-        match self.entries.remove(key) {
+        let (reduced, mut solve_cache, mut enum_cache) = match self.entries.remove(key) {
             None => {
-                let (graph, stats) = apply_reductions_controlled(&self.graph, params, &key.1, ctrl);
-                // A mid-pipeline trip caches nothing; the next query recomputes.
-                let graph = graph?;
-                self.preprocessing_runs += 1;
-                let reduced = Arc::new(ReducedEntry { graph, stats });
-                let components = Arc::new(build_components(
-                    &reduced.graph,
-                    params.min_size(),
-                    &self.digest_keys,
-                ));
-                self.entries.insert(
-                    *key,
-                    DynEntry {
-                        state: EntryState::Current {
-                            reduced,
-                            components,
-                        },
-                        solve_cache: LruCache::new(self.cache_capacity),
-                        enum_cache: LruCache::new(self.cache_capacity),
-                    },
-                );
+                let (graph, stats) =
+                    apply_reductions_controlled(&self.graph, params, &key.1, Some(ctrl));
+                let Some(graph) = graph else {
+                    return Err(stats);
+                };
+                let cache = || LruCache::new(self.cache_capacity);
+                (ReducedEntry { graph, stats }, cache(), cache())
             }
             Some(DynEntry {
                 state: EntryState::Stale { old, changed },
-                mut solve_cache,
-                mut enum_cache,
-            }) => {
-                let reduced = Arc::new(self.splice(&old, &changed, params, &key.1));
-                self.preprocessing_runs += 1;
-                let components = Arc::new(build_components(
-                    &reduced.graph,
-                    params.min_size(),
-                    &self.digest_keys,
-                ));
-                // Drop results for components that no longer exist; identical
-                // components (the clean majority) keep their entries and will hit.
-                let live: HashSet<&CanonicalComponent> =
-                    components.iter().map(|c| c.canon.as_ref()).collect();
-                solve_cache.retain(|k| live.contains(k.2.as_ref()));
-                enum_cache.retain(|k| live.contains(k.2.as_ref()));
-                self.entries.insert(
-                    *key,
-                    DynEntry {
-                        state: EntryState::Current {
-                            reduced,
-                            components,
-                        },
-                        solve_cache,
-                        enum_cache,
-                    },
-                );
-            }
-            Some(current) => {
-                // Unreachable through the fast path above, but stay total.
-                self.entries.insert(*key, current);
-                return Some(true);
-            }
-        }
-        Some(false)
+                solve_cache,
+                enum_cache,
+            }) => (
+                self.splice(&old, &changed, params, &key.1),
+                solve_cache,
+                enum_cache,
+            ),
+            Some(DynEntry {
+                state: EntryState::Current { .. },
+                ..
+            }) => unreachable!("a current entry is served above"),
+        };
+        self.preprocessing_runs += 1;
+        let reduced = Arc::new(reduced);
+        let components = Arc::new(build_components(
+            &reduced.graph,
+            params.min_size(),
+            &self.digest_keys,
+        ));
+        // Drop results for components that no longer exist; identical components
+        // (the clean majority of a splice) keep their entries and will hit.
+        let live: HashSet<&CanonicalComponent> =
+            components.iter().map(|c| c.canon.as_ref()).collect();
+        solve_cache.retain(|k| live.contains(k.2.as_ref()));
+        enum_cache.retain(|k| live.contains(k.2.as_ref()));
+        self.entries.insert(
+            *key,
+            DynEntry {
+                state: EntryState::Current {
+                    reduced: Arc::clone(&reduced),
+                    components,
+                },
+                solve_cache,
+                enum_cache,
+            },
+        );
+        Ok((reduced, false))
     }
 
     /// Splices a stale reduced graph: re-runs the pipeline on the components of the
@@ -1007,18 +807,6 @@ impl DynamicRfcSolver {
             stage.edges += clean_edges;
         }
         ReducedEntry { graph, stats }
-    }
-
-    /// Snapshots the current reduced graph and component list for `key` (refcount
-    /// bumps, no copying).
-    fn entry_snapshot(&self, key: &EntryKey) -> (Arc<ReducedEntry>, Arc<Vec<DynComponent>>) {
-        match &self.entries.get(key).expect("entry was just ensured").state {
-            EntryState::Current {
-                reduced,
-                components,
-            } => (Arc::clone(reduced), Arc::clone(components)),
-            EntryState::Stale { .. } => unreachable!("ensure_entry left a stale entry"),
-        }
     }
 }
 
@@ -1097,58 +885,55 @@ fn build_components(
         .collect()
 }
 
-/// Runs `work` on every index in `misses`, sequentially or across scoped worker
-/// threads, honoring the shared [`SearchControl`]. Serial runs process misses in
-/// order (deterministic); parallel runs dispatch the largest component first.
-fn run_misses<R: Send>(
-    misses: &[usize],
+/// Each component's cliques: from `cache` under `(model, size)` and the component's
+/// content, or computed by `work` on its vertices. The misses fan out over `threads`
+/// largest first, with [`fan_out`]'s rule. A miss that ran to completion is cached;
+/// one the control skipped stays `None`. Returns the cliques in component order with
+/// the misses' merged counters, and publishes the cache activity as `kind`.
+fn component_results<C, S>(
+    cache: &mut LruCache<ComponentKey, ComponentCliques>,
+    kind: &str,
+    components: &[C],
+    (model, size): (FairnessModel, usize),
     threads: ThreadCount,
     ctrl: &SearchControl,
-    size_of: impl Fn(usize) -> usize,
-    work: impl Fn(usize, &SearchControl) -> R + Sync,
-) -> Vec<(usize, R)> {
-    let workers = threads.resolve().min(misses.len());
-    if workers <= 1 {
-        return misses
-            .iter()
-            .take_while(|_| !ctrl.stopped())
-            .map(|&i| (i, work(i, ctrl)))
-            .collect();
+    work: impl Fn(&[VertexId], Option<ThreadCount>) -> (Vec<Vec<u32>>, bool, S) + Sync,
+) -> (Vec<Option<ComponentCliques>>, S)
+where
+    C: Borrow<DynComponent> + Sync,
+    S: Default + Send + for<'a> std::ops::AddAssign<&'a S>,
+{
+    let component = |i: usize| components[i].borrow();
+    let key = |i: usize| (model, size, Arc::clone(&component(i).canon));
+    let before = cache.stats();
+    let mut results: Vec<Option<ComponentCliques>> = (0..components.len())
+        .map(|i| cache.get(&key(i)).cloned())
+        .collect();
+    let mut misses: Vec<usize> = (0..components.len())
+        .filter(|&i| results[i].is_none())
+        .collect();
+    misses.sort_by_key(|&i| Reverse(component(i).vertices.len()));
+    let fresh = fan_out(&misses, threads, Some(ctrl), |&i, pinned| {
+        work(&component(i).vertices, pinned)
+    });
+    let mut stats = S::default();
+    for (&i, result) in misses.iter().zip(fresh) {
+        let Some((cliques, completed, component_stats)) = result else {
+            continue;
+        };
+        stats += &component_stats;
+        let cliques = Arc::new(cliques);
+        if completed {
+            cache.insert(key(i), Arc::clone(&cliques));
+        }
+        results[i] = Some(cliques);
     }
-    let mut order: Vec<usize> = misses.to_vec();
-    order.sort_by(|&a, &b| size_of(b).cmp(&size_of(a)).then(a.cmp(&b)));
-    let cursor = AtomicUsize::new(0);
-    let work = &work;
-    let order = &order;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        if ctrl.stopped() {
-                            break;
-                        }
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = order.get(slot) else {
-                            break;
-                        };
-                        local.push((i, work(i, ctrl)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("dynamic worker panicked"))
-            .collect()
-    })
+    flush_cache_metrics(kind, &before, &cache.stats());
+    (results, stats)
 }
 
-/// Exact search of one component: heuristic warm start plus branch-and-bound over
-/// the component's induced subgraph. Returns the pool's cliques in canonical ranks
+/// Exact search of one component: the shared search phase over the component's
+/// induced subgraph, on `threads`. Returns the pool's cliques in canonical ranks
 /// (the induced subgraph of a sorted component *is* the canonical relabeling),
 /// whether the search ran to completion, and its counters.
 fn solve_component(
@@ -1156,23 +941,18 @@ fn solve_component(
     component: &[VertexId],
     params: FairCliqueParams,
     config: &SearchConfig,
+    threads: ThreadCount,
     capacity: usize,
     ctrl: &SearchControl,
 ) -> (Vec<Vec<u32>>, bool, SearchStats) {
     let sub = induced_subgraph(reduced, component);
-    let mut stats = SearchStats::default();
-    let mut warm = None;
-    if config.use_heuristic {
-        let outcome = heur_rfc(&sub.graph, params, &config.heuristic);
-        stats.heuristic_size = outcome.best.as_ref().map(|c| c.size());
-        warm = outcome.best.map(|c| c.vertices);
-    }
-    let pool = SharedIncumbent::with_capacity(capacity, warm);
-    let mut component_config = config.clone();
-    component_config.threads = ThreadCount::Serial;
-    stats += &branch_and_bound(&sub.graph, params, &component_config, &pool, ctrl);
-    let completed = !ctrl.stopped();
-    (pool.into_cliques(), completed, stats)
+    let pool = SharedIncumbent::with_capacity(capacity);
+    let config = SearchConfig {
+        threads,
+        ..config.clone()
+    };
+    let stats = search_phase(&sub.graph, params, &config, &pool, ctrl);
+    (pool.into_cliques(), !ctrl.stopped(), stats)
 }
 
 /// Full maximal-fair-clique enumeration of one component, collected as canonical
@@ -1205,8 +985,8 @@ fn enumerate_component(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::CollectSink;
-    use crate::solver::{Budget, CancelToken, RfcSolver};
+    use crate::enumerate::{CollectSink, EnumTermination};
+    use crate::solver::{Budget, CancelToken, Objective, RfcSolver, Termination};
     use crate::verify;
     use rfc_graph::fixtures;
 
@@ -1584,77 +1364,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_construction_and_ownership() {
-        assert!(Shard::new(0, 0).is_none());
-        assert!(Shard::new(2, 2).is_none());
-        let s = Shard::new(1, 3).unwrap();
-        assert_eq!((s.index(), s.count()), (1, 3));
-        let owned: Vec<usize> = (0..9).filter(|&i| s.owns(i)).collect();
-        assert_eq!(owned, vec![1, 4, 7]);
-        assert!(Shard::full().owns(5));
-        assert_eq!(Shard::default(), Shard::full());
-        // Every component index is owned by exactly one shard of a partition.
-        for i in 0..20 {
-            let owners = (0..4)
-                .filter(|&s| Shard::new(s, 4).unwrap().owns(i))
-                .count();
-            assert_eq!(owners, 1);
-        }
-    }
-
-    #[test]
-    fn sharded_solves_merge_to_the_global_answer() {
-        let model = FairnessModel::Relative { k: 2, delta: 1 };
-        let query = serial_query(model);
-        let global = DynamicRfcSolver::new(two_balanced_cliques())
-            .solve(&query)
-            .unwrap();
-        assert_eq!(global.best().unwrap().size(), 8);
-
-        // Two replica solvers, one shard each: exactly one sees each component,
-        // and the best across shards is the global best.
-        let mut best_sizes = Vec::new();
-        let mut total_components = 0;
-        for index in 0..2 {
-            let mut replica = DynamicRfcSolver::new(two_balanced_cliques());
-            let shard = Shard::new(index, 2).unwrap();
-            let solution = replica.solve_shard(&query, shard).unwrap();
-            total_components += solution.stats.components_searched;
-            if let Some(best) = solution.best() {
-                assert!(verify::is_fair_clique_under(
-                    replica.graph(),
-                    &best.vertices,
-                    model
-                ));
-                best_sizes.push(best.size());
-            }
-        }
-        assert_eq!(total_components, 2, "shards partition the components");
-        assert_eq!(best_sizes.iter().max(), Some(&8));
-
-        // Sharded enumeration concatenates to the global stream.
-        let mut merged: Vec<Vec<VertexId>> = Vec::new();
-        for index in 0..3 {
-            let mut replica = DynamicRfcSolver::new(two_balanced_cliques());
-            let shard = Shard::new(index, 3).unwrap();
-            let mut sink = CollectSink::new();
-            replica
-                .enumerate_shard(
-                    &EnumQuery::new(model).with_threads(ThreadCount::Serial),
-                    shard,
-                    &mut sink,
-                )
-                .unwrap();
-            merged.extend(sink.into_cliques().into_iter().map(|c| c.vertices));
-        }
-        merged.sort();
-        assert_eq!(
-            merged,
-            enumerate_sets_scratch(&two_balanced_cliques(), model)
-        );
-    }
-
-    #[test]
     fn cache_capacity_bounds_the_result_caches() {
         let model = FairnessModel::Relative { k: 2, delta: 1 };
         let mut solver = DynamicRfcSolver::new(two_balanced_cliques()).with_cache_capacity(Some(1));
@@ -1697,7 +1406,7 @@ mod tests {
         assert_eq!(real, rebuilt);
 
         let model = FairnessModel::Relative { k: 1, delta: 0 };
-        let mut cache: LruCache<SolveKey, Arc<Vec<Vec<u32>>>> = LruCache::new(None);
+        let mut cache: LruCache<ComponentKey, ComponentCliques> = LruCache::new(None);
         cache.insert((model, 1, Arc::new(real)), Arc::new(vec![vec![0, 1, 2]]));
         assert!(cache.get(&(model, 1, Arc::new(forged))).is_none());
         assert!(cache.get(&(model, 1, Arc::new(rebuilt))).is_some());

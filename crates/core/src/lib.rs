@@ -82,7 +82,7 @@ pub mod solver;
 pub mod verify;
 
 pub use cache::{CacheStats, LruCache};
-pub use dynamic::{CommitOutcome, DynCacheStats, DynamicRfcSolver, Shard};
+pub use dynamic::{CommitOutcome, DynCacheStats, DynamicRfcSolver};
 
 pub use enumerate::{
     CliqueSink, CollectSink, CountSink, EnumOutcome, EnumQuery, EnumStats, EnumTermination,
@@ -99,7 +99,7 @@ pub use solver::{
 /// Commonly used items for glob import.
 pub mod prelude {
     pub use crate::bounds::{BoundConfig, ExtraBound};
-    pub use crate::dynamic::{CommitOutcome, DynCacheStats, DynamicRfcSolver, Shard};
+    pub use crate::dynamic::{CommitOutcome, DynCacheStats, DynamicRfcSolver};
     pub use crate::enumerate::{
         CliqueSink, CollectSink, CountSink, EnumOutcome, EnumQuery, EnumStats, EnumTermination,
         JsonlSink, LimitSink, SinkFlow, TopNSink,

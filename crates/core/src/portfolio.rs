@@ -56,15 +56,14 @@ use std::time::Instant;
 use rfc_graph::{AttributedGraph, VertexId};
 
 use crate::bounds::{BoundConfig, ExtraBound};
-use crate::heuristic::heur_rfc;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::ReductionConfig;
 use crate::search::control::SearchControl;
 use crate::search::parallel::SharedIncumbent;
-use crate::search::{branch_and_bound, BranchOrder, SearchConfig, SearchStats, ThreadCount};
+use crate::search::{BranchOrder, SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{
-    certify_bound, colorful_upper_bound, flush_search_metrics, stopped_termination, CancelToken,
-    Objective, Query, ReducedEntry, RfcSolver, Solution, SolveError, Termination,
+    run_solve, search_phase, search_termination, CancelToken, Query, ReducedEntry, RfcSolver,
+    Searched, Solution, SolveError, Termination,
 };
 
 /// Configuration of one [`RfcSolver::solve_portfolio`] call.
@@ -168,65 +167,68 @@ fn solve_portfolio(
     query: &Query,
     portfolio: &PortfolioConfig,
 ) -> Result<PortfolioOutcome, SolveError> {
-    let start = Instant::now();
-    let mut span = rfc_obs::trace::span("portfolio");
-    let params = query
-        .fairness
-        .resolve(solver.graph().num_vertices())
-        .map_err(SolveError::InvalidParams)?;
-    let capacity = match query.objective {
-        Objective::Maximum => 1,
-        Objective::TopK(0) => return Err(SolveError::EmptyTopK),
-        Objective::TopK(n) => n,
-    };
+    let mut reports: Vec<MemberReport> = Vec::new();
+    let mut anytime_improvements = 0u64;
+    let num_vertices = solver.graph().num_vertices();
+    let solution = run_solve(
+        "portfolio",
+        query,
+        num_vertices,
+        solver.num_colors(),
+        |run, capacity| {
+            if run.ctrl.check_now() {
+                return Searched::default();
+            }
+            let searched;
+            (searched, reports, anytime_improvements) =
+                race(solver, query, portfolio, run.params, capacity);
+            run.counter("members", reports.len() as u64);
+            let best_size = searched.cliques.first().map_or(0, FairClique::size);
+            run.counter("best_size", best_size as u64);
+            searched
+        },
+    )?;
+
+    let m = rfc_obs::metrics::global();
+    m.counter("rfc_portfolio_runs_total").inc();
+    m.counter("rfc_portfolio_members_total")
+        .add(reports.len() as u64);
+    m.counter("rfc_portfolio_anytime_improvements_total")
+        .add(anytime_improvements);
+    m.histogram("rfc_portfolio_elapsed_us")
+        .observe(solution.stats.elapsed_micros);
+    Ok(PortfolioOutcome {
+        solution,
+        members: reports,
+    })
+}
+
+/// Races the members of one portfolio call over a shared pool. Returns what the
+/// query's finish step needs, one report per member, and the anytime improver's
+/// accepted improvements.
+fn race(
+    solver: &RfcSolver,
+    query: &Query,
+    portfolio: &PortfolioConfig,
+    params: FairCliqueParams,
+    capacity: usize,
+) -> (Searched, Vec<MemberReport>, u64) {
     let members = portfolio.members.max(1);
-
-    let empty_solution = |termination, upper_bound, stats: SearchStats| Solution {
-        cliques: Vec::new(),
-        termination,
-        stats,
-        reduction_cache_hit: false,
-        upper_bound,
-    };
-
-    // Same O(1) infeasibility gate as the plain solve.
-    if params.min_size() > solver.num_colors() {
-        let stats = SearchStats {
-            elapsed_micros: start.elapsed().as_micros() as u64,
-            ..SearchStats::default()
-        };
-        return Ok(PortfolioOutcome {
-            solution: empty_solution(Termination::Infeasible, Some(0), stats),
-            members: Vec::new(),
-        });
-    }
-
     // One cancel-token family: the query's token (or a fresh root) parents one child
     // per member, so the winner can cancel its siblings without ever touching the
     // caller's token, while a caller-side cancel still reaches every member.
     let root = query.cancel.clone().unwrap_or_default();
     let slots = members + usize::from(portfolio.anytime);
     let tokens: Vec<CancelToken> = (0..slots).map(|_| root.child()).collect();
-    // Every control is anchored here, at query entry, so the wall-clock budget
-    // covers each member's reduction and warm start too.
+    // Every control is anchored here, just after query entry, so the wall-clock
+    // budget covers each member's reduction and warm start too.
     let ctrls: Vec<SearchControl> = tokens
         .iter()
         .map(|t| SearchControl::new(&query.budget, Some(t.clone())))
         .collect();
-    let entry_ctrl = SearchControl::new(&query.budget, Some(root.clone()));
-    if entry_ctrl.check_now() {
-        let stats = SearchStats {
-            elapsed_micros: start.elapsed().as_micros() as u64,
-            ..SearchStats::default()
-        };
-        return Ok(PortfolioOutcome {
-            solution: empty_solution(stopped_termination(&entry_ctrl), None, stats),
-            members: Vec::new(),
-        });
-    }
 
     let configs = member_configs(&query.config, members);
-    let pool = SharedIncumbent::with_capacity(capacity, None);
+    let pool = SharedIncumbent::with_capacity(capacity);
     let winner = AtomicUsize::new(usize::MAX);
 
     type MemberResult = (
@@ -243,7 +245,7 @@ fn solve_portfolio(
         let handles: Vec<_> = configs
             .iter()
             .enumerate()
-            .map(|(i, (label, cfg))| {
+            .map(|(i, (_, cfg))| {
                 let ctrl = &ctrls[i];
                 let tokens = &tokens;
                 let winner = &winner;
@@ -271,7 +273,6 @@ fn solve_portfolio(
                     }
                     member_span.counter("member", i as u64);
                     member_span.counter("branches", stats.branches);
-                    let _ = label;
                     (
                         termination,
                         stats,
@@ -344,7 +345,7 @@ fn solve_portfolio(
         let _ = ctrls[members].check_now();
         reports.push(MemberReport {
             label: "anytime".to_string(),
-            termination: stopped_termination(&ctrls[members]),
+            termination: search_termination(&ctrls[members], false),
             branches: moves,
             elapsed_micros: elapsed,
             winner: false,
@@ -356,8 +357,9 @@ fn solve_portfolio(
         .into_iter()
         .map(|vertices| FairClique::from_vertices(solver.graph(), vertices))
         .collect();
-    let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
-    let mut termination = if won != usize::MAX {
+    // The race decides the termination: a winner's proof is exact, otherwise
+    // the caller's cancel or the budget stopped every member.
+    let termination = if won != usize::MAX {
         if cliques.is_empty() {
             Termination::Infeasible
         } else {
@@ -368,39 +370,16 @@ fn solve_portfolio(
     } else {
         Termination::BudgetExhausted
     };
-    // No entry means every member was stopped before finishing a reduction: no
-    // sound bound.
-    let upper_bound = certify_bound(query.objective, best_size, &mut termination, || {
-        entries
-            .iter()
-            .map(|e| colorful_upper_bound(&e.graph, params))
-            .min()
-    });
-    stats.elapsed_micros = start.elapsed().as_micros() as u64;
-
-    span.counter("members", reports.len() as u64);
-    span.counter("best_size", best_size as u64);
-    drop(span);
-    let m = rfc_obs::metrics::global();
-    m.counter("rfc_portfolio_runs_total").inc();
-    m.counter("rfc_portfolio_members_total")
-        .add(reports.len() as u64);
-    m.counter("rfc_portfolio_anytime_improvements_total")
-        .add(anytime_improvements);
-    m.histogram("rfc_portfolio_elapsed_us")
-        .observe(stats.elapsed_micros);
-    flush_search_metrics(&stats);
-
-    Ok(PortfolioOutcome {
-        solution: Solution {
-            cliques,
-            termination,
-            stats,
-            reduction_cache_hit,
-            upper_bound,
-        },
-        members: reports,
-    })
+    let searched = Searched {
+        cliques,
+        stats,
+        reduction_cache_hit,
+        // No entry means every member was stopped before finishing a reduction: no
+        // sound bound.
+        reduced: entries,
+        termination: Some(termination),
+    };
+    (searched, reports, anytime_improvements)
 }
 
 /// Derives the racing members' configurations from the query's base configuration.
@@ -458,8 +437,8 @@ fn member_configs(base: &SearchConfig, members: usize) -> Vec<(String, SearchCon
         .collect()
 }
 
-/// Runs one exact member: reduction (shared through the solver's cache), heuristic
-/// warm start offered into the shared pool, then the branch-and-bound.
+/// Runs one exact member: the library's reduce step (shared through the solver's
+/// cache), then the search phase into the shared pool.
 fn run_member(
     solver: &RfcSolver,
     params: FairCliqueParams,
@@ -467,34 +446,22 @@ fn run_member(
     ctrl: &SearchControl,
     pool: &SharedIncumbent,
 ) -> (Termination, SearchStats, bool, Option<Arc<ReducedEntry>>) {
-    let mut stats = SearchStats::default();
-    if ctrl.check_now() {
-        return (stopped_termination(ctrl), stats, false, None);
-    }
-    let (reduced, hit) = match solver.reduced_controlled(params.k, &cfg.reductions, Some(ctrl)) {
-        Ok(pair) => pair,
-        Err(partial) => {
-            stats.reduction = partial;
-            return (stopped_termination(ctrl), stats, false, None);
+    let (stats, hit, reduced) = match solver.reduce(params.k, &cfg.reductions, ctrl) {
+        Ok((reduced, hit)) => {
+            let mut stats = search_phase(&reduced.graph, params, cfg, pool, ctrl);
+            stats.reduction = reduced.stats.clone();
+            (stats, hit, Some(reduced))
+        }
+        Err(reduction) => {
+            let stats = SearchStats {
+                reduction,
+                ..SearchStats::default()
+            };
+            (stats, false, None)
         }
     };
-    stats.reduction = reduced.stats.clone();
-
-    if cfg.use_heuristic && !ctrl.check_now() {
-        let outcome = heur_rfc(&reduced.graph, params, &cfg.heuristic);
-        stats.heuristic_size = outcome.best.as_ref().map(|c| c.size());
-        if let Some(clique) = outcome.best {
-            pool.offer(clique.vertices);
-        }
-    }
-
-    stats += &branch_and_bound(&reduced.graph, params, cfg, pool, ctrl);
-    let termination = match ctrl.stop_reason() {
-        Some(_) => stopped_termination(ctrl),
-        None if pool.best_snapshot().is_none() => Termination::Infeasible,
-        None => Termination::Optimal,
-    };
-    (termination, stats, hit, Some(reduced))
+    let found = pool.best_snapshot().is_some();
+    (search_termination(ctrl, found), stats, hit, reduced)
 }
 
 /// The anytime improver: a fairness-aware local search over the reduced graph that
@@ -517,7 +484,7 @@ fn run_improver(
     seed: u64,
 ) -> (u64, u64) {
     let original = solver.graph();
-    let Ok((entry, _)) = solver.reduced_controlled(params.k, &base.reductions, Some(ctrl)) else {
+    let Ok((entry, _)) = solver.reduce(params.k, &base.reductions, ctrl) else {
         return (0, 0);
     };
     let g = &entry.graph;
@@ -753,7 +720,7 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Budget;
+    use crate::solver::{Budget, Objective};
     use crate::verify;
     use rfc_graph::fixtures;
 

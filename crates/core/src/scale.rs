@@ -23,7 +23,7 @@ use crate::problem::FairClique;
 use crate::reduction::streaming::{
     extract_residual, fair_core_peel_controlled, PeelStats, Residual,
 };
-use crate::search::control::SearchControl;
+use crate::search::control::{SearchControl, StopReason};
 use crate::solver::{Budget, CancelToken, Query, RfcSolver, Solution, SolveError};
 
 /// Errors from scale-tier solving.
@@ -140,8 +140,8 @@ impl ScaleSolver {
         cancel: Option<CancelToken>,
     ) -> Result<Self, ScaleError> {
         let ctrl = SearchControl::new(budget, cancel);
-        let stop = |ctrl: &SearchControl| match crate::solver::stopped_termination(ctrl) {
-            crate::solver::Termination::Cancelled => ScaleError::Cancelled,
+        let stop = |ctrl: &SearchControl| match ctrl.stop_reason() {
+            Some(StopReason::Cancelled) => ScaleError::Cancelled,
             _ => ScaleError::BudgetExhausted,
         };
         let peel = {

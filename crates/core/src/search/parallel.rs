@@ -159,23 +159,21 @@ impl SharedIncumbent {
     /// warm start), or empty.
     #[cfg(test)]
     pub(crate) fn new(initial: Option<Vec<VertexId>>) -> Self {
-        Self::with_capacity(1, initial)
+        let pool = Self::with_capacity(1);
+        if let Some(clique) = initial {
+            pool.offer(clique);
+        }
+        pool
     }
 
-    /// A pool keeping the `capacity` largest cliques, optionally seeded with an
-    /// initial clique. `capacity` must be at least 1.
-    pub(crate) fn with_capacity(capacity: usize, initial: Option<Vec<VertexId>>) -> Self {
+    /// An empty pool keeping the `capacity` largest cliques. `capacity` must be at
+    /// least 1. A warm start is [offered](Self::offer) like any other clique.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         debug_assert!(capacity >= 1, "the pool needs room for at least one clique");
         let state = PoolState {
             floor: 0,
             capacity: capacity.max(1),
-            cliques: initial
-                .into_iter()
-                .map(|mut clique| {
-                    clique.sort_unstable();
-                    clique
-                })
-                .collect(),
+            cliques: Vec::new(),
         };
         Self {
             bound: AtomicUsize::new(state.bound()),
@@ -449,7 +447,7 @@ mod tests {
 
     #[test]
     fn top_k_pool_keeps_the_largest_cliques() {
-        let pool = SharedIncumbent::with_capacity(3, None);
+        let pool = SharedIncumbent::with_capacity(3);
         // While slots are free the pruning bound stays at the floor…
         assert_eq!(pool.size(), 0);
         assert!(pool.offer(vec![0, 1, 2]));
@@ -478,7 +476,7 @@ mod tests {
         // Unlike a single incumbent, a full top-k pool replaces a lexicographically
         // larger member with a tied-but-smaller one, so the final set is independent
         // of offer order.
-        let forward = SharedIncumbent::with_capacity(2, None);
+        let forward = SharedIncumbent::with_capacity(2);
         assert!(forward.offer(vec![7, 8, 9]));
         assert!(forward.offer(vec![4, 5, 6]));
         // Pool full at size 3; useful stays 3 so ties are still considered.
@@ -486,7 +484,7 @@ mod tests {
         assert!(forward.offer(vec![1, 2, 3])); // displaces [7, 8, 9]
         assert!(!forward.offer(vec![7, 8, 9])); // and it cannot come back
 
-        let backward = SharedIncumbent::with_capacity(2, None);
+        let backward = SharedIncumbent::with_capacity(2);
         assert!(backward.offer(vec![1, 2, 3]));
         assert!(backward.offer(vec![4, 5, 6]));
         assert!(!backward.offer(vec![7, 8, 9]));
@@ -496,7 +494,7 @@ mod tests {
 
     #[test]
     fn top_k_pool_rejects_exact_duplicates() {
-        let pool = SharedIncumbent::with_capacity(3, None);
+        let pool = SharedIncumbent::with_capacity(3);
         assert!(pool.offer(vec![3, 1, 2]));
         // The same clique in a different discovery order is still a duplicate.
         assert!(!pool.offer(vec![1, 2, 3]));
@@ -506,7 +504,8 @@ mod tests {
 
     #[test]
     fn top_k_pool_seeded_with_warm_start() {
-        let pool = SharedIncumbent::with_capacity(2, Some(vec![1, 2, 3]));
+        let pool = SharedIncumbent::with_capacity(2);
+        assert!(pool.offer(vec![3, 1, 2]));
         assert_eq!(pool.size(), 0); // one free slot left
         assert!(pool.offer(vec![4]));
         assert_eq!(pool.size(), 1); // full: bound is the smaller clique

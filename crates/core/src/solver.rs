@@ -54,6 +54,7 @@ use crate::problem::{FairClique, FairCliqueParams, FairnessModel, ParamError};
 use crate::reduction::{apply_reductions_controlled, ReductionConfig, ReductionStats};
 use crate::search::control::{SearchControl, StopReason};
 use crate::search::parallel::SharedIncumbent;
+use crate::search::steal::run_pool;
 use crate::search::{branch_and_bound, SearchConfig, SearchStats, ThreadCount};
 
 /// What a [`Query`] asks for.
@@ -487,7 +488,10 @@ impl RfcSolver {
     /// original (unreduced) graph: a large fair clique plus a coloring-based upper
     /// bound, without the exact search.
     pub fn heuristic(&self, query: &Query) -> Result<HeuristicOutcome, SolveError> {
-        let params = self.resolve(query.fairness)?;
+        let params = query
+            .fairness
+            .resolve(self.graph.num_vertices())
+            .map_err(SolveError::InvalidParams)?;
         Ok(heur_rfc(&self.graph, params, &query.config.heuristic))
     }
 
@@ -524,96 +528,39 @@ impl RfcSolver {
         query: &EnumQuery,
         sink: &mut dyn CliqueSink,
     ) -> Result<EnumOutcome, SolveError> {
-        let start = Instant::now();
-        let mut enum_span = rfc_obs::trace::span("enumerate");
-        let params = self.resolve(query.fairness)?;
-        let min_size = params.min_size().max(query.min_size);
-        let mut stats = EnumStats::default();
-
-        // O(1) infeasibility gate: no clique — fair or not — exceeds the color count,
-        // so nothing of size ≥ min_size can exist beyond it.
-        if min_size > self.num_colors {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(EnumOutcome {
-                emitted: 0,
-                termination: EnumTermination::Complete,
-                stats,
-                reduction_cache_hit: false,
-            });
-        }
-
-        // Anchor the budget clock before the reduction so it covers the whole call.
-        let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
-        let stopped_outcome = |ctrl: &SearchControl, mut stats: EnumStats| {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            EnumOutcome {
-                emitted: 0,
-                termination: match stopped_termination(ctrl) {
-                    Termination::Cancelled => EnumTermination::Cancelled,
-                    _ => EnumTermination::BudgetExhausted,
-                },
-                stats,
-                reduction_cache_hit: false,
-            }
-        };
-        if ctrl.check_now() {
-            return Ok(stopped_outcome(&ctrl, stats));
-        }
-        let (reduced, reduction_cache_hit) =
-            match self.reduced_controlled(params.k, &query.reductions, Some(&ctrl)) {
+        let num_vertices = self.graph.num_vertices();
+        run_enumerate(query, num_vertices, self.num_colors, |run, problem| {
+            let (reduced, hit) = match self.reduce(run.params.k, &query.reductions, &run.ctrl) {
                 Ok(pair) => pair,
-                Err(partial) => {
-                    stats.reduction = partial;
-                    return Ok(stopped_outcome(&ctrl, stats));
-                }
+                Err(partial) => return Enumerated::stopped(partial),
             };
-        stats.reduction = reduced.stats.clone();
-
-        let problem = EnumProblem {
-            model: query.fairness,
-            params,
-            min_size,
-        };
-        let (run_stats, emitted, sink_stopped) = run_enumeration(
-            &self.graph,
-            &reduced.graph,
-            problem,
-            query.threads,
-            &ctrl,
-            sink,
-        );
-        stats += &run_stats;
-
-        let termination = match ctrl.stop_reason() {
-            Some(StopReason::Budget) => EnumTermination::BudgetExhausted,
-            Some(StopReason::Cancelled) => EnumTermination::Cancelled,
-            None if sink_stopped => EnumTermination::SinkStopped,
-            None => EnumTermination::Complete,
-        };
-        stats.elapsed_micros = start.elapsed().as_micros() as u64;
-        enum_span.counter("emitted", emitted);
-        drop(enum_span);
-        let m = rfc_obs::metrics::global();
-        m.counter("rfc_enumerate_runs_total").inc();
-        m.counter("rfc_enumerate_emitted_total").add(emitted);
-        m.histogram("rfc_enumerate_elapsed_us")
-            .observe(stats.elapsed_micros);
-        Ok(EnumOutcome {
-            emitted,
-            termination,
-            stats,
-            reduction_cache_hit,
+            let (mut stats, emitted, sink_stopped) = run_enumeration(
+                &self.graph,
+                &reduced.graph,
+                problem,
+                query.threads,
+                &run.ctrl,
+                sink,
+            );
+            stats.reduction = reduced.stats.clone();
+            Enumerated {
+                emitted,
+                sink_stopped,
+                stats,
+                reduction_cache_hit: hit,
+            }
         })
     }
 
     /// Answers many independent queries, fanning them across worker threads while all
     /// of them share this solver's cached preprocessing.
     ///
-    /// `threads` controls the *batch-level* fan-out; each query's own search is forced
-    /// to [`ThreadCount::Serial`] when the batch runs multi-threaded, so the machine
-    /// is never oversubscribed and every individual result is as deterministic as a
-    /// serial solve. With `threads` resolving to 1 the queries run sequentially with
-    /// their own `config.threads` untouched.
+    /// `threads` controls the *batch-level* fan-out. With more than one query and
+    /// `threads` resolving above 1, the queries are dispatched in order onto a
+    /// work-stealing pool and each query's own search is forced to
+    /// [`ThreadCount::Serial`], so the machine is never oversubscribed and every
+    /// individual result is as deterministic as a serial solve. Otherwise the queries
+    /// run one after another with their own `config.threads` untouched.
     ///
     /// Results come back in query order, one per query.
     pub fn solve_batch(
@@ -621,46 +568,12 @@ impl RfcSolver {
         queries: &[Query],
         threads: ThreadCount,
     ) -> Vec<Result<Solution, SolveError>> {
-        let workers = threads.resolve().min(queries.len());
-        if workers <= 1 {
-            return queries.iter().map(|q| self.solve(q)).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Result<Solution, SolveError>>> = vec![None; queries.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(query) = queries.get(i) else {
-                                break;
-                            };
-                            local.push((i, self.solve_with_threads(query, ThreadCount::Serial)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker panicked") {
-                    results[i] = Some(result);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every query is dispatched exactly once"))
-            .collect()
-    }
-
-    /// Validates and resolves a fairness model against this solver's graph.
-    fn resolve(&self, fairness: FairnessModel) -> Result<FairCliqueParams, SolveError> {
-        fairness
-            .resolve(self.graph.num_vertices())
-            .map_err(SolveError::InvalidParams)
+        fan_out(queries, threads, None, |query, pinned| {
+            self.solve_with_threads(query, pinned.unwrap_or(query.config.threads))
+        })
+        .into_iter()
+        .map(|result| result.expect("a batch without a control runs every query"))
+        .collect()
     }
 
     /// The solve pipeline, with the search-phase thread count pinned by the caller
@@ -670,175 +583,428 @@ impl RfcSolver {
         query: &Query,
         threads: ThreadCount,
     ) -> Result<Solution, SolveError> {
-        let start = Instant::now();
-        let mut solve_span = rfc_obs::trace::span("solve");
-        let params = self.resolve(query.fairness)?;
-        let capacity = match query.objective {
-            Objective::Maximum => 1,
-            Objective::TopK(0) => return Err(SolveError::EmptyTopK),
-            Objective::TopK(n) => n,
-        };
+        let num_vertices = self.graph.num_vertices();
+        run_solve(
+            "solve",
+            query,
+            num_vertices,
+            self.num_colors,
+            |run, capacity| {
+                let (reduced, hit) =
+                    match self.reduce(run.params.k, &query.config.reductions, &run.ctrl) {
+                        Ok(pair) => pair,
+                        Err(partial) => return Searched::stopped(partial),
+                    };
+                let pool = SharedIncumbent::with_capacity(capacity);
+                let config = SearchConfig {
+                    threads,
+                    ..query.config.clone()
+                };
+                let mut stats = search_phase(&reduced.graph, run.params, &config, &pool, &run.ctrl);
+                stats.reduction = reduced.stats.clone();
+                Searched {
+                    cliques: pool
+                        .into_cliques()
+                        .into_iter()
+                        .map(|vertices| FairClique::from_vertices(&self.graph, vertices))
+                        .collect(),
+                    stats,
+                    reduction_cache_hit: hit,
+                    reduced: vec![reduced],
+                    termination: None,
+                }
+            },
+        )
+    }
 
-        let mut stats = SearchStats::default();
-
-        // O(1) infeasibility gate from the build-time coloring: every clique uses
-        // pairwise-distinct colors, so no clique — fair or not — can exceed the color
-        // count, and a fair clique needs at least 2k vertices.
-        if params.min_size() > self.num_colors {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(Solution {
-                cliques: Vec::new(),
-                termination: Termination::Infeasible,
-                stats,
-                reduction_cache_hit: false,
-                upper_bound: Some(0),
-            });
-        }
-
-        // The budget clock is anchored *here*, before reduction and the heuristic, so
-        // `Budget.time_limit` covers the whole query (see the `Budget` docs).
-        let ctrl = SearchControl::new(&query.budget, query.cancel.clone());
+    /// The library's reduce step, shared with the portfolio: fetches (or computes
+    /// and caches) the reduced graph for `(k, config)` under the `reduce` span,
+    /// honoring the query's budget/cancel control.
+    ///
+    /// A tripped control stops the query at entry, before even a cached reduced
+    /// graph is served. On a miss, a trip between pipeline stages returns `Err` with
+    /// the partial stage stats and caches **nothing** — a later query recomputes the
+    /// reduction from scratch, so the cache only ever holds complete pipelines.
+    pub(crate) fn reduce(
+        &self,
+        k: usize,
+        config: &ReductionConfig,
+        ctrl: &SearchControl,
+    ) -> Result<(Arc<ReducedEntry>, bool), ReductionStats> {
         if ctrl.check_now() {
-            stats.elapsed_micros = start.elapsed().as_micros() as u64;
-            return Ok(Solution {
-                cliques: Vec::new(),
-                termination: stopped_termination(&ctrl),
-                stats,
-                reduction_cache_hit: false,
-                upper_bound: None,
-            });
+            return Err(ReductionStats::default());
         }
-
-        // Phase 1: reduced graph, shared across queries with the same (k, reductions).
-        // A budget/cancel trip mid-pipeline aborts without caching the partial result.
-        let (reduced, reduction_cache_hit) = {
-            let mut span = rfc_obs::trace::span("reduce");
-            match self.reduced_controlled(params.k, &query.config.reductions, Some(&ctrl)) {
-                Ok((reduced, hit)) => {
-                    span.counter("cache_hit", hit as u64);
-                    span.counter("vertices", reduced.stats.final_vertices() as u64);
-                    span.counter("edges", reduced.stats.final_edges() as u64);
-                    (reduced, hit)
-                }
-                Err(partial) => {
-                    stats.reduction = partial;
-                    stats.elapsed_micros = start.elapsed().as_micros() as u64;
-                    return Ok(Solution {
-                        cliques: Vec::new(),
-                        termination: stopped_termination(&ctrl),
-                        stats,
-                        reduction_cache_hit: false,
-                        upper_bound: None,
-                    });
-                }
+        traced_reduce(|| {
+            let key = (k, *config);
+            if let Some(entry) = self
+                .reductions
+                .lock()
+                .expect("reduction cache poisoned")
+                .get(&key)
+            {
+                return Ok((Arc::clone(entry), true));
             }
-        };
-        stats.reduction = reduced.stats.clone();
+            // Compute outside the lock so concurrent queries for *different* keys
+            // don't serialize; racing queries for the same key keep the first
+            // finished result.
+            let params = FairCliqueParams::new(k, 0).expect("k >= 1 was validated by the caller");
+            let (graph, stats) =
+                apply_reductions_controlled(&self.graph, params, config, Some(ctrl));
+            let Some(graph) = graph else {
+                return Err(stats);
+            };
+            let entry = Arc::new(ReducedEntry { graph, stats });
+            self.preprocessing_runs.fetch_add(1, Ordering::Relaxed);
+            let mut cache = self.reductions.lock().expect("reduction cache poisoned");
+            let entry = Arc::clone(cache.entry(key).or_insert(entry));
+            Ok((entry, false))
+        })
+    }
+}
 
-        // Phase 2: heuristic warm start on the reduced graph; its clique seeds the
-        // shared pool so every component search starts with the warm bound. Skipped
-        // when the deadline already passed during reduction.
-        let mut warm_start = None;
-        if query.config.use_heuristic && !ctrl.check_now() {
-            let mut span = rfc_obs::trace::span("heuristic");
-            let outcome = heur_rfc(&reduced.graph, params, &query.config.heuristic);
-            stats.heuristic_size = outcome.best.as_ref().map(|c| c.size());
-            span.counter("size", stats.heuristic_size.unwrap_or(0) as u64);
-            warm_start = outcome.best.map(|c| c.vertices);
-        }
+/// One query between its begin and finish steps. Every solve and enumerate entry
+/// point — [`RfcSolver`], [`DynamicRfcSolver`](crate::dynamic::DynamicRfcSolver) and
+/// the [portfolio](crate::portfolio) — runs through [`run_solve`] or
+/// [`run_enumerate`], so model validation, the colouring gate, budget anchoring,
+/// termination mapping, bound certification and metrics each live here once.
+pub(crate) struct QueryRun {
+    start: Instant,
+    span: rfc_obs::trace::Span,
+    /// Smallest clique the query asks for: the model's `2k`, or an enumeration's
+    /// larger `min_size`.
+    min_size: usize,
+    /// Whether the colouring gate lets the query search at all.
+    feasible: bool,
+    /// The query's fairness model, resolved against the graph.
+    pub(crate) params: FairCliqueParams,
+    /// The query's budget and cancel token, anchored at entry so that
+    /// `Budget.time_limit` covers the whole query (see the [`Budget`] docs).
+    pub(crate) ctrl: SearchControl,
+}
 
-        // Phase 3: budgeted, cancellable branch-and-bound.
-        let pool = SharedIncumbent::with_capacity(capacity, warm_start);
-        let mut config = query.config.clone();
-        config.threads = threads;
-        {
-            let mut span = rfc_obs::trace::span("search");
-            stats += &branch_and_bound(&reduced.graph, params, &config, &pool, &ctrl);
-            span.counter("branches", stats.branches);
-            span.counter("components", stats.components_searched as u64);
-            span.counter("bound_prunes", stats.bound_prunes);
-            span.counter("feasibility_prunes", stats.feasibility_prunes);
-            span.counter("incumbent_updates", stats.incumbent_updates);
-        }
+impl QueryRun {
+    /// Begin: opens the `root` span, resolves the model, anchors the control and
+    /// applies the O(1) infeasibility gate. Clique vertices carry pairwise-distinct
+    /// colours, so no clique of `min_size` vertices — fair or not — exists when the
+    /// graph's greedy colouring uses fewer colours.
+    fn begin(
+        root: &'static str,
+        fairness: FairnessModel,
+        min_size: usize,
+        budget: &Budget,
+        cancel: &Option<CancelToken>,
+        num_vertices: usize,
+        num_colors: usize,
+    ) -> Result<Self, SolveError> {
+        let start = Instant::now();
+        let span = rfc_obs::trace::span(root);
+        let params = fairness
+            .resolve(num_vertices)
+            .map_err(SolveError::InvalidParams)?;
+        let min_size = params.min_size().max(min_size);
+        Ok(Self {
+            start,
+            span,
+            min_size,
+            feasible: min_size <= num_colors,
+            params,
+            ctrl: SearchControl::new(budget, cancel.clone()),
+        })
+    }
 
-        let cliques: Vec<FairClique> = pool
-            .into_cliques()
-            .into_iter()
-            .map(|vertices| FairClique::from_vertices(&self.graph, vertices))
-            .collect();
-        let mut termination = match ctrl.stop_reason() {
-            Some(StopReason::Budget) => Termination::BudgetExhausted,
-            Some(StopReason::Cancelled) => Termination::Cancelled,
-            None if cliques.is_empty() => Termination::Infeasible,
-            None => Termination::Optimal,
-        };
+    /// Attaches a counter to the query's root span.
+    pub(crate) fn counter(&mut self, name: &'static str, value: u64) {
+        self.span.counter(name, value);
+    }
+
+    /// Finish for a solve: maps the control's stop reason to a [`Termination`] (unless
+    /// the search decided its own), certifies the bound, stamps the wall time and
+    /// publishes the metrics.
+    fn finish_solve(mut self, objective: Objective, searched: Searched) -> Solution {
+        let Searched {
+            cliques,
+            mut stats,
+            reduction_cache_hit,
+            reduced,
+            termination,
+        } = searched;
+        let mut termination =
+            termination.unwrap_or_else(|| search_termination(&self.ctrl, !cliques.is_empty()));
         let best_size = cliques.first().map(FairClique::size).unwrap_or(0);
-        let upper_bound = certify_bound(query.objective, best_size, &mut termination, || {
-            Some(colorful_upper_bound(&reduced.graph, params))
+        let params = self.params;
+        let upper_bound = certify_bound(objective, best_size, &mut termination, || {
+            reduced
+                .iter()
+                .map(|entry| colorful_upper_bound(&entry.graph, params))
+                .min()
         });
-        stats.elapsed_micros = start.elapsed().as_micros() as u64;
-        solve_span.counter("branches", stats.branches);
-        solve_span.counter("cliques", cliques.len() as u64);
-        drop(solve_span);
+        stats.elapsed_micros = self.start.elapsed().as_micros() as u64;
+        self.counter("branches", stats.branches);
+        self.counter("cliques", cliques.len() as u64);
+        drop(self);
         flush_search_metrics(&stats);
-        Ok(Solution {
+        Solution {
             cliques,
             termination,
             stats,
             reduction_cache_hit,
             upper_bound,
-        })
+        }
     }
 
-    /// Fetches (or computes and caches) the reduced graph for `(k, config)`, honoring
-    /// the query's budget/cancel control between pipeline stages.
-    ///
-    /// Cache hits are free and always served, even on a tripped control. On a miss,
-    /// a trip mid-pipeline returns `Err` with the partial stage stats and caches
-    /// **nothing** — a later query recomputes the reduction from scratch, so the
-    /// cache only ever holds complete pipelines.
-    pub(crate) fn reduced_controlled(
-        &self,
-        k: usize,
-        config: &ReductionConfig,
-        ctrl: Option<&SearchControl>,
-    ) -> Result<(Arc<ReducedEntry>, bool), ReductionStats> {
-        let key = (k, *config);
-        if let Some(entry) = self
-            .reductions
-            .lock()
-            .expect("reduction cache poisoned")
-            .get(&key)
-        {
-            return Ok((Arc::clone(entry), true));
-        }
-        // Compute outside the lock so concurrent queries for *different* keys don't
-        // serialize; racing queries for the same key keep the first finished result.
-        let params = FairCliqueParams::new(k, 0).expect("k >= 1 was validated by the caller");
-        let (graph, stats) = apply_reductions_controlled(&self.graph, params, config, ctrl);
-        let Some(graph) = graph else {
-            return Err(stats);
+    /// Finish for an enumeration: maps the control's stop reason (or the sink's) to an
+    /// [`EnumTermination`], stamps the wall time and publishes the metrics.
+    fn finish_enumerate(mut self, enumerated: Enumerated) -> EnumOutcome {
+        let Enumerated {
+            emitted,
+            sink_stopped,
+            mut stats,
+            reduction_cache_hit,
+        } = enumerated;
+        let termination = match self.ctrl.stop_reason() {
+            Some(StopReason::Budget) => EnumTermination::BudgetExhausted,
+            Some(StopReason::Cancelled) => EnumTermination::Cancelled,
+            None if sink_stopped => EnumTermination::SinkStopped,
+            None => EnumTermination::Complete,
         };
-        let entry = Arc::new(ReducedEntry { graph, stats });
-        self.preprocessing_runs.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.reductions.lock().expect("reduction cache poisoned");
-        let entry = Arc::clone(cache.entry(key).or_insert(entry));
-        Ok((entry, false))
+        stats.elapsed_micros = self.start.elapsed().as_micros() as u64;
+        self.counter("emitted", emitted);
+        drop(self);
+        let m = rfc_obs::metrics::global();
+        m.counter("rfc_enumerate_runs_total").inc();
+        m.counter("rfc_enumerate_emitted_total").add(emitted);
+        m.histogram("rfc_enumerate_elapsed_us")
+            .observe(stats.elapsed_micros);
+        EnumOutcome {
+            emitted,
+            termination,
+            stats,
+            reduction_cache_hit,
+        }
     }
 }
 
-/// Maps a tripped control's reason to the query-level [`Termination`]. Callers only
-/// invoke this after a check reported a stop, so an untripped control (possible only
-/// through a race that resolved the other way) counts as a budget trip.
-pub(crate) fn stopped_termination(ctrl: &SearchControl) -> Termination {
+/// What a solve's search hands to the finish step.
+#[derive(Default)]
+pub(crate) struct Searched {
+    /// Verified fair cliques of the input graph, in canonical order.
+    pub(crate) cliques: Vec<FairClique>,
+    /// Reduction and search counters; the finish step stamps the wall time.
+    pub(crate) stats: SearchStats,
+    /// See [`Solution::reduction_cache_hit`].
+    pub(crate) reduction_cache_hit: bool,
+    /// The reduced graphs searched. An early stop reports the smallest colourful
+    /// bound over them, and no bound when the query stopped before any existed.
+    pub(crate) reduced: Vec<Arc<ReducedEntry>>,
+    /// How the search ended, when that is not read off the control (the
+    /// portfolio's race decides its own).
+    pub(crate) termination: Option<Termination>,
+}
+
+impl Searched {
+    /// A query the control stopped during its reduce step.
+    pub(crate) fn stopped(reduction: ReductionStats) -> Self {
+        let stats = SearchStats {
+            reduction,
+            ..SearchStats::default()
+        };
+        Self {
+            stats,
+            ..Self::default()
+        }
+    }
+}
+
+/// What an enumeration's search hands to the finish step.
+#[derive(Default)]
+pub(crate) struct Enumerated {
+    /// Cliques delivered to the sink.
+    pub(crate) emitted: u64,
+    /// Whether the sink asked to stop.
+    pub(crate) sink_stopped: bool,
+    /// Reduction and enumeration counters; the finish step stamps the wall time.
+    pub(crate) stats: EnumStats,
+    /// See [`EnumOutcome::reduction_cache_hit`].
+    pub(crate) reduction_cache_hit: bool,
+}
+
+impl Enumerated {
+    /// A query the control stopped during its reduce step.
+    pub(crate) fn stopped(reduction: ReductionStats) -> Self {
+        let stats = EnumStats {
+            reduction,
+            ..EnumStats::default()
+        };
+        Self {
+            stats,
+            ..Self::default()
+        }
+    }
+}
+
+/// Runs one solve: begin, then `search` (skipped when the colouring gate already
+/// proves the query infeasible), then finish. `search` gets the run and the pool
+/// capacity the objective asks for (1 for the maximum, `n` for the top `n`).
+pub(crate) fn run_solve(
+    root: &'static str,
+    query: &Query,
+    num_vertices: usize,
+    num_colors: usize,
+    search: impl FnOnce(&mut QueryRun, usize) -> Searched,
+) -> Result<Solution, SolveError> {
+    let mut run = QueryRun::begin(
+        root,
+        query.fairness,
+        0,
+        &query.budget,
+        &query.cancel,
+        num_vertices,
+        num_colors,
+    )?;
+    let capacity = match query.objective {
+        Objective::Maximum => 1,
+        Objective::TopK(0) => return Err(SolveError::EmptyTopK),
+        Objective::TopK(n) => n,
+    };
+    let searched = if run.feasible {
+        search(&mut run, capacity)
+    } else {
+        Searched::default()
+    };
+    Ok(run.finish_solve(query.objective, searched))
+}
+
+/// Runs one enumeration: begin, then `search` on the resolved problem (skipped when
+/// the colouring gate already proves nothing can be emitted), then finish.
+pub(crate) fn run_enumerate(
+    query: &EnumQuery,
+    num_vertices: usize,
+    num_colors: usize,
+    search: impl FnOnce(&QueryRun, EnumProblem) -> Enumerated,
+) -> Result<EnumOutcome, SolveError> {
+    let run = QueryRun::begin(
+        "enumerate",
+        query.fairness,
+        query.min_size,
+        &query.budget,
+        &query.cancel,
+        num_vertices,
+        num_colors,
+    )?;
+    let problem = EnumProblem {
+        model: query.fairness,
+        params: run.params,
+        min_size: run.min_size,
+    };
+    let enumerated = if run.feasible {
+        search(&run, problem)
+    } else {
+        Enumerated::default()
+    };
+    Ok(run.finish_enumerate(enumerated))
+}
+
+/// The search phase of every solve, on the graph it searches (a reduced graph, or
+/// one component of it): the `HeurRFC` warm start offered into `pool`, then the
+/// branch-and-bound, under the `heuristic` and `search` spans. The warm start is
+/// skipped once the control has tripped.
+pub(crate) fn search_phase(
+    graph: &AttributedGraph,
+    params: FairCliqueParams,
+    config: &SearchConfig,
+    pool: &SharedIncumbent,
+    ctrl: &SearchControl,
+) -> SearchStats {
+    let mut stats = SearchStats::default();
+    if config.use_heuristic && !ctrl.check_now() {
+        let mut span = rfc_obs::trace::span("heuristic");
+        let outcome = heur_rfc(graph, params, &config.heuristic);
+        stats.heuristic_size = outcome.best.as_ref().map(FairClique::size);
+        span.counter("size", stats.heuristic_size.unwrap_or(0) as u64);
+        if let Some(clique) = outcome.best {
+            pool.offer(clique.vertices);
+        }
+    }
+    let mut span = rfc_obs::trace::span("search");
+    stats += &branch_and_bound(graph, params, config, pool, ctrl);
+    span.counter("branches", stats.branches);
+    span.counter("components", stats.components_searched as u64);
+    span.counter("bound_prunes", stats.bound_prunes);
+    span.counter("feasibility_prunes", stats.feasibility_prunes);
+    span.counter("incumbent_updates", stats.incumbent_updates);
+    stats
+}
+
+/// Runs a query's reduce step under the `reduce` span. `reduce` returns the reduced
+/// graph and whether it came from cache, or the partial counters of a pipeline the
+/// control stopped.
+pub(crate) fn traced_reduce(
+    reduce: impl FnOnce() -> Result<(Arc<ReducedEntry>, bool), ReductionStats>,
+) -> Result<(Arc<ReducedEntry>, bool), ReductionStats> {
+    let mut span = rfc_obs::trace::span("reduce");
+    let result = reduce();
+    if let Ok((reduced, hit)) = &result {
+        span.counter("cache_hit", u64::from(*hit));
+        span.counter("vertices", reduced.stats.final_vertices() as u64);
+        span.counter("edges", reduced.stats.final_edges() as u64);
+    }
+    result
+}
+
+/// The one fan-out of independent items (batch queries, dynamic cache misses) over
+/// worker threads. Returns each item's result in item order.
+///
+/// With at most one item, or `threads` resolving to 1, the items run one after
+/// another and `work` gets `None`: each keeps its own thread count. Otherwise they
+/// are dispatched in the given order onto the [work-stealing
+/// pool](crate::search::steal) and `work` gets `Some(ThreadCount::Serial)`, so the
+/// machine is never oversubscribed. An item that would start after `ctrl` has
+/// tripped is skipped and yields `None`.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: ThreadCount,
+    ctrl: Option<&SearchControl>,
+    work: impl Fn(&T, Option<ThreadCount>) -> R + Sync,
+) -> Vec<Option<R>> {
+    let stopped = || ctrl.is_some_and(SearchControl::stopped);
+    // Resolving `Auto` reads the cgroup limits: a lone item never pays for it.
+    let workers = if items.len() <= 1 {
+        1
+    } else {
+        threads.resolve().min(items.len())
+    };
+    if workers <= 1 {
+        return items
+            .iter()
+            .map(|item| (!stopped()).then(|| work(item, None)))
+            .collect();
+    }
+    let states = (0..workers).map(|_| Vec::new()).collect();
+    let done = run_pool(workers, (0..items.len()).collect(), states, |done, _, i| {
+        if !stopped() {
+            done.push((i, work(&items[i], Some(ThreadCount::Serial))));
+        }
+    });
+    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for (i, result) in done.into_iter().flatten() {
+        results[i] = Some(result);
+    }
+    results
+}
+
+/// How a search ended, read off its control: the stop reason when it tripped,
+/// otherwise a complete search that `found` a fair clique or proved none exists.
+pub(crate) fn search_termination(ctrl: &SearchControl, found: bool) -> Termination {
     match ctrl.stop_reason() {
+        Some(StopReason::Budget) => Termination::BudgetExhausted,
         Some(StopReason::Cancelled) => Termination::Cancelled,
-        _ => Termination::BudgetExhausted,
+        None if found => Termination::Optimal,
+        None => Termination::Infeasible,
     }
 }
 
 /// The `upper_bound` a solve reports, certifying `termination` when the bound proves
-/// the best-so-far exact. The one rule every solve entry point applies.
+/// the best-so-far exact.
 ///
 /// A complete search bounds itself at `best_size`. Otherwise `bound` is evaluated (it
 /// returns a sound bound on the whole query, or `None` when none was computed) and
@@ -847,7 +1013,7 @@ pub(crate) fn stopped_termination(ctrl: &SearchControl) -> Termination {
 /// [`Termination::Optimal`], or [`Termination::Infeasible`] when both are 0, instead
 /// of a hollow early stop. Top-k queries keep their early stop, since top-k
 /// completeness needs more than a size bound.
-pub(crate) fn certify_bound(
+fn certify_bound(
     objective: Objective,
     best_size: usize,
     termination: &mut Termination,
@@ -911,7 +1077,7 @@ pub(crate) fn colorful_upper_bound(g: &AttributedGraph, params: FairCliqueParams
 /// Publishes one solve's search counters into the global metrics registry. Prune
 /// reasons become one `rfc_search_prunes_total{reason=...}` series each, using the
 /// [`PruneCounts::reasons`](crate::search::PruneCounts::reasons) vocabulary.
-pub(crate) fn flush_search_metrics(stats: &SearchStats) {
+fn flush_search_metrics(stats: &SearchStats) {
     let m = rfc_obs::metrics::global();
     m.counter("rfc_search_solves_total").inc();
     m.counter("rfc_search_branches_total").add(stats.branches);

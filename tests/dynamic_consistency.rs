@@ -23,6 +23,7 @@ use proptest::prelude::*;
 use rfc_core::dynamic::DynamicRfcSolver;
 use rfc_core::prelude::*;
 use rfc_core::verify;
+use rfc_datasets::synthetic::{one_big_component, BigComponentConfig};
 use rfc_datasets::updates::delete_incumbent_stream;
 use rfc_graph::delta::UpdateOp;
 use rfc_graph::fixtures;
@@ -499,6 +500,46 @@ fn top_k_ties_across_components_are_canonical() {
         assert_eq!(sets(&library), expected, "library, {threads:?}");
         assert_eq!(sets(&dynamic), expected, "dynamic, {threads:?}");
         assert_eq!(dynamic.termination, library.termination, "{threads:?}");
+    }
+}
+
+/// A one-component graph is a lone cache miss, so the dynamic solver searches it on
+/// the query's own threads, with the library's work-stealing search inside the
+/// component. At `Fixed(2)` the top-k vertex sets, the termination and the bound
+/// must equal the library's, and a `Maximum` solve must agree on everything but
+/// which of several maximum cliques it returns.
+#[test]
+fn a_lone_miss_on_two_threads_matches_the_library() {
+    let config = BigComponentConfig {
+        n: 120,
+        edge_prob: 0.1,
+        community: 40,
+        community_prob: 0.6,
+        planted_half: 4,
+        prob_a: 0.5,
+    };
+    let (graph, _) = one_big_component(&config, 7);
+    let model = FairnessModel::Relative { k: 3, delta: 1 };
+    let sets = |solution: &Solution| -> Vec<Vec<VertexId>> {
+        solution
+            .cliques
+            .iter()
+            .map(|clique| clique.vertices.clone())
+            .collect()
+    };
+    for objective in [Objective::TopK(2), Objective::Maximum] {
+        let q = query(model, ThreadCount::Fixed(2)).with_objective(objective);
+        let library = RfcSolver::new(graph.clone()).solve(&q).unwrap();
+        let dynamic = DynamicRfcSolver::new(graph.clone()).solve(&q).unwrap();
+        assert_eq!(dynamic.stats.components_searched, 1, "{objective:?}");
+        if objective == Objective::Maximum {
+            assert_eq!(dynamic.best_size(), library.best_size());
+        } else {
+            assert_eq!(sets(&dynamic), sets(&library), "{objective:?}");
+        }
+        assert_eq!(dynamic.termination, library.termination, "{objective:?}");
+        assert_eq!(dynamic.upper_bound, library.upper_bound, "{objective:?}");
+        assert!(library.best_size() >= 8, "the planted clique is found");
     }
 }
 

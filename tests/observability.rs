@@ -187,10 +187,74 @@ fn enumerate_trace_balances_and_answers_match() {
     let opens = events.iter().filter(|e| e.ev == "open").count();
     let closes = events.iter().filter(|e| e.ev == "close").count();
     assert!(opens > 0 && opens == closes, "unbalanced enumerate trace");
+    let root = events
+        .iter()
+        .find(|e| e.ev == "close" && e.name == "enumerate" && e.parent.is_none())
+        .expect("no root enumerate span");
     assert!(
         events
             .iter()
-            .any(|e| e.ev == "close" && e.name == "enumerate" && e.parent.is_none()),
-        "no root enumerate span"
+            .any(|e| e.ev == "close" && e.name == "reduce" && e.parent == Some(root.id)),
+        "no reduce span under the root enumerate span"
+    );
+}
+
+/// The dynamic solver runs the library's query lifecycle, so a cold solve and an
+/// enumeration open the same span tree as the library's.
+#[test]
+fn dynamic_queries_open_the_library_span_tree() {
+    let _tracer = exclusive_tracer();
+    let model = FairnessModel::Relative { k: 5, delta: 3 };
+    let (sink, lines) = BufferSink::new();
+    let guard = trace::install(Box::new(sink));
+    let mut solver = DynamicRfcSolver::new(nba_graph());
+    let solution = solver.solve(&serial_query(model)).unwrap();
+    let mut count = CountSink::new();
+    let enumerated = solver
+        .enumerate(
+            &EnumQuery::new(model).with_threads(ThreadCount::Serial),
+            &mut count,
+        )
+        .unwrap();
+    drop(guard);
+    assert_eq!(solution.termination, Termination::Optimal);
+    assert_eq!(enumerated.termination, EnumTermination::Complete);
+
+    let events = parse_events(&lines.lock().unwrap());
+    let closes: Vec<&Event> = events.iter().filter(|e| e.ev == "close").collect();
+    let children = |root: &Event| -> Vec<&Event> {
+        closes
+            .iter()
+            .copied()
+            .filter(|e| e.parent == Some(root.id))
+            .collect()
+    };
+    let roots: Vec<&Event> = closes
+        .iter()
+        .copied()
+        .filter(|e| e.parent.is_none())
+        .collect();
+    let root_names: Vec<&str> = roots.iter().map(|e| e.name.as_str()).collect();
+    assert_eq!(root_names, ["solve", "enumerate"], "roots of the trace");
+
+    // The cold solve: reduce, warm start and search nest under the root and fit
+    // inside it.
+    let solve = roots[0];
+    let phases = children(solve);
+    let names: Vec<&str> = phases.iter().map(|e| e.name.as_str()).collect();
+    for phase in ["reduce", "heuristic", "search"] {
+        assert!(names.contains(&phase), "missing {phase} span in {names:?}");
+    }
+    let child_sum: u64 = phases.iter().map(|e| e.dur_us.unwrap()).sum();
+    let root_dur = solve.dur_us.unwrap();
+    assert!(
+        child_sum <= root_dur,
+        "children ({child_sum} µs) exceed the root solve span ({root_dur} µs)"
+    );
+
+    let enumerate = roots[1];
+    assert!(
+        children(enumerate).iter().any(|e| e.name == "reduce"),
+        "no reduce span under the root enumerate span"
     );
 }
