@@ -1,6 +1,6 @@
 //! Produces the committed reference trace `traces/big_component_trace.jsonl`:
-//! a serial solve of the one-big-component workload (the hardest
-//! `BENCH_parallel.json` shape) with the span tracer writing JSONL.
+//! a serial solve of the one-big-component workload
+//! ([`big_component_graph`]) with the span tracer writing JSONL.
 //!
 //! ```text
 //! cargo run --release -p rfc-bench --example big_component_trace

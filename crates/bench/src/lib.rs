@@ -1,11 +1,13 @@
 //! # rfc-bench — experiment harness for the maximum fair clique paper
 //!
-//! One binary per table/figure of the paper's evaluation section (Section VI), plus
-//! Criterion microbenchmarks for the individual components. Every binary prints a
-//! plain-text table with the same rows/series as the corresponding paper artifact, so
-//! the qualitative shape (who wins, by roughly what factor, where the trends bend) can
-//! be compared directly; absolute numbers differ because the workloads are scaled-down
-//! synthetic analogs (see `rfc-datasets` and EXPERIMENTS.md).
+//! One binary per table/figure of the paper's evaluation section (Section VI). Every
+//! binary prints a plain-text table with the same rows/series as the corresponding
+//! paper artifact, so the qualitative shape (who wins, by roughly what factor, where
+//! the trends bend) can be compared directly; absolute numbers differ because the
+//! workloads are scaled-down synthetic analogs (see `rfc_datasets::paper`).
+//!
+//! The repository's speed is measured by the separate `perfbench/` package (see
+//! `BENCHMARK.json`), which builds its workloads from [`workloads`].
 //!
 //! | binary | paper artifact |
 //! |---|---|

@@ -1,13 +1,7 @@
-//! Minimal plain-text table formatting used by every experiment binary, plus a
-//! machine-readable JSON emitter for tracked benchmark results.
+//! Minimal plain-text table formatting used by every experiment binary.
 //!
 //! No external dependency: the harness prints fixed-width aligned tables to stdout and
-//! can also emit tab-separated values for downstream plotting. [`write_json_results`]
-//! writes `BENCH_*.json` files (benchmark name + mean timings per case) so the perf
-//! trajectory of the repo can be tracked across commits without parsing stdout.
-
-use std::io::Write;
-use std::path::Path;
+//! can also emit tab-separated values for downstream plotting.
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone)]
@@ -102,111 +96,6 @@ impl Table {
     }
 }
 
-/// Serializes benchmark results as a small JSON document:
-///
-/// ```json
-/// {
-///   "benchmark": "parallel/threads",
-///   "unit": "us",
-///   "results": [
-///     { "name": "serial", "mean_us": 15380.123 },
-///     { "name": "2-threads", "mean_us": 12200.456 }
-///   ]
-/// }
-/// ```
-///
-/// `entries` are `(case name, mean microseconds)` pairs, emitted in order.
-pub fn json_results(benchmark: &str, entries: &[(String, f64)]) -> String {
-    json_document(
-        benchmark,
-        entries.iter().map(|(name, mean_us)| {
-            format!(
-                "{{ \"name\": \"{}\", \"mean_us\": {:.3} }}",
-                escape_json(name),
-                mean_us
-            )
-        }),
-    )
-}
-
-/// Writes [`json_results`] to `path` (atomically enough for a benchmark artifact:
-/// create/truncate then a single write).
-pub fn write_json_results(
-    path: &Path,
-    benchmark: &str,
-    entries: &[(String, f64)],
-) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(json_results(benchmark, entries).as_bytes())
-}
-
-/// Like [`json_results`] but with an extra integer `count` per case — used by
-/// benchmarks whose workload size matters as much as the timing (e.g. the
-/// enumeration bench records how many maximal fair cliques each dataset yields):
-///
-/// ```json
-/// {
-///   "benchmark": "enumerate/serial",
-///   "unit": "us",
-///   "results": [
-///     { "name": "multi-component", "mean_us": 1234.500, "count": 42 }
-///   ]
-/// }
-/// ```
-pub fn json_counted_results(benchmark: &str, entries: &[(String, f64, u64)]) -> String {
-    json_document(
-        benchmark,
-        entries.iter().map(|(name, mean_us, count)| {
-            format!(
-                "{{ \"name\": \"{}\", \"mean_us\": {:.3}, \"count\": {} }}",
-                escape_json(name),
-                mean_us,
-                count
-            )
-        }),
-    )
-}
-
-/// The shared `BENCH_*.json` envelope: one pre-rendered result object per line.
-fn json_document(benchmark: &str, rows: impl Iterator<Item = String>) -> String {
-    let rows: Vec<String> = rows.collect();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"benchmark\": \"{}\",\n",
-        escape_json(benchmark)
-    ));
-    out.push_str("  \"unit\": \"us\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!("    {row}{comma}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes [`json_counted_results`] to `path`.
-pub fn write_json_counted_results(
-    path: &Path,
-    benchmark: &str,
-    entries: &[(String, f64, u64)],
-) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(json_counted_results(benchmark, entries).as_bytes())
-}
-
-/// JSON string escaping, shared with every other JSON producer in the workspace
-/// (handles quotes, backslashes *and* control characters — see [`rfc_graph::json`]).
-fn escape_json(s: &str) -> String {
-    rfc_graph::json::escaped(s)
-}
-
-/// Formats a microsecond count the way the paper's tables do (raw integer µs).
-pub fn micros(us: u128) -> String {
-    us.to_string()
-}
-
 /// Formats a ratio like `12.3x`.
 pub fn speedup(baseline_us: u128, other_us: u128) -> String {
     if other_us == 0 {
@@ -242,62 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn json_results_are_well_formed() {
-        let entries = vec![
-            ("serial".to_string(), 15380.1234),
-            ("2-threads".to_string(), 12200.0),
-        ];
-        let json = json_results("parallel/threads", &entries);
-        assert!(json.contains("\"benchmark\": \"parallel/threads\""));
-        assert!(json.contains("\"unit\": \"us\""));
-        assert!(json.contains("{ \"name\": \"serial\", \"mean_us\": 15380.123 },"));
-        assert!(json.contains("{ \"name\": \"2-threads\", \"mean_us\": 12200.000 }\n"));
-        // Exactly one trailing-comma-free last entry; braces balance.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // Quotes and backslashes in names are escaped.
-        let tricky = json_results("a\"b", &[("c\\d".to_string(), 1.0)]);
-        assert!(tricky.contains("a\\\"b"));
-        assert!(tricky.contains("c\\\\d"));
-    }
-
-    #[test]
-    fn json_counted_results_are_well_formed() {
-        let entries = vec![
-            ("multi-component".to_string(), 1234.5, 42u64),
-            ("er-dense".to_string(), 99.0, 7),
-        ];
-        let json = json_counted_results("enumerate/serial", &entries);
-        assert!(json.contains("\"benchmark\": \"enumerate/serial\""));
-        assert!(json
-            .contains("{ \"name\": \"multi-component\", \"mean_us\": 1234.500, \"count\": 42 },"));
-        assert!(json.contains("{ \"name\": \"er-dense\", \"mean_us\": 99.000, \"count\": 7 }\n"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        let dir = std::env::temp_dir().join("rfc_bench_report_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_counted_test.json");
-        write_json_counted_results(&path, "enumerate/serial", &entries).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            json_counted_results("enumerate/serial", &entries)
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn json_results_round_trip_to_disk() {
-        let dir = std::env::temp_dir().join("rfc_bench_report_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        write_json_results(&path, "demo", &[("x".to_string(), 2.5)]).unwrap();
-        let read_back = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(read_back, json_results("demo", &[("x".to_string(), 2.5)]));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn formatting_helpers() {
-        assert_eq!(micros(42), "42");
         assert_eq!(speedup(100, 10), "10.0x");
         assert_eq!(speedup(100, 0), "inf");
     }

@@ -65,9 +65,9 @@
 //! everything else is spliced and replayed from cache. A commit whose removals land
 //! entirely outside the reduced graph keeps the reduction wholesale —
 //! [`Solution::reduction_cache_hit`] stays `true` across such commits, and the
-//! cache-accounting unit tests below pin exactly that. `cargo bench -p rfc-bench
-//! --bench dynamic` measures commit+solve against a full [`RfcSolver::new`](crate::solver::RfcSolver::new) rebuild
-//! across churn rates (`BENCH_dynamic.json`).
+//! cache-accounting unit tests below pin exactly that. A batch that touches every
+//! component (uniform high churn) leaves nothing clean to splice or replay, so it
+//! costs about what a full [`RfcSolver::new`](crate::solver::RfcSolver::new) rebuild does.
 //!
 //! Unlike [`RfcSolver`](crate::solver::RfcSolver), the dynamic solver takes `&mut self` on queries (its caches
 //! are plain maps, not lock-protected): keep one solver per thread, or wrap it in a

@@ -24,8 +24,8 @@
 //! size bound read on the search hot path, plus a mutex-protected clique pool updated
 //! only on (rare) improvements. A clique found in any subtree immediately tightens
 //! the prunes of every other worker, so even on a single hardware thread the
-//! diversified subtree order can beat the serial scan (see `rfc-bench`'s
-//! `parallel` bench), and on real multicore the subtrees run concurrently.
+//! diversified subtree order can beat the serial scan, and on real multicore the
+//! subtrees run concurrently.
 //!
 //! ### Determinism
 //!

@@ -14,8 +14,8 @@
 //! of the dataset's maximum fair clique. The parameter ranges (`k`, `δ`) mirror the
 //! paper's experimental setup for the corresponding dataset. Absolute sizes and runtimes
 //! are therefore *not* comparable to the paper's testbed, but the qualitative behaviour
-//! (reduction ratios vs `k`, relative algorithm rankings, runtime trends) is — see
-//! EXPERIMENTS.md.
+//! (reduction ratios vs `k`, relative algorithm rankings, runtime trends) is — the
+//! `rfc-bench` figure and table binaries print it.
 
 use rfc_graph::{AttributedGraph, VertexId};
 

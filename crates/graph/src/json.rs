@@ -2,9 +2,8 @@
 //!
 //! The container has no crates registry, so there is no `serde`; every JSON producer
 //! and consumer in the workspace (the `UpdateOp` JSONL stream, the `enumerate
-//! --format jsonl` sink, the bench `BENCH_*.json` reports, and the `rfc-serve` wire
-//! protocol) goes through this module instead of growing its own ad-hoc escaping and
-//! field-scraping. That fixes a real bug class: the previous per-crate escapers only
+//! --format jsonl` sink, and the `rfc-serve` wire protocol) goes through this module
+//! instead of growing its own ad-hoc escaping and field-scraping. That fixes a real bug class: the previous per-crate escapers only
 //! handled `"` and `\`, so a control character in a string (e.g. a graph name taken
 //! from untrusted client input) would emit invalid JSON.
 //!

@@ -21,7 +21,7 @@
 //! * [`io`] — plain-text edge-list / attribute-list readers and writers.
 //! * [`json`] — the one shared hand-rolled JSON layer (string escaping + a small
 //!   [`JsonValue`] parser/writer) used by the JSONL update streams, the enumeration
-//!   sink, the bench reports, and the `rfc-serve` wire protocol.
+//!   sink, and the `rfc-serve` wire protocol.
 //! * [`store`] — the [`GraphStore`] abstraction the scale-tier reduction passes run
 //!   against, implemented by [`AttributedGraph`] and [`DiskCsr`].
 //! * [`disk`] — the `.rfcg` binary on-disk CSR format: streaming [`CsrWriter`],

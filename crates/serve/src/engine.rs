@@ -302,8 +302,20 @@ impl LocalEngine {
 
 impl Handler for LocalEngine {
     fn handle(&self, line: &str, emit: &mut dyn FnMut(&str) -> io::Result<()>) -> io::Result<Flow> {
+        self.handle_parsed(Request::parse(line), emit)
+    }
+}
+
+impl LocalEngine {
+    /// Handles one request line that the caller has already parsed, so the
+    /// server, which parses each line to decide admission, parses it only once.
+    pub(crate) fn handle_parsed(
+        &self,
+        request: Result<Request, ErrorResponse>,
+        emit: &mut dyn FnMut(&str) -> io::Result<()>,
+    ) -> io::Result<Flow> {
         Counters::bump(&self.counters.requests);
-        let request = match Request::parse(line) {
+        let request = match request {
             Ok(request) => request,
             Err(error) => {
                 Counters::bump(&self.counters.errors);
@@ -582,6 +594,16 @@ mod tests {
     #[test]
     fn typed_errors_keep_the_connection() {
         let (engine, _dir) = engine_with_fig1();
+        // Thread counts over the bound are rejected before any thread starts.
+        let over = crate::protocol::MAX_QUERY_THREADS + 1;
+        let too_many_threads = [
+            format!(r#"{{"op":"solve","graph":"fig1","k":3,"threads":{over}}}"#),
+            format!(r#"{{"op":"enumerate","graph":"fig1","k":3,"threads":{over}}}"#),
+            format!(r#"{{"op":"solve","graph":"fig1","k":3,"portfolio":{over}}}"#),
+        ];
+        let too_many_threads = too_many_threads
+            .iter()
+            .map(|line| (line.as_str(), "invalid_params"));
         for (line, code) in [
             ("{nope", "parse_error"),
             (r#"{"op":"solve","graph":"missing","k":2}"#, "unknown_graph"),
@@ -590,7 +612,10 @@ mod tests {
                 r#"{"op":"load","graph":"g","path":"/nonexistent/g.graph"}"#,
                 "load_failed",
             ),
-        ] {
+        ]
+        .into_iter()
+        .chain(too_many_threads)
+        {
             let (lines, flow) = run(&engine, line);
             assert_eq!(flow, Flow::Continue, "{line}");
             assert_eq!(
@@ -599,9 +624,18 @@ mod tests {
                 "{line}"
             );
         }
-        // The engine still answers after every error.
+        // The engine still answers after every error, and the graph a rejected
+        // request named still solves.
         let (lines, _) = run(&engine, r#"{"op":"ping"}"#);
         assert_eq!(lines[0].get("ok").and_then(JsonValue::as_bool), Some(true));
+        let (lines, _) = run(&engine, r#"{"op":"solve","graph":"fig1","k":3,"delta":1}"#);
+        let cliques = lines[0].get("cliques").and_then(JsonValue::as_array);
+        assert_eq!(
+            cliques
+                .and_then(|c| c[0].get("size"))
+                .and_then(JsonValue::as_u64),
+            Some(7)
+        );
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! `model` is `"relative"` (default), `"weak"` or `"strong"`; `delta` applies to the
 //! relative model only (default 1). `top` switches solve to the top-k objective.
 //! `threads` sets the per-query search parallelism (default serial: the daemon
-//! parallelizes across clients, not within queries). The `update` ops array reuses
-//! the [`UpdateOp`] JSONL objects verbatim. Fields a request does not use are
-//! ignored.
+//! parallelizes across clients, not within queries). `threads` (solve and enumerate)
+//! and `portfolio` are at most [`MAX_QUERY_THREADS`]; a larger value is
+//! `invalid_params`. The `update` ops array reuses the [`UpdateOp`] JSONL objects
+//! verbatim. Fields a request does not use are ignored.
 //!
 //! ## Responses
 //!
@@ -58,6 +59,13 @@ use rfc_core::{CancelToken, SearchConfig};
 /// Default maximum request-line length (1 MiB). Longer lines are drained and
 /// answered with [`ErrorCode::LineTooLong`] without desynchronizing the stream.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The largest `threads` (solve and enumerate) and `portfolio` a request may ask for.
+/// Each is a count of OS threads the request spawns, and the search starts its
+/// workers at one barrier, so an unbounded value from a client could exhaust the
+/// daemon's threads or memory and leave the graph's lock held. Larger values are
+/// [`ErrorCode::InvalidParams`]. The library's [`ThreadCount`] is not bounded.
+pub const MAX_QUERY_THREADS: usize = 256;
 
 /// Typed protocol error codes (the `"error"` field of a failed response).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,7 +400,7 @@ impl QuerySpec {
 
     fn from_json(value: &JsonValue) -> Result<QuerySpec, ErrorResponse> {
         let (time_limit_ms, node_limit, threads) = budget_from_json(value)?;
-        let portfolio = match opt_usize(value, "portfolio")? {
+        let portfolio = match opt_thread_count(value, "portfolio")? {
             Some(0) => {
                 return Err(ErrorResponse::new(
                     ErrorCode::InvalidParams,
@@ -513,7 +521,7 @@ fn budget_from_json(value: &JsonValue) -> Result<BudgetFields, ErrorResponse> {
     Ok((
         opt_u64(value, "time_limit_ms")?,
         opt_u64(value, "node_limit")?,
-        opt_usize(value, "threads")?,
+        opt_thread_count(value, "threads")?,
     ))
 }
 
@@ -592,6 +600,17 @@ fn opt_usize(value: &JsonValue, key: &str) -> Result<Option<usize>, ErrorRespons
             })
         })
         .transpose()
+}
+
+/// An optional count of threads, at most [`MAX_QUERY_THREADS`].
+fn opt_thread_count(value: &JsonValue, key: &str) -> Result<Option<usize>, ErrorResponse> {
+    match opt_usize(value, key)? {
+        Some(n) if n > MAX_QUERY_THREADS => Err(ErrorResponse::new(
+            ErrorCode::InvalidParams,
+            format!("\"{key}\" must be at most {MAX_QUERY_THREADS}"),
+        )),
+        other => Ok(other),
+    }
 }
 
 fn opt_u64(value: &JsonValue, key: &str) -> Result<Option<u64>, ErrorResponse> {
@@ -765,7 +784,16 @@ mod tests {
             ),
             ("{\"op\":\"solve\",\"k\":2}", ErrorCode::BadRequest), // no graph
         ];
-        for (line, code) in cases {
+        let over = MAX_QUERY_THREADS + 1;
+        let too_many_threads = [
+            format!("{{\"op\":\"solve\",\"graph\":\"g\",\"k\":2,\"threads\":{over}}}"),
+            format!("{{\"op\":\"enumerate\",\"graph\":\"g\",\"k\":2,\"threads\":{over}}}"),
+            format!("{{\"op\":\"solve\",\"graph\":\"g\",\"k\":2,\"portfolio\":{over}}}"),
+        ];
+        let too_many_threads = too_many_threads
+            .iter()
+            .map(|line| (line.as_str(), ErrorCode::InvalidParams));
+        for (line, code) in cases.into_iter().chain(too_many_threads) {
             let err = Request::parse(line).unwrap_err();
             assert_eq!(err.code, code, "{line} → {err}");
         }

@@ -2,7 +2,8 @@
 //! request lines, and admission control in front of the engine.
 //!
 //! The server is transport only: request semantics live in the [`LocalEngine`]
-//! it owns, which every connection thread calls through the [`Handler`] trait.
+//! it owns. Every connection thread parses each request line once, to decide
+//! admission, and hands the parsed request to the engine.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -13,7 +14,7 @@ use std::time::Duration;
 
 use crate::engine::{EngineConfig, LocalEngine};
 use crate::protocol::{ErrorCode, ErrorResponse, Request, MAX_LINE_BYTES};
-use crate::{Counters, Flow, Handler};
+use crate::{Counters, Flow};
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -285,12 +286,12 @@ impl Server {
     }
 }
 
-/// Whether a request must pass admission control. `stats`, `metrics` and
+/// Whether a parsed request must pass admission control. `stats`, `metrics` and
 /// `shutdown` bypass the gate (they must work on a saturated daemon); malformed
 /// lines are answered with cheap typed errors without occupying a slot.
-fn needs_admission(line: &str) -> bool {
+fn needs_admission(request: &Result<Request, ErrorResponse>) -> bool {
     !matches!(
-        Request::parse(line),
+        request,
         Err(_) | Ok(Request::Stats) | Ok(Request::Metrics) | Ok(Request::Shutdown)
     )
 }
@@ -329,7 +330,8 @@ fn serve_connection(stream: TcpStream, server: &Server) -> io::Result<()> {
         if line.trim().is_empty() {
             continue;
         }
-        let permit = if needs_admission(&line) {
+        let request = Request::parse(&line);
+        let permit = if needs_admission(&request) {
             match server.admission.try_acquire() {
                 Some(permit) => Some(permit),
                 None => {
@@ -347,7 +349,7 @@ fn serve_connection(stream: TcpStream, server: &Server) -> io::Result<()> {
         } else {
             None
         };
-        let flow = server.engine.handle(&line, &mut send);
+        let flow = server.engine.handle_parsed(request, &mut send);
         drop(permit);
         match flow? {
             Flow::Continue => {}
@@ -430,6 +432,7 @@ mod tests {
 
     #[test]
     fn stats_metrics_and_shutdown_bypass_admission() {
+        let needs_admission = |line: &str| needs_admission(&Request::parse(line));
         assert!(needs_admission(r#"{"op":"solve","graph":"g","k":2}"#));
         assert!(needs_admission(r#"{"op":"ping","sleep_ms":5}"#));
         assert!(!needs_admission(r#"{"op":"stats"}"#));

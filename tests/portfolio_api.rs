@@ -12,7 +12,7 @@
 
 use rfc_core::prelude::*;
 use rfc_core::verify;
-use rfc_datasets::synthetic::erdos_renyi;
+use rfc_datasets::synthetic::{erdos_renyi, one_big_component, BigComponentConfig};
 use rfc_graph::fixtures;
 
 fn fixture_graphs() -> Vec<AttributedGraph> {
@@ -117,46 +117,63 @@ fn portfolio_answers_are_thread_count_invariant() {
 #[test]
 fn budget_bound_portfolio_is_at_least_as_good_as_the_single_config() {
     // One big-ish ER component: hard enough that 200 nodes do not finish it.
-    let graph = erdos_renyi(300, 0.12, 0.5, 21);
-    let solver = RfcSolver::new(graph);
-    let model = FairnessModel::Relative { k: 2, delta: 1 };
-    let budget = Budget::unlimited().with_node_limit(200);
-
-    let single = solver
-        .solve(&cold(Query::new(model).with_budget(budget)))
-        .unwrap();
-    let outcome = solver
-        .solve_portfolio(
-            &cold(Query::new(model).with_budget(budget)),
-            &PortfolioConfig::new(4).with_anytime(true),
-        )
-        .unwrap();
-    let pooled = &outcome.solution;
-
-    // Member 0 runs the caller's configuration verbatim on the shared pool, so
-    // the pooled best can only match or beat the single-configuration run.
-    assert!(
-        pooled.best_size() >= single.best_size(),
-        "portfolio {:?} < single {:?}",
-        pooled.best_size(),
-        single.best_size()
+    let er = erdos_renyi(300, 0.12, 0.5, 21);
+    // One 800-vertex component hiding a planted 36-clique in a dense community:
+    // under 2,000 nodes the single configuration stops far below the optimum.
+    let (big, _) = one_big_component(
+        &BigComponentConfig {
+            n: 800,
+            edge_prob: 16.0 / 800.0,
+            community: 240,
+            community_prob: 0.55,
+            planted_half: 18,
+            prob_a: 0.5,
+        },
+        17,
     );
-    if pooled.termination == Termination::BudgetExhausted {
-        // A certified, finite gap: upper bound present and no smaller than the
-        // incumbent.
-        let ub = pooled
-            .upper_bound
-            .expect("budget-bound solves carry a bound");
-        let gap = pooled.optimality_gap().expect("gap derives from the bound");
-        assert_eq!(gap, ub - pooled.best_size());
-        assert!(outcome.members.iter().all(|m| !m.winner));
-    }
-    for clique in &pooled.cliques {
-        assert!(verify::is_fair_clique_under(
-            solver.graph(),
-            &clique.vertices,
-            model
-        ));
+    for (graph, model, nodes) in [
+        (er, FairnessModel::Relative { k: 2, delta: 1 }, 200),
+        (big, FairnessModel::Relative { k: 3, delta: 1 }, 2_000),
+    ] {
+        let solver = RfcSolver::new(graph);
+        let budget = Budget::unlimited().with_node_limit(nodes);
+
+        let single = solver
+            .solve(&cold(Query::new(model).with_budget(budget)))
+            .unwrap();
+        let outcome = solver
+            .solve_portfolio(
+                &cold(Query::new(model).with_budget(budget)),
+                &PortfolioConfig::new(4).with_anytime(true),
+            )
+            .unwrap();
+        let pooled = &outcome.solution;
+
+        // Member 0 runs the caller's configuration verbatim on the shared pool,
+        // so the pooled best can only match or beat the single-configuration run.
+        assert!(
+            pooled.best_size() >= single.best_size(),
+            "portfolio {:?} < single {:?} at {nodes} nodes",
+            pooled.best_size(),
+            single.best_size()
+        );
+        if pooled.termination == Termination::BudgetExhausted {
+            // A certified, finite gap: upper bound present and no smaller than
+            // the incumbent.
+            let ub = pooled
+                .upper_bound
+                .expect("budget-bound solves carry a bound");
+            let gap = pooled.optimality_gap().expect("gap derives from the bound");
+            assert_eq!(gap, ub - pooled.best_size());
+            assert!(outcome.members.iter().all(|m| !m.winner));
+        }
+        for clique in &pooled.cliques {
+            assert!(verify::is_fair_clique_under(
+                solver.graph(),
+                &clique.vertices,
+                model
+            ));
+        }
     }
 }
 

@@ -11,6 +11,8 @@
 //! * budget-exhausted queries return verified best-so-far answers,
 //! * an `update` from one client is observed by every other client (the registry
 //!   is shared state), matching a from-scratch solver on the updated graph,
+//! * clients interleaving solves, enumerations and updates concurrently all get
+//!   the library's answers,
 //! * admission control rejects excess load with a typed `overloaded` error, and
 //! * `shutdown` terminates `run()` cleanly.
 
@@ -180,6 +182,45 @@ fn response_clique_sets(response: &JsonValue) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Sorted vertex sets of an `enumerate` stream, in sorted order.
+fn stream_clique_sets(stream: &[JsonValue]) -> Vec<Vec<u64>> {
+    let mut sets: Vec<Vec<u64>> = stream
+        .iter()
+        .map(|line| {
+            let mut vertices: Vec<u64> = line
+                .get("clique")
+                .and_then(|c| c.get("vertices"))
+                .and_then(JsonValue::as_array)
+                .unwrap()
+                .iter()
+                .map(|v| v.as_u64().unwrap())
+                .collect();
+            vertices.sort_unstable();
+            vertices
+        })
+        .collect();
+    sets.sort();
+    sets
+}
+
+/// Sorted vertex sets of every maximal fair clique the library enumerates, in
+/// sorted order.
+fn library_clique_sets(solver: &RfcSolver, model: FairnessModel) -> Vec<Vec<u64>> {
+    let mut sink = CollectSink::new();
+    solver.enumerate(&EnumQuery::new(model), &mut sink).unwrap();
+    let mut sets: Vec<Vec<u64>> = sink
+        .cliques()
+        .iter()
+        .map(|c| {
+            let mut vertices: Vec<u64> = c.vertices.iter().map(|&v| v as u64).collect();
+            vertices.sort_unstable();
+            vertices
+        })
+        .collect();
+    sets.sort();
+    sets
+}
+
 #[test]
 fn daemon_answers_match_the_direct_library() {
     let daemon = TestDaemon::start(TestDaemon::default_config());
@@ -225,19 +266,7 @@ fn daemon_answers_match_the_direct_library() {
     }
 
     // Enumeration: the daemon's stream equals the direct sink's clique sets.
-    let model = FairnessModel::Relative { k: 2, delta: 1 };
-    let mut sink = CollectSink::new();
-    direct.enumerate(&EnumQuery::new(model), &mut sink).unwrap();
-    let mut expected_sets: Vec<Vec<u64>> = sink
-        .cliques()
-        .iter()
-        .map(|c| {
-            let mut vertices: Vec<u64> = c.vertices.iter().map(|&v| v as u64).collect();
-            vertices.sort_unstable();
-            vertices
-        })
-        .collect();
-    expected_sets.sort();
+    let expected_sets = library_clique_sets(&direct, FairnessModel::Relative { k: 2, delta: 1 });
     let (stream, terminal) =
         client.request_stream(r#"{"op":"enumerate","graph":"fig1","k":2,"delta":1}"#);
     assert_eq!(
@@ -248,23 +277,7 @@ fn daemon_answers_match_the_direct_library() {
         terminal.get("emitted").and_then(JsonValue::as_u64),
         Some(stream.len() as u64)
     );
-    let mut daemon_sets: Vec<Vec<u64>> = stream
-        .iter()
-        .map(|line| {
-            let mut vertices: Vec<u64> = line
-                .get("clique")
-                .and_then(|c| c.get("vertices"))
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .iter()
-                .map(|v| v.as_u64().unwrap())
-                .collect();
-            vertices.sort_unstable();
-            vertices
-        })
-        .collect();
-    daemon_sets.sort();
-    assert_eq!(daemon_sets, expected_sets);
+    assert_eq!(stream_clique_sets(&stream), expected_sets);
 
     daemon.shutdown();
 }
@@ -531,44 +544,113 @@ fn bounded_caches_report_evictions_in_stats() {
 
 #[test]
 fn concurrent_clients_all_get_correct_answers() {
-    let daemon = TestDaemon::start(TestDaemon::default_config());
-    let mut setup = daemon.connect();
+    const SOLVE: &str = r#"{"op":"solve","graph":"fig1","k":3,"delta":1}"#;
+    const ENUMERATE: &str = r#"{"op":"enumerate","graph":"fig1","k":2,"delta":1}"#;
     let graph = fixtures::fig1_graph();
-    daemon.load(&mut setup, "fig1", &graph);
-    let expected = RfcSolver::new(graph)
+    let fresh = RfcSolver::new(graph.clone());
+    let expected = fresh
         .solve(&Query::new(FairnessModel::Relative { k: 3, delta: 1 }))
         .unwrap()
         .best()
         .unwrap()
         .size();
+    let enumerated = FairnessModel::Relative { k: 2, delta: 1 };
+    let expected_sets = library_clique_sets(&fresh, enumerated);
+    // Non-edges whose insertion changes the maximal fair cliques: each client of
+    // the mixed case toggles its own, so a half-applied toggle shows in answers.
+    let n = graph.num_vertices() as VertexId;
+    let non_edges: Vec<(VertexId, VertexId)> = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .filter(|&(u, v)| {
+            if graph.has_edge(u, v) {
+                return false;
+            }
+            let mut delta = rfc_graph::delta::GraphDelta::new();
+            let insert = rfc_graph::delta::UpdateOp::InsertEdge { u, v };
+            delta.apply_op(&graph, &insert).unwrap();
+            library_clique_sets(&RfcSolver::new(delta.apply(&graph)), enumerated) != expected_sets
+        })
+        .collect();
+    assert!(non_edges.len() >= 4, "{non_edges:?}");
 
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            let daemon = &daemon;
-            scope.spawn(move || {
-                let mut client = daemon.connect();
-                for _ in 0..5 {
-                    let response =
-                        client.request_one(r#"{"op":"solve","graph":"fig1","k":3,"delta":1}"#);
-                    assert_eq!(response.get("ok").and_then(JsonValue::as_bool), Some(true));
-                    assert_eq!(response_clique_sets(&response)[0].len(), expected);
-                }
-            });
+    // Two cases: eight clients repeat one solve, then four clients interleave
+    // solves, enumerations and updates. Each update inserts and removes an edge
+    // in one atomic batch, so every answer must stay the loaded graph's.
+    for (clients, rounds, mixed) in [(8, 5, false), (4, 24, true)] {
+        let daemon = TestDaemon::start(TestDaemon::default_config());
+        let mut setup = daemon.connect();
+        daemon.load(&mut setup, "fig1", &graph);
+
+        std::thread::scope(|scope| {
+            for id in 0..clients {
+                let (daemon, expected_sets) = (&daemon, &expected_sets);
+                let (u, v) = non_edges[id % non_edges.len()];
+                scope.spawn(move || {
+                    let mut client = daemon.connect();
+                    let toggle = format!(
+                        "{{\"op\":\"update\",\"graph\":\"fig1\",\"ops\":[\
+                         {{\"op\":\"insert_edge\",\"u\":{u},\"v\":{v}}},\
+                         {{\"op\":\"remove_edge\",\"u\":{u},\"v\":{v}}}]}}"
+                    );
+                    for i in 0..rounds {
+                        match (mixed, i % 4) {
+                            (true, 2) => {
+                                let (stream, terminal) = client.request_stream(ENUMERATE);
+                                assert_eq!(
+                                    terminal.get("termination").and_then(JsonValue::as_str),
+                                    Some("complete")
+                                );
+                                assert_eq!(&stream_clique_sets(&stream), expected_sets);
+                            }
+                            (true, 3) => {
+                                let response = client.request_one(&toggle);
+                                assert_eq!(
+                                    response.get("ok").and_then(JsonValue::as_bool),
+                                    Some(true),
+                                    "{response}"
+                                );
+                            }
+                            _ => {
+                                let response = client.request_one(SOLVE);
+                                assert_eq!(
+                                    response.get("ok").and_then(JsonValue::as_bool),
+                                    Some(true)
+                                );
+                                assert_eq!(response_clique_sets(&response)[0].len(), expected);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+
+        let mut client = daemon.connect();
+        let stats = client.request_one(r#"{"op":"stats"}"#);
+        let entry = &stats.get("graphs").and_then(JsonValue::as_array).unwrap()[0];
+        if mixed {
+            // The toggles left the graph as loaded, and the daemon still agrees
+            // with a fresh solver on it.
+            assert_eq!(
+                entry.get("m").and_then(JsonValue::as_u64),
+                Some(graph.num_edges() as u64)
+            );
+            assert_eq!(
+                entry.get("commits").and_then(JsonValue::as_u64),
+                Some((clients * rounds / 4) as u64)
+            );
+            let response = client.request_one(SOLVE);
+            assert_eq!(response_clique_sets(&response)[0].len(), expected);
+            let (stream, _) = client.request_stream(ENUMERATE);
+            assert_eq!(stream_clique_sets(&stream), expected_sets);
+        } else {
+            // The shared cache served most of those queries.
+            let cache = entry.get("cache").and_then(|c| c.get("solve")).unwrap();
+            assert!(
+                cache.get("hits").and_then(JsonValue::as_u64).unwrap() >= 30,
+                "40 identical solves over a shared registry must mostly hit the cache: {cache}"
+            );
         }
-    });
 
-    // The shared cache served most of those queries.
-    let mut client = daemon.connect();
-    let stats = client.request_one(r#"{"op":"stats"}"#);
-    let cache = stats.get("graphs").and_then(JsonValue::as_array).unwrap()[0]
-        .get("cache")
-        .and_then(|c| c.get("solve"))
-        .cloned()
-        .unwrap();
-    assert!(
-        cache.get("hits").and_then(JsonValue::as_u64).unwrap() >= 30,
-        "40 identical solves over a shared registry must mostly hit the cache: {cache}"
-    );
-
-    daemon.shutdown();
+        daemon.shutdown();
+    }
 }
