@@ -1,6 +1,12 @@
 //! Minimal dependency-free argument parsing for the `maxfairclique` CLI.
 
+use std::time::Duration;
+
 use rfc_core::bounds::ExtraBound;
+use rfc_core::problem::FairnessModel;
+use rfc_core::search::ThreadCount;
+use rfc_core::solver::Budget;
+use rfc_serve::protocol::{EnumSpec, QuerySpec, Request};
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -149,17 +155,6 @@ pub enum OutputFormat {
     Jsonl,
 }
 
-/// The fairness model to solve for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fairness {
-    /// Relative fairness (`k`, `δ`).
-    Relative,
-    /// Weak fairness (`k` only).
-    Weak,
-    /// Strong fairness (equal counts, both ≥ `k`).
-    Strong,
-}
-
 /// A fully parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -167,24 +162,18 @@ pub enum Command {
     Solve {
         /// Input graph.
         input: GraphInput,
-        /// Parameter `k`.
-        k: usize,
-        /// Parameter `δ`.
-        delta: usize,
+        /// Fairness model (`-k`, `-d`, `--weak`, `--strong`).
+        model: FairnessModel,
         /// Extra bound selection.
         bound: ExtraBound,
         /// Run the basic configuration (size bound only, no heuristic).
         basic: bool,
         /// Disable the heuristic warm start.
         no_heuristic: bool,
-        /// Fairness model.
-        fairness: Fairness,
-        /// Worker threads for the search (`None`: default, i.e. all cores).
-        threads: Option<usize>,
-        /// Wall-clock budget for the search phase, in seconds.
-        time_limit: Option<f64>,
-        /// Branch-node budget for the search phase.
-        node_limit: Option<u64>,
+        /// Worker threads for the search (default: all cores).
+        threads: ThreadCount,
+        /// Wall-clock and branch-node budget of the search.
+        budget: Budget,
         /// Report the N largest fair cliques instead of a single maximum one.
         top: Option<usize>,
         /// Race this many diversified configurations on a shared incumbent.
@@ -202,24 +191,18 @@ pub enum Command {
     Enumerate {
         /// Input graph.
         input: GraphInput,
-        /// Parameter `k`.
-        k: usize,
-        /// Parameter `δ`.
-        delta: usize,
         /// Fairness model.
-        fairness: Fairness,
+        model: FairnessModel,
         /// Stop after this many cliques (`None`: all of them).
         limit: Option<u64>,
         /// Only emit cliques with at least this many vertices.
         min_size: usize,
         /// Output format (text or JSON lines).
         format: OutputFormat,
-        /// Worker threads for the enumeration (`None`: default, i.e. all cores).
-        threads: Option<usize>,
-        /// Wall-clock budget for the enumeration, in seconds.
-        time_limit: Option<f64>,
-        /// Branch-node budget for the enumeration.
-        node_limit: Option<u64>,
+        /// Worker threads for the enumeration (default: all cores).
+        threads: ThreadCount,
+        /// Wall-clock and branch-node budget of the enumeration.
+        budget: Budget,
         /// Write a JSONL span trace of the run to this path.
         trace: Option<String>,
     },
@@ -229,16 +212,12 @@ pub enum Command {
         input: GraphInput,
         /// Path to the JSONL update-stream file.
         stream: String,
-        /// Parameter `k`.
-        k: usize,
-        /// Parameter `δ`.
-        delta: usize,
         /// Fairness model.
-        fairness: Fairness,
+        model: FairnessModel,
         /// Also enumerate (count) the maximal fair cliques after each commit.
         enumerate: bool,
-        /// Worker threads for the per-commit re-solves (`None`: default, all cores).
-        threads: Option<usize>,
+        /// Worker threads for the per-commit re-solves (default: all cores).
+        threads: ThreadCount,
         /// Write a JSONL span trace of the replay to this path.
         trace: Option<String>,
     },
@@ -246,14 +225,10 @@ pub enum Command {
     Heuristic {
         /// Input graph.
         input: GraphInput,
-        /// Parameter `k`.
-        k: usize,
-        /// Parameter `δ`.
-        delta: usize,
+        /// Fairness model.
+        model: FairnessModel,
         /// Number of greedy seeds.
         seeds: usize,
-        /// Fairness model.
-        fairness: Fairness,
     },
     /// Run the reduction pipeline and optionally write the reduced graph.
     Reduce {
@@ -308,8 +283,8 @@ pub enum Command {
         max_queue: usize,
         /// LRU capacity of the per-component result caches (`None`: unbounded).
         cache_cap: Option<usize>,
-        /// Default wall-clock budget for queries that set none, in seconds.
-        time_limit: Option<f64>,
+        /// Default wall-clock budget for queries that set none.
+        time_limit: Option<Duration>,
     },
     /// One-shot protocol client against a running daemon.
     Client {
@@ -325,69 +300,18 @@ pub enum Command {
 /// The one action a `client` invocation performs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientAction {
-    /// Load a graph file (daemon-side path) under a registry name.
-    Load {
-        /// Registry name.
-        graph: String,
-        /// Daemon-side path of the graph file.
-        path: String,
-    },
-    /// Maximum (or top-N) fair clique query.
-    Solve {
-        /// Registry name.
-        graph: String,
-        /// Parameter `k`.
-        k: usize,
-        /// Parameter `δ`.
-        delta: usize,
-        /// Fairness model.
-        fairness: Fairness,
-        /// Report the N largest cliques.
-        top: Option<usize>,
-        /// Wall-clock budget in seconds.
-        time_limit: Option<f64>,
-        /// Branch-node budget.
-        node_limit: Option<u64>,
-    },
-    /// Stream every maximal fair clique.
-    Enumerate {
-        /// Registry name.
-        graph: String,
-        /// Parameter `k`.
-        k: usize,
-        /// Parameter `δ`.
-        delta: usize,
-        /// Fairness model.
-        fairness: Fairness,
-        /// Stop after this many cliques.
-        limit: Option<u64>,
-        /// Only emit cliques with at least this many vertices.
-        min_size: usize,
-        /// Wall-clock budget in seconds.
-        time_limit: Option<f64>,
-        /// Branch-node budget.
-        node_limit: Option<u64>,
-    },
-    /// Apply a JSONL op stream as one update batch.
+    /// Send this request.
+    Send(Request),
+    /// Apply a local JSONL op stream to a graph as one `update` batch. The stream
+    /// file is read when the command runs, not when it is parsed.
     Update {
         /// Registry name.
         graph: String,
         /// Local path of the JSONL op stream.
         stream: String,
     },
-    /// Fetch daemon statistics.
-    Stats,
-    /// Dump the daemon's metrics registry (Prometheus text exposition format).
-    Metrics,
-    /// Health check.
-    Ping,
-    /// Stop the daemon.
-    Shutdown,
     /// Send one raw protocol line verbatim.
-    Raw {
-        /// The line to send.
-        line: String,
-    },
+    Raw(String),
 }
 
 /// Parses the command line (without the program name).
@@ -472,6 +396,16 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .map_err(|_| format!("invalid value for `{name}`: `{v}`")),
         }
     };
+    // A count that must be at least 1 when given (`--top`, `--limit`, …).
+    let positive = |name: &str| -> Result<Option<usize>, String> {
+        match get(name) {
+            None => Ok(None),
+            Some(v) => match v.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(Some(n)),
+                _ => Err(format!("invalid value for `{name}`: `{v}` (need N >= 1)")),
+            },
+        }
+    };
 
     let input = || -> Result<GraphInput, String> {
         if let Some(path) = get("--graph") {
@@ -486,57 +420,60 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
     };
 
-    let fairness = || -> Result<Fairness, String> {
-        match (has("--weak"), has("--strong")) {
-            (true, true) => Err("`--weak` and `--strong` are mutually exclusive".into()),
-            (true, false) => Ok(Fairness::Weak),
-            (false, true) => Ok(Fairness::Strong),
-            (false, false) => Ok(Fairness::Relative),
-        }
-    };
     // `-d` and `--delta` are aliases; the long form must be looked up *before*
     // defaulting (a `parse_usize("-d", 1)` fallback chain never reaches `--delta`
     // because the default is an `Ok`).
-    let delta = || -> Result<usize, String> {
-        match get("-d").or_else(|| get("--delta")) {
-            None => Ok(1),
+    let model = || -> Result<FairnessModel, String> {
+        let k = parse_usize("-k", 2)?;
+        let delta = match get("-d").or_else(|| get("--delta")) {
+            None => 1,
             Some(v) => v
                 .parse::<usize>()
-                .map_err(|_| format!("invalid value for `-d`/`--delta`: `{v}`")),
+                .map_err(|_| format!("invalid value for `-d`/`--delta`: `{v}`"))?,
+        };
+        match (has("--weak"), has("--strong")) {
+            (true, true) => Err("`--weak` and `--strong` are mutually exclusive".into()),
+            (true, false) => Ok(FairnessModel::Weak { k }),
+            (false, true) => Ok(FairnessModel::Strong { k }),
+            (false, false) => Ok(FairnessModel::Relative { k, delta }),
         }
     };
-    let threads = || -> Result<Option<usize>, String> {
+    // The CLI's own default is all cores; the meaning of a given count is
+    // `ThreadCount`'s.
+    let threads = || -> Result<ThreadCount, String> {
         match get("--threads") {
-            None => Ok(None),
+            None => Ok(ThreadCount::Auto),
             Some(v) => v
                 .parse::<usize>()
-                .map(Some)
+                .map(ThreadCount::from)
                 .map_err(|_| format!("invalid value for `--threads`: `{v}`")),
         }
     };
-    let time_limit = || -> Result<Option<f64>, String> {
-        match get("--time-limit") {
-            None => Ok(None),
-            Some(v) => {
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid value for `--time-limit`: `{v}`"))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(format!("invalid value for `--time-limit`: `{v}`"));
-                }
-                Ok(Some(secs))
-            }
-        }
+    let time_limit = || -> Result<Option<Duration>, String> {
+        get("--time-limit")
+            .map(|v| {
+                v.parse::<f64>()
+                    .ok()
+                    .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                    .ok_or_else(|| {
+                        format!("invalid value for `--time-limit`: `{v}` (need 0 <= SECS < 2^64)")
+                    })
+            })
+            .transpose()
     };
-    let node_limit = || -> Result<Option<u64>, String> {
-        match get("--node-limit") {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| format!("invalid value for `--node-limit`: `{v}`")),
-        }
+    let budget = || -> Result<Budget, String> {
+        let node_limit = get("--node-limit")
+            .map(|v| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("invalid value for `--node-limit`: `{v}`"))
+            })
+            .transpose()?;
+        Ok(Budget {
+            time_limit: time_limit()?,
+            node_limit,
+        })
     };
+    let limit = || -> Result<Option<u64>, String> { Ok(positive("--limit")?.map(|n| n as u64)) };
 
     match sub.as_str() {
         "solve" => {
@@ -558,39 +495,19 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     ))
                 }
             };
-            let top = match get("--top") {
-                None => None,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => return Err(format!("invalid value for `--top`: `{v}` (need N >= 1)")),
-                },
-            };
-            let portfolio = match get("--portfolio") {
-                None => None,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        return Err(format!(
-                            "invalid value for `--portfolio`: `{v}` (need N >= 1)"
-                        ))
-                    }
-                },
-            };
+            let portfolio = positive("--portfolio")?;
             if has("--anytime") && portfolio.is_none() {
                 return Err("`--anytime` requires `--portfolio N`".to_string());
             }
             Ok(Command::Solve {
                 input: input()?,
-                k: parse_usize("-k", 2)?,
-                delta: delta()?,
+                model: model()?,
                 bound,
                 basic: has("--basic"),
                 no_heuristic: has("--no-heuristic"),
-                fairness: fairness()?,
                 threads: threads()?,
-                time_limit: time_limit()?,
-                node_limit: node_limit()?,
-                top,
+                budget: budget()?,
+                top: positive("--top")?,
                 portfolio,
                 anytime: has("--anytime"),
                 format,
@@ -608,24 +525,14 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     ))
                 }
             };
-            let limit = match get("--limit") {
-                None => None,
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => return Err(format!("invalid value for `--limit`: `{v}` (need N >= 1)")),
-                },
-            };
             Ok(Command::Enumerate {
                 input: input()?,
-                k: parse_usize("-k", 2)?,
-                delta: delta()?,
-                fairness: fairness()?,
-                limit,
+                model: model()?,
+                limit: limit()?,
                 min_size: parse_usize("--min-size", 0)?,
                 format,
                 threads: threads()?,
-                time_limit: time_limit()?,
-                node_limit: node_limit()?,
+                budget: budget()?,
                 trace: get("--trace"),
             })
         }
@@ -633,19 +540,15 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             input: input()?,
             stream: get("--stream")
                 .ok_or_else(|| "`update` needs `--stream FILE` (a JSONL op stream)".to_string())?,
-            k: parse_usize("-k", 2)?,
-            delta: delta()?,
-            fairness: fairness()?,
+            model: model()?,
             enumerate: has("--enumerate"),
             threads: threads()?,
             trace: get("--trace"),
         }),
         "heuristic" => Ok(Command::Heuristic {
             input: input()?,
-            k: parse_usize("-k", 2)?,
-            delta: delta()?,
+            model: model()?,
             seeds: parse_usize("--seeds", 8)?,
-            fairness: fairness()?,
         }),
         "reduce" => Ok(Command::Reduce {
             input: input()?,
@@ -664,13 +567,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "generate" => {
             let dataset = get("--dataset");
             let case_study = get("--case-study");
-            let scale = match get("--scale") {
-                None => None,
-                Some(v) => match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => return Err(format!("invalid value for `--scale`: `{v}` (need N >= 1)")),
-                },
-            };
+            let scale = positive("--scale")?;
             let sources = [dataset.is_some(), case_study.is_some(), scale.is_some()];
             match sources.iter().filter(|&&s| s).count() {
                 0 => {
@@ -758,50 +655,49 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                         .to_string(),
                 );
             }
+            // The wire carries whole milliseconds: round up, so the daemon never
+            // gets less time than was asked for.
+            let wire_budget = || -> Result<(Option<u64>, Option<u64>), String> {
+                let Budget {
+                    time_limit,
+                    node_limit,
+                } = budget()?;
+                let time_limit_ms = time_limit
+                    .map(|limit| u64::try_from(limit.as_nanos().div_ceil(1_000_000)))
+                    .transpose()
+                    .map_err(|_| "`--time-limit` is out of range for the daemon".to_string())?;
+                Ok((time_limit_ms, node_limit))
+            };
             let action = if let Some(graph) = get("--load") {
-                ClientAction::Load {
+                ClientAction::Send(Request::Load {
                     graph,
                     path: get("--path").ok_or_else(|| {
                         "`client --load NAME` needs `--path FILE` (a daemon-side path)".to_string()
                     })?,
-                }
+                })
             } else if let Some(graph) = get("--solve") {
-                let top = match get("--top") {
-                    None => None,
-                    Some(v) => match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => Some(n),
-                        _ => return Err(format!("invalid value for `--top`: `{v}` (need N >= 1)")),
-                    },
-                };
-                ClientAction::Solve {
+                let (time_limit_ms, node_limit) = wire_budget()?;
+                ClientAction::Send(Request::Solve {
                     graph,
-                    k: parse_usize("-k", 2)?,
-                    delta: delta()?,
-                    fairness: fairness()?,
-                    top,
-                    time_limit: time_limit()?,
-                    node_limit: node_limit()?,
-                }
+                    spec: QuerySpec {
+                        top: positive("--top")?,
+                        time_limit_ms,
+                        node_limit,
+                        ..QuerySpec::new(model()?)
+                    },
+                })
             } else if let Some(graph) = get("--enumerate") {
-                let limit = match get("--limit") {
-                    None => None,
-                    Some(v) => match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => Some(n),
-                        _ => {
-                            return Err(format!("invalid value for `--limit`: `{v}` (need N >= 1)"))
-                        }
-                    },
-                };
-                ClientAction::Enumerate {
+                let (time_limit_ms, node_limit) = wire_budget()?;
+                ClientAction::Send(Request::Enumerate {
                     graph,
-                    k: parse_usize("-k", 2)?,
-                    delta: delta()?,
-                    fairness: fairness()?,
-                    limit,
-                    min_size: parse_usize("--min-size", 0)?,
-                    time_limit: time_limit()?,
-                    node_limit: node_limit()?,
-                }
+                    spec: EnumSpec {
+                        min_size: parse_usize("--min-size", 0)?,
+                        limit: limit()?,
+                        time_limit_ms,
+                        node_limit,
+                        ..EnumSpec::new(model()?)
+                    },
+                })
             } else if let Some(graph) = get("--update") {
                 ClientAction::Update {
                     graph,
@@ -811,15 +707,15 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     })?,
                 }
             } else if let Some(line) = get("--raw") {
-                ClientAction::Raw { line }
+                ClientAction::Raw(line)
             } else if has("--stats") {
-                ClientAction::Stats
+                ClientAction::Send(Request::Stats)
             } else if has("--metrics") {
-                ClientAction::Metrics
+                ClientAction::Send(Request::Metrics)
             } else if has("--ping") {
-                ClientAction::Ping
+                ClientAction::Send(Request::Ping { sleep_ms: 0 })
             } else {
-                ClientAction::Shutdown
+                ClientAction::Send(Request::Shutdown)
             };
             Ok(Command::Client { connect, action })
         }
@@ -841,15 +737,12 @@ mod tests {
         match cmd {
             Command::Solve {
                 input,
-                k,
-                delta,
+                model,
                 bound,
                 basic,
                 no_heuristic,
-                fairness,
                 threads,
-                time_limit,
-                node_limit,
+                budget,
                 top,
                 portfolio,
                 anytime,
@@ -858,18 +751,28 @@ mod tests {
                 verbose,
             } => {
                 assert_eq!(input, GraphInput::Combined("g.graph".into()));
-                assert_eq!((k, delta), (2, 1));
+                assert_eq!(model, FairnessModel::Relative { k: 2, delta: 1 });
                 assert_eq!(bound, ExtraBound::ColorfulDegeneracy);
                 assert!(!basic && !no_heuristic);
-                assert_eq!(fairness, Fairness::Relative);
-                assert_eq!(threads, None);
-                assert_eq!((time_limit, node_limit, top), (None, None, None));
+                assert_eq!(threads, ThreadCount::Auto);
+                assert_eq!((budget, top), (Budget::unlimited(), None));
                 assert_eq!((portfolio, anytime), (None, false));
                 assert_eq!(format, OutputFormat::Text);
                 assert_eq!(trace, None);
                 assert!(!verbose);
             }
             other => panic!("unexpected {other:?}"),
+        }
+        // A given count: 0 is all cores, 1 the serial search, n a fixed pool.
+        for (n, expected) in [
+            (0, ThreadCount::Auto),
+            (1, ThreadCount::Serial),
+            (3, ThreadCount::Fixed(3)),
+        ] {
+            match parse(&argv(&format!("solve --graph g --threads {n}"))).unwrap() {
+                Command::Solve { threads, .. } => assert_eq!(threads, expected, "{n}"),
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 
@@ -882,15 +785,12 @@ mod tests {
         match cmd {
             Command::Solve {
                 input,
-                k,
-                delta,
+                model,
                 bound,
                 basic,
                 no_heuristic,
-                fairness,
                 threads,
-                time_limit,
-                node_limit,
+                budget,
                 top,
                 portfolio,
                 anytime,
@@ -905,13 +805,12 @@ mod tests {
                         attributes: Some("a.txt".into())
                     }
                 );
-                assert_eq!((k, delta), (4, 2));
+                assert_eq!(model, FairnessModel::Strong { k: 4 });
                 assert_eq!(bound, ExtraBound::ColorfulPath);
                 assert!(basic && no_heuristic);
-                assert_eq!(fairness, Fairness::Strong);
-                assert_eq!(threads, Some(4));
-                assert_eq!(time_limit, Some(2.5));
-                assert_eq!(node_limit, Some(1000));
+                assert_eq!(threads, ThreadCount::Fixed(4));
+                assert_eq!(budget.time_limit, Some(Duration::from_millis(2500)));
+                assert_eq!(budget.node_limit, Some(1000));
                 assert_eq!(top, Some(3));
                 assert_eq!((portfolio, anytime), (Some(6), true));
                 assert_eq!(format, OutputFormat::Json);
@@ -944,18 +843,21 @@ mod tests {
         // returned its default before the fallback could run).
         for sub in ["solve", "enumerate", "heuristic"] {
             let cmd = parse(&argv(&format!("{sub} --graph g.graph -k 2 --delta 3"))).unwrap();
-            let delta = match cmd {
-                Command::Solve { delta, .. }
-                | Command::Enumerate { delta, .. }
-                | Command::Heuristic { delta, .. } => delta,
+            let model = match cmd {
+                Command::Solve { model, .. }
+                | Command::Enumerate { model, .. }
+                | Command::Heuristic { model, .. } => model,
                 other => panic!("unexpected {other:?}"),
             };
-            assert_eq!(delta, 3, "{sub}");
+            assert_eq!(model, FairnessModel::Relative { k: 2, delta: 3 }, "{sub}");
         }
         // `-d` wins when both are given (it is listed first).
         assert!(matches!(
             parse(&argv("solve --graph g -d 2 --delta 9")).unwrap(),
-            Command::Solve { delta: 2, .. }
+            Command::Solve {
+                model: FairnessModel::Relative { delta: 2, .. },
+                ..
+            }
         ));
     }
 
@@ -964,23 +866,19 @@ mod tests {
         match parse(&argv("enumerate --graph g.graph")).unwrap() {
             Command::Enumerate {
                 input,
-                k,
-                delta,
-                fairness,
+                model,
                 limit,
                 min_size,
                 format,
                 threads,
-                time_limit,
-                node_limit,
+                budget,
                 trace,
             } => {
                 assert_eq!(input, GraphInput::Combined("g.graph".into()));
-                assert_eq!((k, delta), (2, 1));
-                assert_eq!(fairness, Fairness::Relative);
+                assert_eq!(model, FairnessModel::Relative { k: 2, delta: 1 });
                 assert_eq!((limit, min_size), (None, 0));
                 assert_eq!(format, OutputFormat::Text);
-                assert_eq!((threads, time_limit, node_limit), (None, None, None));
+                assert_eq!((threads, budget), (ThreadCount::Auto, Budget::unlimited()));
                 assert_eq!(trace, None);
             }
             other => panic!("unexpected {other:?}"),
@@ -991,25 +889,22 @@ mod tests {
         .unwrap()
         {
             Command::Enumerate {
-                k,
-                fairness,
+                model,
                 limit,
                 min_size,
                 format,
                 threads,
-                time_limit,
-                node_limit,
+                budget,
                 trace,
                 ..
             } => {
-                assert_eq!(k, 3);
-                assert_eq!(fairness, Fairness::Weak);
+                assert_eq!(model, FairnessModel::Weak { k: 3 });
                 assert_eq!(limit, Some(10));
                 assert_eq!(min_size, 8);
                 assert_eq!(format, OutputFormat::Jsonl);
-                assert_eq!(threads, Some(2));
-                assert_eq!(time_limit, Some(1.5));
-                assert_eq!(node_limit, Some(99));
+                assert_eq!(threads, ThreadCount::Fixed(2));
+                assert_eq!(budget.time_limit, Some(Duration::from_millis(1500)));
+                assert_eq!(budget.node_limit, Some(99));
                 assert_eq!(trace.as_deref(), Some("t.jsonl"));
             }
             other => panic!("unexpected {other:?}"),
@@ -1022,16 +917,14 @@ mod tests {
             parse(&argv("heuristic --graph g.graph -k 3 -d 2 --seeds 16")).unwrap(),
             Command::Heuristic {
                 seeds: 16,
-                k: 3,
-                delta: 2,
-                fairness: Fairness::Relative,
+                model: FairnessModel::Relative { k: 3, delta: 2 },
                 ..
             }
         ));
         assert!(matches!(
             parse(&argv("heuristic --graph g.graph -k 3 --weak")).unwrap(),
             Command::Heuristic {
-                fairness: Fairness::Weak,
+                model: FairnessModel::Weak { k: 3 },
                 ..
             }
         ));
@@ -1106,19 +999,16 @@ mod tests {
             Command::Update {
                 input,
                 stream,
-                k,
-                delta,
-                fairness,
+                model,
                 enumerate,
                 threads,
                 trace,
             } => {
                 assert_eq!(input, GraphInput::Combined("g.graph".into()));
                 assert_eq!(stream, "s.jsonl");
-                assert_eq!((k, delta), (3, 2));
-                assert_eq!(fairness, Fairness::Strong);
+                assert_eq!(model, FairnessModel::Strong { k: 3 });
                 assert!(enumerate);
-                assert_eq!(threads, Some(2));
+                assert_eq!(threads, ThreadCount::Fixed(2));
                 assert_eq!(trace, None);
             }
             other => panic!("unexpected {other:?}"),
@@ -1126,11 +1016,9 @@ mod tests {
         assert!(matches!(
             parse(&argv("update --edges e.txt --stream s.jsonl")).unwrap(),
             Command::Update {
-                k: 2,
-                delta: 1,
-                fairness: Fairness::Relative,
+                model: FairnessModel::Relative { k: 2, delta: 1 },
                 enumerate: false,
-                threads: None,
+                threads: ThreadCount::Auto,
                 ..
             }
         ));
@@ -1174,28 +1062,29 @@ mod tests {
                 assert_eq!(port, 0);
                 assert_eq!((max_active, max_queue), (2, 1));
                 assert_eq!(cache_cap, Some(64));
-                assert_eq!(time_limit, Some(0.5));
+                assert_eq!(time_limit, Some(Duration::from_millis(500)));
             }
             other => panic!("unexpected {other:?}"),
         }
         match parse(&argv(
-            "client --connect 127.0.0.1:7464 --solve g -k 3 -d 2 --top 5 --node-limit 100",
+            "client --connect 127.0.0.1:7464 --solve g -k 3 -d 2 --top 5 --node-limit 100 --time-limit 0.0015",
         ))
         .unwrap()
         {
             Command::Client { connect, action } => {
                 assert_eq!(connect, "127.0.0.1:7464");
+                // The wire's milliseconds round up: 1.5 ms asks for 2.
                 assert_eq!(
                     action,
-                    ClientAction::Solve {
+                    ClientAction::Send(Request::Solve {
                         graph: "g".into(),
-                        k: 3,
-                        delta: 2,
-                        fairness: Fairness::Relative,
-                        top: Some(5),
-                        time_limit: None,
-                        node_limit: Some(100),
-                    }
+                        spec: QuerySpec {
+                            top: Some(5),
+                            time_limit_ms: Some(2),
+                            node_limit: Some(100),
+                            ..QuerySpec::new(FairnessModel::Relative { k: 3, delta: 2 })
+                        },
+                    })
                 );
             }
             other => panic!("unexpected {other:?}"),
@@ -1207,26 +1096,19 @@ mod tests {
         .unwrap()
         {
             Command::Client {
-                action:
-                    ClientAction::Enumerate {
-                        graph,
-                        fairness,
-                        limit,
-                        min_size,
-                        ..
-                    },
+                action: ClientAction::Send(Request::Enumerate { graph, spec }),
                 ..
             } => {
                 assert_eq!(graph, "g");
-                assert_eq!(fairness, Fairness::Weak);
-                assert_eq!((limit, min_size), (Some(10), 4));
+                assert_eq!(spec.model, FairnessModel::Weak { k: 2 });
+                assert_eq!((spec.limit, spec.min_size), (Some(10), 4));
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(
             parse(&argv("client --connect h:1 --load g --path /tmp/g.graph")).unwrap(),
             Command::Client {
-                action: ClientAction::Load { .. },
+                action: ClientAction::Send(Request::Load { .. }),
                 ..
             }
         ));
@@ -1240,21 +1122,21 @@ mod tests {
         assert!(matches!(
             parse(&argv("client --connect h:1 --stats")).unwrap(),
             Command::Client {
-                action: ClientAction::Stats,
+                action: ClientAction::Send(Request::Stats),
                 ..
             }
         ));
         assert!(matches!(
             parse(&argv("client --connect h:1 --metrics")).unwrap(),
             Command::Client {
-                action: ClientAction::Metrics,
+                action: ClientAction::Send(Request::Metrics),
                 ..
             }
         ));
         assert!(matches!(
             parse(&argv("client --connect h:1 --shutdown")).unwrap(),
             Command::Client {
-                action: ClientAction::Shutdown,
+                action: ClientAction::Send(Request::Shutdown),
                 ..
             }
         ));
@@ -1274,6 +1156,12 @@ mod tests {
         assert!(parse(&argv("client --connect h:1 --solve g --top 0")).is_err());
         assert!(parse(&argv("client --connect h:1 --enumerate g --limit 0")).is_err());
         assert!(parse(&argv("client --connect h:1 --solve g --weak --strong")).is_err());
+        // Out of `Duration`'s range, and out of the wire's u64 milliseconds.
+        assert!(parse(&argv("client --connect h:1 --solve g --time-limit 2e19")).is_err());
+        assert!(parse(&argv(
+            "client --connect h:1 --enumerate g --time-limit 1e19"
+        ))
+        .is_err());
     }
 
     #[test]
@@ -1289,6 +1177,7 @@ mod tests {
         assert!(parse(&argv("heuristic --graph g --weak --strong")).is_err());
         assert!(parse(&argv("solve --graph g --time-limit fast")).is_err());
         assert!(parse(&argv("solve --graph g --time-limit -1")).is_err());
+        assert!(parse(&argv("solve --graph g --time-limit inf")).is_err());
         assert!(parse(&argv("solve --graph g --node-limit many")).is_err());
         assert!(parse(&argv("solve --graph g --top 0")).is_err());
         assert!(parse(&argv("solve --graph g --top three")).is_err());

@@ -2,21 +2,19 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::time::Duration;
 
 use rfc_core::bounds::BoundConfig;
 use rfc_core::dynamic::DynamicRfcSolver;
 use rfc_core::enumerate::{
-    clique_json, CliqueSink, CountSink, EnumOutcome, EnumQuery, EnumTermination, JsonlSink,
-    LimitSink, SinkFlow,
+    CliqueSink, CountSink, EnumOutcome, EnumQuery, EnumTermination, JsonlSink, LimitSink, SinkFlow,
 };
-use rfc_core::heuristic::HeuristicConfig;
-use rfc_core::portfolio::PortfolioConfig;
+use rfc_core::heuristic::{HeuristicConfig, HeuristicOutcome};
+use rfc_core::portfolio::{PortfolioConfig, PortfolioOutcome};
 use rfc_core::problem::{FairClique, FairCliqueParams, FairnessModel};
 use rfc_core::reduction::streaming::reduce_store;
 use rfc_core::reduction::{apply_reductions, ReductionConfig};
 use rfc_core::scale::ScaleSolver;
-use rfc_core::search::{SearchConfig, ThreadCount};
+use rfc_core::search::SearchConfig;
 use rfc_core::solver::{Budget, Objective, Query, RfcSolver, Solution, Termination};
 use rfc_core::verify;
 use rfc_datasets::case_study::CaseStudy;
@@ -30,10 +28,10 @@ use rfc_graph::AttributedGraph;
 
 use rfc_graph::json::JsonValue;
 use rfc_serve::engine::EngineConfig;
-use rfc_serve::protocol::{self, EnumSpec, QuerySpec, Request};
+use rfc_serve::protocol::{self, Request};
 use rfc_serve::server::{ServeConfig, Server};
 
-use crate::args::{ClientAction, Command, Fairness, GraphInput, OutputFormat, USAGE};
+use crate::args::{ClientAction, Command, GraphInput, OutputFormat, USAGE};
 use crate::output::{errln, outln, Output};
 
 /// Returns the path when the input is a binary `.rfcg` store (routed through the
@@ -50,50 +48,6 @@ fn open_rfcg(path: &str) -> Result<DiskCsr, String> {
     DiskCsr::open(path).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Builds a [`ScaleSolver`] (out-of-core peel + residual extraction) over a store,
-/// reporting the store → residual shrink under `--verbose`. The CLI budget also
-/// covers this construction phase: a `--time-limit` that expires mid-peel
-/// surfaces as a clean `budget exhausted` error instead of an unbounded scan.
-fn scale_solver(
-    out: &mut Output,
-    path: &str,
-    store: &DiskCsr,
-    k: usize,
-    budget: &Budget,
-    verbose: bool,
-) -> Result<ScaleSolver, String> {
-    let solver = ScaleSolver::from_store_budgeted(store, k, budget, None).map_err(|e| match e {
-        rfc_core::scale::ScaleError::BudgetExhausted => format!(
-            "{path}: budget exhausted during the out-of-core reduction \
-                 (raise --time-limit / --node-limit)"
-        ),
-        other => format!("{path}: {other}"),
-    })?;
-    if verbose {
-        let s = solver.stats();
-        outln!(
-            out,
-            "scale tier: store {} vertices / {} edges -> peel survivors {} -> \
-             residual {} vertices / {} edges ({} µs scan, {} µs cascade, {} µs extract)",
-            s.store_vertices,
-            s.store_edges,
-            s.peel.surviving_vertices,
-            s.residual_vertices,
-            s.residual_edges,
-            s.peel.scan_micros,
-            s.peel.cascade_micros,
-            s.extract_micros
-        );
-        outln!(
-            out,
-            "resident bytes: store {} (streaming), residual graph {}",
-            store.resident_bytes(),
-            solver.residual_resident_bytes()
-        );
-    }
-    Ok(solver)
-}
-
 /// Either of the two solver backends: in-memory, or scale-tier over a `.rfcg`
 /// store. Both answer the same queries; the scale variant reports store ids.
 enum AnySolver {
@@ -104,6 +58,100 @@ enum AnySolver {
 }
 
 impl AnySolver {
+    /// Opens the input graph: a `.rfcg` store through the scale tier (out-of-core
+    /// peel + residual extraction), any other input in memory. `budget` also
+    /// covers the scale tier's construction: a `--time-limit` that expires
+    /// mid-peel surfaces as a clean `budget exhausted` error instead of an
+    /// unbounded scan. `verbose` prints the memory footprint and a store's shrink
+    /// to its residual.
+    fn open(
+        out: &mut Output,
+        input: &GraphInput,
+        k: usize,
+        budget: &Budget,
+        verbose: bool,
+    ) -> Result<AnySolver, String> {
+        if let Some(path) = rfcg_path(input) {
+            let store = open_rfcg(path)?;
+            let solver =
+                ScaleSolver::from_store_budgeted(&store, k, budget, None).map_err(|e| match e {
+                    rfc_core::scale::ScaleError::BudgetExhausted => format!(
+                        "{path}: budget exhausted during the out-of-core reduction \
+                         (raise --time-limit / --node-limit)"
+                    ),
+                    other => format!("{path}: {other}"),
+                })?;
+            if verbose {
+                let s = solver.stats();
+                outln!(
+                    out,
+                    "scale tier: store {} vertices / {} edges -> peel survivors {} -> \
+                     residual {} vertices / {} edges ({} µs scan, {} µs cascade, {} µs extract)",
+                    s.store_vertices,
+                    s.store_edges,
+                    s.peel.surviving_vertices,
+                    s.residual_vertices,
+                    s.residual_edges,
+                    s.peel.scan_micros,
+                    s.peel.cascade_micros,
+                    s.extract_micros
+                );
+                outln!(
+                    out,
+                    "resident bytes: store {} (streaming), residual graph {}",
+                    store.resident_bytes(),
+                    solver.residual_resident_bytes()
+                );
+            }
+            return Ok(AnySolver::Scale(solver));
+        }
+        let graph = load_graph(input)?;
+        if verbose {
+            let stats = graph.stats();
+            outln!(
+                out,
+                "memory: csr {} bytes, dense bit-matrix {} bytes if built",
+                stats.csr_bytes,
+                stats.bitmatrix_bytes
+            );
+        }
+        Ok(AnySolver::Mem(RfcSolver::new(graph)))
+    }
+
+    /// Solves the query, racing `portfolio` when one is given; without one the
+    /// outcome has no member reports.
+    fn solve(
+        &self,
+        query: &Query,
+        portfolio: Option<&PortfolioConfig>,
+    ) -> Result<PortfolioOutcome, String> {
+        let alone = |solution| PortfolioOutcome {
+            solution,
+            members: Vec::new(),
+        };
+        match (self, portfolio) {
+            (AnySolver::Mem(solver), Some(config)) => solver
+                .solve_portfolio(query, config)
+                .map_err(|e| e.to_string()),
+            (AnySolver::Scale(solver), Some(config)) => solver
+                .solve_portfolio(query, config)
+                .map_err(|e| e.to_string()),
+            (AnySolver::Mem(solver), None) => {
+                solver.solve(query).map(alone).map_err(|e| e.to_string())
+            }
+            (AnySolver::Scale(solver), None) => {
+                solver.solve(query).map(alone).map_err(|e| e.to_string())
+            }
+        }
+    }
+
+    fn heuristic(&self, query: &Query) -> Result<HeuristicOutcome, String> {
+        match self {
+            AnySolver::Mem(solver) => solver.heuristic(query).map_err(|e| e.to_string()),
+            AnySolver::Scale(solver) => solver.heuristic(query).map_err(|e| e.to_string()),
+        }
+    }
+
     fn enumerate(
         &self,
         query: &EnumQuery,
@@ -129,41 +177,6 @@ fn install_trace(trace: Option<&str>) -> Result<Option<rfc_obs::trace::TraceGuar
     }
 }
 
-/// Maps the CLI `--threads N` value onto a search [`ThreadCount`]: absent or `0` means
-/// all cores, `1` means the deterministic serial path, anything else a fixed pool.
-fn thread_count(threads: Option<usize>) -> ThreadCount {
-    match threads {
-        None | Some(0) => ThreadCount::Auto,
-        Some(1) => ThreadCount::Serial,
-        Some(n) => ThreadCount::Fixed(n),
-    }
-}
-
-/// Maps the CLI fairness selection onto the core's first-class [`FairnessModel`] —
-/// the weak/strong δ handling lives in `rfc_core` now, not here.
-fn fairness_model(fairness: Fairness, k: usize, delta: usize) -> FairnessModel {
-    match fairness {
-        Fairness::Relative => FairnessModel::Relative { k, delta },
-        Fairness::Weak => FairnessModel::Weak { k },
-        Fairness::Strong => FairnessModel::Strong { k },
-    }
-}
-
-/// Builds a search/enumeration [`Budget`] from the CLI's `--time-limit`/`--node-limit`
-/// values, rejecting time limits beyond what [`Duration`] can represent.
-fn build_budget(time_limit: Option<f64>, node_limit: Option<u64>) -> Result<Budget, String> {
-    let mut budget = Budget::unlimited();
-    if let Some(secs) = time_limit {
-        let limit = Duration::try_from_secs_f64(secs)
-            .map_err(|_| format!("`--time-limit {secs}` is out of range"))?;
-        budget = budget.with_time_limit(limit);
-    }
-    if let Some(nodes) = node_limit {
-        budget = budget.with_node_limit(nodes);
-    }
-    Ok(budget)
-}
-
 /// One-line human description of how an enumeration run ended. A sink-driven stop
 /// is only attributed to `--limit` when that limit was actually given and reached
 /// (the JSONL sink also stops on a consumer-closed pipe).
@@ -181,52 +194,15 @@ fn enum_termination_desc(
     }
 }
 
-/// Renders a [`Solution`] as one machine-readable JSON object (the `solve
-/// --format json` output).
-fn solution_json(model: FairnessModel, solution: &Solution) -> String {
-    use std::fmt::Write as _;
-    let termination = protocol::termination_str(solution.termination);
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"model\":\"{}\",\"termination\":\"{termination}\",\"cliques\":[",
+/// The `solve --format json` object: the model, then the same fields as the
+/// daemon's `solve` line ([`protocol::write_solution`]).
+fn solve_json(model: FairnessModel, solution: &Solution) -> String {
+    let mut json = format!(
+        "{{\"model\":\"{}\",",
         rfc_graph::json::escaped(&model.to_string())
     );
-    for (i, clique) in solution.cliques.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&clique_json(clique));
-    }
-    let stats = &solution.stats;
-    let heuristic = stats
-        .heuristic_size
-        .map_or_else(|| "null".to_string(), |n| n.to_string());
-    let _ = write!(
-        s,
-        "],\"stats\":{{\"branches\":{},\"bound_prunes\":{},\"feasibility_prunes\":{},\
-         \"components\":{},\"elapsed_us\":{},\"cpu_us\":{},\"reduction\":{{\"original_edges\":{},\
-         \"final_edges\":{}}}}},\"heuristic_size\":{},\"upper_bound\":{},\
-         \"optimality_gap\":{},\"reduction_cache_hit\":{}}}",
-        stats.branches,
-        stats.bound_prunes,
-        stats.feasibility_prunes,
-        stats.components_searched,
-        stats.elapsed_micros,
-        stats.cpu_micros,
-        stats.reduction.original_edges,
-        stats.reduction.final_edges(),
-        heuristic,
-        opt_usize_json(solution.upper_bound),
-        opt_usize_json(solution.optimality_gap()),
-        solution.reduction_cache_hit,
-    );
-    s
-}
-
-/// `Option<usize>` as a JSON number or `null`.
-fn opt_usize_json(value: Option<usize>) -> String {
-    value.map_or_else(|| "null".to_string(), |n| n.to_string())
+    protocol::write_solution(&mut json, solution);
+    json
 }
 
 /// Runs a parsed command, returning a human-readable error on failure.
@@ -281,15 +257,12 @@ pub fn run(command: Command) -> Result<(), String> {
         }
         Command::Solve {
             input,
-            k,
-            delta,
+            model,
             bound,
             basic,
             no_heuristic,
-            fairness,
             threads,
-            time_limit,
-            node_limit,
+            budget,
             top,
             portfolio,
             anytime,
@@ -298,7 +271,6 @@ pub fn run(command: Command) -> Result<(), String> {
             verbose,
         } => {
             let _trace_guard = install_trace(trace.as_deref())?;
-            let model = fairness_model(fairness, k, delta);
             let config = if basic {
                 SearchConfig::basic()
             } else {
@@ -308,46 +280,15 @@ pub fn run(command: Command) -> Result<(), String> {
                     ..SearchConfig::default()
                 }
             }
-            .with_threads(thread_count(threads));
-            let budget = build_budget(time_limit, node_limit)?;
+            .with_threads(threads);
             let mut query = Query::new(model).with_config(config).with_budget(budget);
             if let Some(n) = top {
                 query = query.with_objective(Objective::TopK(n));
             }
             let racing = portfolio.map(|n| PortfolioConfig::new(n).with_anytime(anytime));
-            let (solution, members) = if let Some(path) = rfcg_path(&input) {
-                let store = open_rfcg(path)?;
-                let solver = scale_solver(&mut out, path, &store, model.k(), &budget, verbose)?;
-                match &racing {
-                    Some(cfg) => {
-                        let outcome = solver
-                            .solve_portfolio(&query, cfg)
-                            .map_err(|e| e.to_string())?;
-                        (outcome.solution, outcome.members)
-                    }
-                    None => (solver.solve(&query).map_err(|e| e.to_string())?, Vec::new()),
-                }
-            } else {
-                let graph = load_graph(&input)?;
-                if verbose {
-                    let stats = graph.stats();
-                    outln!(
-                        out,
-                        "memory: csr {} bytes, dense bit-matrix {} bytes if built",
-                        stats.csr_bytes,
-                        stats.bitmatrix_bytes
-                    );
-                }
-                let solver = RfcSolver::new(graph);
-                let (solution, members) = match &racing {
-                    Some(cfg) => {
-                        let outcome = solver
-                            .solve_portfolio(&query, cfg)
-                            .map_err(|e| e.to_string())?;
-                        (outcome.solution, outcome.members)
-                    }
-                    None => (solver.solve(&query).map_err(|e| e.to_string())?, Vec::new()),
-                };
+            let solver = AnySolver::open(&mut out, &input, model.k(), &budget, verbose)?;
+            let PortfolioOutcome { solution, members } = solver.solve(&query, racing.as_ref())?;
+            if let AnySolver::Mem(solver) = &solver {
                 for clique in &solution.cliques {
                     debug_assert!(verify::is_fair_clique_under(
                         solver.graph(),
@@ -355,11 +296,10 @@ pub fn run(command: Command) -> Result<(), String> {
                         model
                     ));
                 }
-                (solution, members)
-            };
+            }
 
             if format == OutputFormat::Json {
-                outln!(out, "{}", solution_json(model, &solution));
+                outln!(out, "{}", solve_json(model, &solution));
                 return Ok(());
             }
             outln!(out, "model: {model} fairness");
@@ -441,37 +381,20 @@ pub fn run(command: Command) -> Result<(), String> {
         }
         Command::Enumerate {
             input,
-            k,
-            delta,
-            fairness,
+            model,
             limit,
             min_size,
             format,
             threads,
-            time_limit,
-            node_limit,
+            budget,
             trace,
         } => {
             let _trace_guard = install_trace(trace.as_deref())?;
-            let model = fairness_model(fairness, k, delta);
-            let budget = build_budget(time_limit, node_limit)?;
             let query = EnumQuery::new(model)
                 .with_min_size(min_size)
                 .with_budget(budget)
-                .with_threads(thread_count(threads));
-            let solver = if let Some(path) = rfcg_path(&input) {
-                let store = open_rfcg(path)?;
-                AnySolver::Scale(scale_solver(
-                    &mut out,
-                    path,
-                    &store,
-                    model.k(),
-                    &budget,
-                    false,
-                )?)
-            } else {
-                AnySolver::Mem(RfcSolver::new(load_graph(&input)?))
-            };
+                .with_threads(threads);
+            let solver = AnySolver::open(&mut out, &input, model.k(), &budget, false)?;
 
             match format {
                 OutputFormat::Jsonl => {
@@ -550,20 +473,17 @@ pub fn run(command: Command) -> Result<(), String> {
         Command::Update {
             input,
             stream,
-            k,
-            delta,
-            fairness,
+            model,
             enumerate,
             threads,
             trace,
         } => {
             let _trace_guard = install_trace(trace.as_deref())?;
             let graph = load_graph(&input)?;
-            let model = fairness_model(fairness, k, delta);
             let ops = load_update_stream(&stream)?;
-            let config = SearchConfig::default().with_threads(thread_count(threads));
+            let config = SearchConfig::default().with_threads(threads);
             let query = Query::new(model).with_config(config);
-            let enum_query = EnumQuery::new(model).with_threads(thread_count(threads));
+            let enum_query = EnumQuery::new(model).with_threads(threads);
             let mut solver = DynamicRfcSolver::new(graph);
             outln!(
                 out,
@@ -638,33 +558,17 @@ pub fn run(command: Command) -> Result<(), String> {
         }
         Command::Heuristic {
             input,
-            k,
-            delta,
+            model,
             seeds,
-            fairness,
         } => {
-            let model = fairness_model(fairness, k, delta);
             let query = Query::new(model).with_config(SearchConfig {
                 heuristic: HeuristicConfig {
                     seeds: seeds.max(1),
                 },
                 ..SearchConfig::default()
             });
-            let outcome = if let Some(path) = rfcg_path(&input) {
-                let store = open_rfcg(path)?;
-                let solver = scale_solver(
-                    &mut out,
-                    path,
-                    &store,
-                    model.k(),
-                    &Budget::unlimited(),
-                    false,
-                )?;
-                solver.heuristic(&query).map_err(|e| e.to_string())?
-            } else {
-                let solver = RfcSolver::new(load_graph(&input)?);
-                solver.heuristic(&query).map_err(|e| e.to_string())?
-            };
+            let solver = AnySolver::open(&mut out, &input, model.k(), &Budget::unlimited(), false)?;
+            let outcome = solver.heuristic(&query)?;
             match &outcome.best {
                 None => outln!(
                     out,
@@ -837,13 +741,6 @@ pub fn run(command: Command) -> Result<(), String> {
             cache_cap,
             time_limit,
         } => {
-            let default_time_limit = match time_limit {
-                None => None,
-                Some(secs) => Some(
-                    Duration::try_from_secs_f64(secs)
-                        .map_err(|_| format!("`--time-limit {secs}` is out of range"))?,
-                ),
-            };
             let server = Server::bind(ServeConfig {
                 host,
                 port,
@@ -851,7 +748,7 @@ pub fn run(command: Command) -> Result<(), String> {
                 max_queue,
                 engine: EngineConfig {
                     cache_capacity: cache_cap,
-                    default_time_limit,
+                    default_time_limit: time_limit,
                 },
                 ..ServeConfig::default()
             })
@@ -866,72 +763,6 @@ pub fn run(command: Command) -> Result<(), String> {
     }
 }
 
-/// Converts the CLI's fractional seconds into the protocol's milliseconds field.
-fn secs_to_ms(time_limit: Option<f64>) -> Option<u64> {
-    time_limit.map(|secs| (secs * 1000.0).ceil() as u64)
-}
-
-/// Builds the protocol line for one client action.
-fn client_request_line(action: ClientAction) -> Result<String, String> {
-    Ok(match action {
-        ClientAction::Load { graph, path } => Request::Load { graph, path }.to_line(),
-        ClientAction::Solve {
-            graph,
-            k,
-            delta,
-            fairness,
-            top,
-            time_limit,
-            node_limit,
-        } => Request::Solve {
-            graph,
-            spec: QuerySpec {
-                model: fairness_model(fairness, k, delta),
-                top,
-                time_limit_ms: secs_to_ms(time_limit),
-                node_limit,
-                threads: None,
-                portfolio: None,
-                anytime: false,
-            },
-        }
-        .to_line(),
-        ClientAction::Enumerate {
-            graph,
-            k,
-            delta,
-            fairness,
-            limit,
-            min_size,
-            time_limit,
-            node_limit,
-        } => Request::Enumerate {
-            graph,
-            spec: EnumSpec {
-                model: fairness_model(fairness, k, delta),
-                min_size,
-                limit,
-                time_limit_ms: secs_to_ms(time_limit),
-                node_limit,
-                threads: None,
-            },
-        }
-        .to_line(),
-        ClientAction::Update { graph, stream } => {
-            let ops = load_update_stream(&stream)?
-                .into_iter()
-                .map(|(_, op)| op)
-                .collect();
-            Request::Update { graph, ops }.to_line()
-        }
-        ClientAction::Stats => Request::Stats.to_line(),
-        ClientAction::Metrics => Request::Metrics.to_line(),
-        ClientAction::Ping => Request::Ping { sleep_ms: 0 }.to_line(),
-        ClientAction::Shutdown => Request::Shutdown.to_line(),
-        ClientAction::Raw { line } => line,
-    })
-}
-
 /// One request/response round trip against a running daemon. Prints every response
 /// line (stream lines included) pipe-safely; exits non-zero when the terminal line
 /// is an error.
@@ -939,7 +770,17 @@ fn run_client(out: &mut Output, connect: &str, action: ClientAction) -> Result<(
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    let mut line = client_request_line(action)?;
+    let mut line = match action {
+        ClientAction::Send(request) => request.to_line(),
+        ClientAction::Update { graph, stream } => {
+            let ops = load_update_stream(&stream)?
+                .into_iter()
+                .map(|(_, op)| op)
+                .collect();
+            Request::Update { graph, ops }.to_line()
+        }
+        ClientAction::Raw(line) => line,
+    };
     line.push('\n');
     let stream = TcpStream::connect(connect).map_err(|e| format!("{connect}: {e}"))?;
     // One write per request and no Nagle: a split payload/newline write would
@@ -1276,7 +1117,7 @@ mod tests {
         let model = FairnessModel::Relative { k: 3, delta: 1 };
         let solver = RfcSolver::new(graph);
         let solution = solver.solve(&Query::new(model)).unwrap();
-        let json = solution_json(model, &solution);
+        let json = solve_json(model, &solution);
         assert!(json.starts_with("{\"model\":\"relative (k=3, δ=1)\""));
         assert!(json.contains("\"termination\":\"optimal\""));
         assert!(json.contains("\"size\":7"));
@@ -1286,10 +1127,35 @@ mod tests {
         let infeasible = solver
             .solve(&Query::new(FairnessModel::Weak { k: 100 }))
             .unwrap();
-        let json = solution_json(FairnessModel::Weak { k: 100 }, &infeasible);
+        let json = solve_json(FairnessModel::Weak { k: 100 }, &infeasible);
         assert!(json.contains("\"termination\":\"infeasible\""));
         assert!(json.contains("\"cliques\":[]"));
         assert!(json.contains("\"heuristic_size\":null"));
+    }
+
+    /// `solve --format json` and the daemon's `solve` line are one encoder's
+    /// output: once each envelope's own keys are dropped, they parse to the same
+    /// fields in the same order.
+    #[test]
+    fn json_output_and_solve_response_differ_only_in_the_envelope() {
+        let _tracer = shared_tracer();
+        let model = FairnessModel::Relative { k: 3, delta: 1 };
+        let query = Query::new(model).with_objective(Objective::TopK(2));
+        let solver = RfcSolver::new(rfc_graph::fixtures::fig1_graph());
+        let solution = solver.solve(&query).unwrap();
+        let fields = |line: &str, envelope: &[&str]| match JsonValue::parse(line).unwrap() {
+            JsonValue::Object(pairs) => pairs
+                .into_iter()
+                .filter(|(key, _)| !envelope.contains(&key.as_str()))
+                .collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        let cli = fields(&solve_json(model, &solution), &["model"]);
+        let daemon = fields(
+            &protocol::solve_response("fig1", &solution),
+            &["ok", "op", "graph"],
+        );
+        assert_eq!(cli, daemon);
     }
 
     #[test]
@@ -1320,11 +1186,11 @@ mod tests {
         let edges_path = temp_path("limit_edges.txt");
         std::fs::write(&edges_path, "0 1\n").unwrap();
         let edges_arg = edges_path.to_string_lossy().to_string();
-        // Parses as a finite f64 but exceeds what Duration can represent.
-        let err = run(parse(&argv(&format!(
+        // Parses as a finite f64 but exceeds what Duration can represent: a usage
+        // error at parse time.
+        let err = parse(&argv(&format!(
             "solve --edges {edges_arg} -k 1 -d 0 --time-limit 2e19"
         )))
-        .unwrap())
         .unwrap_err();
         assert!(err.contains("--time-limit"), "{err}");
         // A representable-but-astronomical limit behaves as unlimited (no panic).

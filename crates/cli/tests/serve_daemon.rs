@@ -1,15 +1,19 @@
 //! Integration test of the real `maxfairclique serve` binary: the daemon is
 //! spawned as a child process, driven over TCP, checked against the direct
-//! library API, put through thousands of short connections, and shut down.
+//! library API, put through thousands of short connections, and shut down. The
+//! real `maxfairclique solve` binary is checked against both.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use rfc_core::prelude::*;
+use rfc_datasets::synthetic::{one_big_component, BigComponentConfig};
 use rfc_graph::json::JsonValue;
 use rfc_graph::{fixtures, io::write_graph_to_path};
+use rfc_serve::protocol::{termination_str, QuerySpec, Request};
 
 /// One protocol connection to the daemon.
 struct Client {
@@ -59,7 +63,14 @@ struct Daemon {
 impl Daemon {
     /// Spawns `maxfairclique serve --port 0` and reads the address it prints.
     fn spawn() -> Daemon {
-        let dir = std::env::temp_dir().join(format!("rfc-serve-daemon-{}", std::process::id()));
+        // Tests in this binary run in parallel, and `Drop` deletes the directory,
+        // so every daemon gets its own.
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "rfc-serve-daemon-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let mut child = Command::new(env!("CARGO_BIN_EXE_maxfairclique"))
             .args(["serve", "--port", "0"])
@@ -163,4 +174,181 @@ fn daemon_matches_the_library_serves_many_connections_and_exits_cleanly() {
     assert_eq!(shutdown.get("ok").and_then(JsonValue::as_bool), Some(true));
     let status = daemon.child.wait().unwrap();
     assert!(status.success(), "daemon exit status: {status:?}");
+}
+
+/// One solve answer as the front ends are compared on it: the termination, every
+/// clique's vertex list in order, and the certified bound and gap.
+#[derive(Debug, PartialEq)]
+struct Answer {
+    termination: String,
+    cliques: Vec<Vec<u64>>,
+    upper_bound: Option<u64>,
+    optimality_gap: Option<u64>,
+}
+
+impl Answer {
+    fn of_library(solution: &Solution) -> Answer {
+        let vertices =
+            |clique: &FairClique| clique.vertices.iter().map(|&v| u64::from(v)).collect();
+        Answer {
+            termination: termination_str(solution.termination).to_string(),
+            cliques: solution.cliques.iter().map(vertices).collect(),
+            upper_bound: solution.upper_bound.map(|b| b as u64),
+            optimality_gap: solution.optimality_gap().map(|g| g as u64),
+        }
+    }
+
+    /// Reads a solve object. A missing field panics, so an encoder that drops one
+    /// fails here instead of reading as `null`.
+    fn of_json(value: &JsonValue) -> Answer {
+        let field = |key: &str| {
+            value
+                .get(key)
+                .unwrap_or_else(|| panic!("no `{key}` in {value}"))
+        };
+        let size = |key: &str| match field(key) {
+            JsonValue::Null => None,
+            size => Some(size.as_u64().expect("a size")),
+        };
+        let vertices = |clique: &JsonValue| -> Vec<u64> {
+            let vertices = clique.get("vertices").and_then(JsonValue::as_array);
+            let vertices = vertices.expect("a clique lists its vertices");
+            vertices
+                .iter()
+                .map(|v| v.as_u64().expect("an id"))
+                .collect()
+        };
+        Answer {
+            termination: field("termination").as_str().expect("a string").into(),
+            cliques: field("cliques")
+                .as_array()
+                .expect("an array")
+                .iter()
+                .map(vertices)
+                .collect(),
+            upper_bound: size("upper_bound"),
+            optimality_gap: size("optimality_gap"),
+        }
+    }
+}
+
+/// The 23-vertex graph of `dynamic_consistency`'s top-k tie test: three balanced
+/// 4-cliques in two components, two of which tie for the canonical top 2.
+fn tie_graph() -> AttributedGraph {
+    let mut b = GraphBuilder::new(23);
+    for v in [11, 12, 14, 21, 22] {
+        b.set_attribute(v, Attribute::B);
+    }
+    for clique in [[0, 10, 11, 12], [10, 11, 13, 14], [1, 20, 21, 22]] {
+        for (i, &u) in clique.iter().enumerate() {
+            for &v in &clique[i + 1..] {
+                b.add_edge(u, v);
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Library (`Serial`), the `solve --threads 1 --format json` binary and the
+/// daemon's `solve` (serial by default) give one answer: termination, cliques in
+/// order, bound and gap, on unbudgeted and budget-bound queries. The budget-bound
+/// input is one component, so the daemon's dynamic solver searches it as the
+/// library does.
+#[test]
+fn library_cli_and_daemon_give_the_same_answer() {
+    // The config of `rfc_bench::workloads::big_component_graph(800, 17)`.
+    let big = BigComponentConfig {
+        n: 800,
+        edge_prob: 16.0 / 800.0,
+        community: 240,
+        community_prob: 0.55,
+        planted_half: 18,
+        prob_a: 0.5,
+    };
+    let graphs = [
+        ("fig1", fixtures::fig1_graph()),
+        ("ties", tie_graph()),
+        ("big", one_big_component(&big, 17).0),
+    ];
+    let relative = |k, delta| FairnessModel::Relative { k, delta };
+    let cases = [
+        ("fig1", relative(3, 1), None, None),
+        ("fig1", FairnessModel::Weak { k: 3 }, None, None),
+        ("fig1", FairnessModel::Strong { k: 3 }, None, None),
+        ("ties", relative(2, 0), Some(2), None),
+        ("big", relative(3, 1), None, Some(0)),
+        ("big", relative(3, 1), Some(3), Some(50)),
+    ];
+
+    let daemon = Daemon::spawn();
+    let mut client = Client::connect(&daemon.addr);
+    for (name, graph) in &graphs {
+        let path = daemon.dir.join(format!("{name}.graph"));
+        write_graph_to_path(graph, &path).unwrap();
+        let load = Request::Load {
+            graph: name.to_string(),
+            path: path.display().to_string(),
+        };
+        let load = client.request(&load.to_line());
+        assert_eq!(load.get("ok").and_then(JsonValue::as_bool), Some(true));
+    }
+
+    for (name, model, top, node_limit) in cases {
+        let case = format!("{name} {model} top {top:?} node limit {node_limit:?}");
+        let graph = &graphs.iter().find(|(n, _)| *n == name).unwrap().1;
+        let mut query = Query::new(model)
+            .with_config(SearchConfig::default().with_threads(ThreadCount::Serial))
+            .with_budget(Budget {
+                time_limit: None,
+                node_limit,
+            });
+        if let Some(n) = top {
+            query = query.with_objective(Objective::TopK(n));
+        }
+        let library = Answer::of_library(&RfcSolver::new(graph.clone()).solve(&query).unwrap());
+
+        let path = daemon.dir.join(format!("{name}.graph"));
+        let mut args = vec![
+            "solve".to_string(),
+            "--graph".into(),
+            path.display().to_string(),
+            "--threads".into(),
+            "1".into(),
+            "--format".into(),
+            "json".into(),
+            "-k".into(),
+            model.k().to_string(),
+        ];
+        match model {
+            FairnessModel::Relative { delta, .. } => args.extend(["-d".into(), delta.to_string()]),
+            FairnessModel::Weak { .. } => args.push("--weak".into()),
+            FairnessModel::Strong { .. } => args.push("--strong".into()),
+        }
+        if let Some(n) = top {
+            args.extend(["--top".into(), n.to_string()]);
+        }
+        if let Some(n) = node_limit {
+            args.extend(["--node-limit".into(), n.to_string()]);
+        }
+        let output = Command::new(env!("CARGO_BIN_EXE_maxfairclique"))
+            .args(&args)
+            .output()
+            .expect("run maxfairclique solve");
+        assert!(output.status.success(), "{case}: {output:?}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        let cli = Answer::of_json(&JsonValue::parse(stdout.trim_end()).expect("one JSON object"));
+
+        let request = Request::Solve {
+            graph: name.to_string(),
+            spec: QuerySpec {
+                top,
+                node_limit,
+                ..QuerySpec::new(model)
+            },
+        };
+        let served = Answer::of_json(&client.request(&request.to_line()));
+
+        assert_eq!(cli, library, "CLI against library, {case}");
+        assert_eq!(served, library, "daemon against library, {case}");
+    }
 }

@@ -79,6 +79,20 @@ impl ThreadCount {
     }
 }
 
+/// A user-given worker count, as the CLI's `--threads` and the daemon's `threads`
+/// field spell it: `0` means all cores, `1` the deterministic serial search, and
+/// any larger `n` a fixed pool of `n` workers. Each front end picks its own default
+/// when the count is absent.
+impl From<usize> for ThreadCount {
+    fn from(threads: usize) -> Self {
+        match threads {
+            0 => ThreadCount::Auto,
+            1 => ThreadCount::Serial,
+            n => ThreadCount::Fixed(n),
+        }
+    }
+}
+
 /// The best fair cliques found so far, shared across component searches (and worker
 /// threads in parallel mode).
 ///

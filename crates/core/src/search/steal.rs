@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// How long an idle worker parks before re-checking for work on its own. Bounds the
@@ -155,10 +155,11 @@ impl<T> Drop for PendingGuard<'_, T> {
 /// caller to merge.
 ///
 /// `run_task(state, spawner, task)` may call [`Spawner::spawn`] to schedule more
-/// tasks; the pool exits when every spawned task has finished. All workers rendezvous
-/// on a barrier before taking work, so no worker can drain the injector before the
-/// others exist — which is also what gives the stress tests their adversarial steal
-/// pressure.
+/// tasks; the pool exits when every spawned task has finished. Workers take work as
+/// soon as they start, and termination rests on `pending` alone, so no worker waits
+/// for another to exist: if the OS refuses a thread, `Scope::spawn` panics, the
+/// workers already running drain the pool, and the scope re-raises the panic
+/// instead of hanging.
 pub(crate) fn run_pool<T, S, F>(
     workers: usize,
     initial: Vec<T>,
@@ -186,16 +187,13 @@ where
         .counters
         .spawned
         .store(seeded as u64, Ordering::Relaxed);
-    let start = Barrier::new(workers);
     let run_task = &run_task;
     let shared = &shared;
-    let start = &start;
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for (worker, mut state) in states.into_iter().enumerate() {
             handles.push(scope.spawn(move || {
-                start.wait();
                 let spawner = Spawner { shared, worker };
                 loop {
                     if let Some(task) = next_task(shared, worker) {
@@ -288,8 +286,9 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     /// Every spawned task must run exactly once, under adversarial steal pressure:
-    /// many tiny tasks, each root fanning out two more generations, with all workers
-    /// released simultaneously by the pool's start barrier.
+    /// many tiny tasks, each root fanning out two more generations, so once the
+    /// injector's roots run out, idle workers must steal the spawned generations
+    /// from each other's deques.
     #[test]
     fn every_task_runs_exactly_once_under_steal_pressure() {
         const ROOTS: usize = 64;

@@ -359,7 +359,7 @@ impl LocalEngine {
         rfc_obs::metrics::global()
             .histogram(&format!(
                 "rfc_request_latency_us{{op=\"{}\"}}",
-                request_op_name(&request)
+                request.op()
             ))
             .observe(started.elapsed().as_micros() as u64);
         let shutdown = matches!(request, Request::Shutdown);
@@ -384,20 +384,6 @@ impl LocalEngine {
         } else {
             Flow::Continue
         })
-    }
-}
-
-/// The wire op name of a request, for the per-op latency histogram label.
-fn request_op_name(request: &Request) -> &'static str {
-    match request {
-        Request::Load { .. } => "load",
-        Request::Solve { .. } => "solve",
-        Request::Enumerate { .. } => "enumerate",
-        Request::Update { .. } => "update",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::Ping { .. } => "ping",
-        Request::Shutdown => "shutdown",
     }
 }
 

@@ -43,6 +43,7 @@
 //! See [`ErrorCode`]; the daemon never answers a malformed or oversized line by
 //! disconnecting — it answers with a typed error and keeps the connection.
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
 use rfc_core::{
@@ -61,10 +62,10 @@ use rfc_core::{CancelToken, SearchConfig};
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// The largest `threads` (solve and enumerate) and `portfolio` a request may ask for.
-/// Each is a count of OS threads the request spawns, and the search starts its
-/// workers at one barrier, so an unbounded value from a client could exhaust the
-/// daemon's threads or memory and leave the graph's lock held. Larger values are
-/// [`ErrorCode::InvalidParams`]. The library's [`ThreadCount`] is not bounded.
+/// Each is a count of OS threads the request spawns, so an unbounded value from a
+/// client could exhaust the daemon's threads or memory while it holds the graph's
+/// lock. Larger values are [`ErrorCode::InvalidParams`]. The library's
+/// [`ThreadCount`] is not bounded.
 pub const MAX_QUERY_THREADS: usize = 256;
 
 /// Typed protocol error codes (the `"error"` field of a failed response).
@@ -311,19 +312,31 @@ impl Request {
         self.to_json().to_string()
     }
 
+    /// The wire name of the request's op: the `"op"` field of its line and the
+    /// `op` label of its latency histogram.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Request::Load { .. } => "load",
+            Request::Solve { .. } => "solve",
+            Request::Enumerate { .. } => "enumerate",
+            Request::Update { .. } => "update",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Ping { .. } => "ping",
+            Request::Shutdown => "shutdown",
+        }
+    }
+
     /// Renders the request as a JSON object.
     pub fn to_json(&self) -> JsonValue {
+        let mut pairs = vec![("op", JsonValue::string(self.op()))];
         match self {
-            Request::Load { graph, path } => JsonValue::object(vec![
-                ("op", JsonValue::string("load")),
-                ("graph", JsonValue::string(graph.clone())),
-                ("path", JsonValue::string(path.clone())),
-            ]),
+            Request::Load { graph, path } => {
+                pairs.push(("graph", JsonValue::string(graph.clone())));
+                pairs.push(("path", JsonValue::string(path.clone())));
+            }
             Request::Solve { graph, spec } => {
-                let mut pairs = vec![
-                    ("op", JsonValue::string("solve")),
-                    ("graph", JsonValue::string(graph.clone())),
-                ];
+                pairs.push(("graph", JsonValue::string(graph.clone())));
                 model_fields(&mut pairs, spec.model);
                 if let Some(top) = spec.top {
                     pairs.push(("top", JsonValue::from(top)));
@@ -340,13 +353,9 @@ impl Request {
                 if spec.anytime {
                     pairs.push(("anytime", JsonValue::from(true)));
                 }
-                JsonValue::object(pairs)
             }
             Request::Enumerate { graph, spec } => {
-                let mut pairs = vec![
-                    ("op", JsonValue::string("enumerate")),
-                    ("graph", JsonValue::string(graph.clone())),
-                ];
+                pairs.push(("graph", JsonValue::string(graph.clone())));
                 model_fields(&mut pairs, spec.model);
                 if spec.min_size > 0 {
                     pairs.push(("min_size", JsonValue::from(spec.min_size)));
@@ -360,27 +369,20 @@ impl Request {
                     spec.node_limit,
                     spec.threads,
                 );
-                JsonValue::object(pairs)
             }
-            Request::Update { graph, ops } => JsonValue::object(vec![
-                ("op", JsonValue::string("update")),
-                ("graph", JsonValue::string(graph.clone())),
-                (
+            Request::Update { graph, ops } => {
+                pairs.push(("graph", JsonValue::string(graph.clone())));
+                pairs.push((
                     "ops",
                     JsonValue::Array(ops.iter().map(UpdateOp::to_json).collect()),
-                ),
-            ]),
-            Request::Stats => JsonValue::object(vec![("op", JsonValue::string("stats"))]),
-            Request::Metrics => JsonValue::object(vec![("op", JsonValue::string("metrics"))]),
-            Request::Ping { sleep_ms } => {
-                let mut pairs = vec![("op", JsonValue::string("ping"))];
-                if *sleep_ms > 0 {
-                    pairs.push(("sleep_ms", JsonValue::from(*sleep_ms)));
-                }
-                JsonValue::object(pairs)
+                ));
             }
-            Request::Shutdown => JsonValue::object(vec![("op", JsonValue::string("shutdown"))]),
+            Request::Ping { sleep_ms } if *sleep_ms > 0 => {
+                pairs.push(("sleep_ms", JsonValue::from(*sleep_ms)));
+            }
+            Request::Stats | Request::Metrics | Request::Ping { .. } | Request::Shutdown => {}
         }
+        JsonValue::object(pairs)
     }
 }
 
@@ -444,7 +446,8 @@ impl QuerySpec {
             self.node_limit,
             default_time_limit,
         ));
-        query.with_config(SearchConfig::default().with_threads(thread_count(self.threads)))
+        let threads = self.threads.map_or(ThreadCount::Serial, ThreadCount::from);
+        query.with_config(SearchConfig::default().with_threads(threads))
     }
 }
 
@@ -483,15 +486,7 @@ impl EnumSpec {
                 default_time_limit,
             ))
             .with_cancel(cancel)
-            .with_threads(thread_count(self.threads))
-    }
-}
-
-fn thread_count(threads: Option<usize>) -> ThreadCount {
-    match threads {
-        None | Some(1) => ThreadCount::Serial,
-        Some(0) => ThreadCount::Auto,
-        Some(n) => ThreadCount::Fixed(n),
+            .with_threads(self.threads.map_or(ThreadCount::Serial, ThreadCount::from))
     }
 }
 
@@ -647,34 +642,60 @@ pub fn enum_termination_str(t: EnumTermination) -> &'static str {
     }
 }
 
-/// Renders the terminal line of a successful `solve`.
+/// Renders the terminal line of a successful `solve`: the envelope
+/// `{"ok":true,"op":"solve","graph":G,` followed by [`write_solution`]'s fields.
 pub fn solve_response(graph: &str, solution: &Solution) -> String {
-    use std::fmt::Write as _;
-    let mut line = String::with_capacity(160);
+    let mut line = String::with_capacity(320);
     let _ = write!(
         line,
-        "{{\"ok\":true,\"op\":\"solve\",\"graph\":\"{}\",\"termination\":\"{}\",\"cliques\":[",
-        escaped(graph),
+        "{{\"ok\":true,\"op\":\"solve\",\"graph\":\"{}\",",
+        escaped(graph)
+    );
+    write_solution(&mut line, solution);
+    line
+}
+
+/// Appends a solve result's fields and the closing `}` to a JSON object whose
+/// opening envelope `out` already holds (ending in `{` or a comma). This is the one
+/// encoding of a [`Solution`]: the daemon's `solve` line and the CLI's
+/// `solve --format json` differ only in their envelopes. The fields, in order:
+/// `termination`, `cliques`, `branches`, `bound_prunes`, `feasibility_prunes`,
+/// `components`, `elapsed_us`, `cpu_us`, `original_edges`, `final_edges`,
+/// `heuristic_size`, `upper_bound`, `optimality_gap` and `reduction_cache_hit`;
+/// the three optional sizes are `null` when absent.
+pub fn write_solution(out: &mut String, solution: &Solution) {
+    let _ = write!(
+        out,
+        "\"termination\":\"{}\",\"cliques\":[",
         termination_str(solution.termination)
     );
     for (i, clique) in solution.cliques.iter().enumerate() {
         if i > 0 {
-            line.push(',');
+            out.push(',');
         }
-        line.push_str(&clique_json(clique));
+        out.push_str(&clique_json(clique));
     }
+    let stats = &solution.stats;
     let opt = |v: Option<usize>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
     let _ = write!(
-        line,
-        "],\"branches\":{},\"elapsed_us\":{},\"upper_bound\":{},\"optimality_gap\":{},\
+        out,
+        "],\"branches\":{},\"bound_prunes\":{},\"feasibility_prunes\":{},\"components\":{},\
+         \"elapsed_us\":{},\"cpu_us\":{},\"original_edges\":{},\"final_edges\":{},\
+         \"heuristic_size\":{},\"upper_bound\":{},\"optimality_gap\":{},\
          \"reduction_cache_hit\":{}}}",
-        solution.stats.branches,
-        solution.stats.elapsed_micros,
+        stats.branches,
+        stats.bound_prunes,
+        stats.feasibility_prunes,
+        stats.components_searched,
+        stats.elapsed_micros,
+        stats.cpu_micros,
+        stats.reduction.original_edges,
+        stats.reduction.final_edges(),
+        opt(stats.heuristic_size),
         opt(solution.upper_bound),
         opt(solution.optimality_gap()),
         solution.reduction_cache_hit
     );
-    line
 }
 
 /// Renders one `enumerate` stream line.
@@ -829,6 +850,22 @@ mod tests {
         let query = spec.to_query(CancelToken::new(), None);
         assert_eq!(query.objective, Objective::TopK(3));
         assert!(!query.budget.is_unlimited());
+        assert_eq!(query.config.threads, ThreadCount::Serial);
+        // Without `threads` a query runs serial; `0` asks for all cores.
+        for (threads, expected) in [(None, ThreadCount::Serial), (Some(0), ThreadCount::Auto)] {
+            let spec = QuerySpec {
+                threads,
+                ..spec.clone()
+            };
+            let query = spec.to_query(CancelToken::new(), None);
+            assert_eq!(query.config.threads, expected, "{threads:?}");
+            let spec = EnumSpec {
+                threads,
+                ..EnumSpec::new(spec.model)
+            };
+            let query = spec.to_query(CancelToken::new(), None);
+            assert_eq!(query.threads, expected, "{threads:?}");
+        }
         // Daemon default applies only when the request sets no time limit.
         let spec = QuerySpec::new(FairnessModel::Weak { k: 2 });
         let query = spec.to_query(CancelToken::new(), Some(Duration::from_secs(1)));
