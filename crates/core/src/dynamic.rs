@@ -25,10 +25,11 @@
 //!    get out of sync. The content carries a keyed digest, computed once when the
 //!    component is built with hash keys the solver draws at construction and keeps
 //!    for life, so hashing a lookup key costs O(1) however large the component. The
-//!    random keys stop clients from crafting colliding graph content. Equality still
-//!    compares the full content, so a hit on a key rebuilt by a commit costs one
-//!    content comparison, and a collision costs one comparison, never a wrong cached
-//!    answer.
+//!    random keys stop clients from crafting colliding graph content. A splice
+//!    carries every clean component's key over, so a hit on a clean component
+//!    compares pointers. Equality otherwise compares the full content: a hit on a
+//!    component a commit rebuilt costs one content comparison, and a collision costs
+//!    one comparison, never a wrong cached answer.
 //!
 //! ## Soundness of the cache invalidation
 //!
@@ -69,6 +70,18 @@
 //! component (uniform high churn) leaves nothing clean to splice or replay, so it
 //! costs about what a full [`RfcSolver::new`](crate::solver::RfcSolver::new) rebuild does.
 //!
+//! A commit itself is linear work over the graph and no sort: the batch is
+//! applied by copying the old edge list in spans around the changed edges into a
+//! fresh CSR, and the greedy coloring behind the O(1) infeasibility gate is redone in
+//! `O(|V| + |E|)`. Each cached reduced graph is then kept or marked stale by looking
+//! up the batch's removed edges in it. The first query on a stale entry splices it:
+//! a breadth-first search from the changed vertices finds the dirty components, the
+//! pipeline reduces them as one compact induced subgraph, and the result is merged
+//! with the old clean slice in one linear pass. Only the dirty components are
+//! canonicalized and digested again; the clean ones keep their entries and keys. A
+//! splice therefore costs the dirty components' reduction plus linear passes, not a
+//! whole-graph reduction.
+//!
 //! Unlike [`RfcSolver`](crate::solver::RfcSolver), the dynamic solver takes `&mut self` on queries (its caches
 //! are plain maps, not lock-protected): keep one solver per thread, or wrap it in a
 //! mutex, for concurrent serving (the `rfc-serve` daemon does the latter — the type
@@ -88,9 +101,9 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use rfc_graph::coloring::greedy_coloring;
-use rfc_graph::components::{components_of_subset, connected_components};
+use rfc_graph::components::components_of_subset;
 use rfc_graph::delta::{DeltaError, GraphDelta, UpdateOp};
-use rfc_graph::subgraph::{induced_subgraph, vertex_filtered_subgraph};
+use rfc_graph::subgraph::induced_subgraph;
 use rfc_graph::{Attribute, AttributedGraph, GraphBuilder, VertexId};
 
 use crate::cache::{CacheStats, LruCache};
@@ -206,10 +219,12 @@ enum EntryState {
         components: Arc<Vec<DynComponent>>,
     },
     /// One or more commits landed inside the reduced graph; `old` is the last sound
-    /// reduction and `changed` accumulates every vertex touched since. The entry is
-    /// spliced lazily on its next use.
+    /// reduction, `components` are its eligible components, and `changed`
+    /// accumulates every vertex touched since. The entry is spliced lazily on its
+    /// next use, which carries the clean components over.
     Stale {
         old: Arc<ReducedEntry>,
+        components: Arc<Vec<DynComponent>>,
         changed: BTreeSet<VertexId>,
     },
 }
@@ -283,8 +298,9 @@ pub struct DynamicRfcSolver {
     commits: u64,
     /// Reduction pipeline executions (full builds and dirty-component splices).
     preprocessing_runs: usize,
-    /// Hash keys of every component digest, drawn once so that a clean component
-    /// rebuilt by a later commit digests the same and still hits the caches.
+    /// Hash keys of every component digest, drawn once so that a component rebuilt
+    /// with unchanged content by a later splice digests the same and still hits
+    /// the caches.
     digest_keys: RandomState,
 }
 
@@ -464,7 +480,7 @@ impl DynamicRfcSolver {
             match &mut entry.state {
                 EntryState::Current {
                     reduced,
-                    components: _,
+                    components,
                 } => {
                     // Kept iff the batch inserts nothing and removes nothing that
                     // survives in R: then R ⊆ G′ ⊆ G and R stays a sound reduction.
@@ -488,9 +504,9 @@ impl DynamicRfcSolver {
                         }
                     } else {
                         invalidated += 1;
-                        let old = Arc::clone(reduced);
                         entry.state = EntryState::Stale {
-                            old,
+                            old: Arc::clone(reduced),
+                            components: Arc::clone(components),
                             changed: changed.iter().copied().collect(),
                         };
                     }
@@ -705,25 +721,32 @@ impl DynamicRfcSolver {
             return Err(ReductionStats::default());
         }
         let params = FairCliqueParams::new(key.0, 0).expect("k >= 1 was validated by the caller");
-        let (reduced, mut solve_cache, mut enum_cache) = match self.entries.remove(key) {
+        let (reduced, components, mut solve_cache, mut enum_cache) = match self.entries.remove(key)
+        {
             None => {
                 let (graph, stats) =
                     apply_reductions_controlled(&self.graph, params, &key.1, Some(ctrl));
                 let Some(graph) = graph else {
                     return Err(stats);
                 };
+                let components = build_components(&graph, params.min_size(), &self.digest_keys);
                 let cache = || LruCache::new(self.cache_capacity);
-                (ReducedEntry { graph, stats }, cache(), cache())
+                (ReducedEntry { graph, stats }, components, cache(), cache())
             }
             Some(DynEntry {
-                state: EntryState::Stale { old, changed },
+                state:
+                    EntryState::Stale {
+                        old,
+                        components,
+                        changed,
+                    },
                 solve_cache,
                 enum_cache,
-            }) => (
-                self.splice(&old, &changed, params, &key.1),
-                solve_cache,
-                enum_cache,
-            ),
+            }) => {
+                let (reduced, components) =
+                    self.splice(&old, &components, &changed, params, &key.1);
+                (reduced, components, solve_cache, enum_cache)
+            }
             Some(DynEntry {
                 state: EntryState::Current { .. },
                 ..
@@ -731,17 +754,14 @@ impl DynamicRfcSolver {
         };
         self.preprocessing_runs += 1;
         let reduced = Arc::new(reduced);
-        let components = Arc::new(build_components(
-            &reduced.graph,
-            params.min_size(),
-            &self.digest_keys,
-        ));
+        let components = Arc::new(components);
         // Drop results for components that no longer exist; identical components
-        // (the clean majority of a splice) keep their entries and will hit.
-        let live: HashSet<&CanonicalComponent> =
-            components.iter().map(|c| c.canon.as_ref()).collect();
-        solve_cache.retain(|k| live.contains(k.2.as_ref()));
-        enum_cache.retain(|k| live.contains(k.2.as_ref()));
+        // (the clean majority of a splice) keep their entries and will hit. A clean
+        // component's key is the `Arc` the cache already holds, so it matches by
+        // pointer without comparing content.
+        let live: HashSet<&Arc<CanonicalComponent>> = components.iter().map(|c| &c.canon).collect();
+        solve_cache.retain(|k| live.contains(&k.2));
+        enum_cache.retain(|k| live.contains(&k.2));
         self.entries.insert(
             *key,
             DynEntry {
@@ -759,45 +779,82 @@ impl DynamicRfcSolver {
     /// Splices a stale reduced graph: re-runs the pipeline on the components of the
     /// committed graph containing a changed vertex and keeps the old reduction's
     /// slice of every clean component (sound — see the [module docs](self)).
+    /// Returns the spliced graph with its eligible components: the clean ones are
+    /// `old_components`' own entries, keys included, and only the dirty ones are
+    /// canonicalized again. The list comes in [`build_components`]' order.
+    ///
+    /// The dirty part is reduced as one compact induced subgraph. Its relabeling
+    /// keeps the id order, so every id tie-break in the pipeline (the coloring
+    /// order above all) falls the same way as in the full id space, where the other
+    /// vertices would be isolated; its reduced edges, mapped back, are the ones a
+    /// reduction of the dirty part in place would keep, and they come out sorted.
     fn splice(
         &self,
         old: &ReducedEntry,
+        old_components: &[DynComponent],
         changed: &BTreeSet<VertexId>,
         params: FairCliqueParams,
         config: &ReductionConfig,
-    ) -> ReducedEntry {
-        let comps = connected_components(&self.graph);
-        let mut dirty_comp = vec![false; comps.num_components];
-        for &v in changed {
-            if let Some(&label) = comps.labels.get(v as usize) {
-                dirty_comp[label as usize] = true;
+    ) -> (ReducedEntry, Vec<DynComponent>) {
+        // The dirty components: every vertex reachable from a changed one.
+        let mut dirty = vec![false; self.graph.num_vertices()];
+        let mut reached: Vec<VertexId> = changed.iter().copied().collect();
+        for &v in &reached {
+            dirty[v as usize] = true;
+        }
+        let mut head = 0;
+        while let Some(&v) = reached.get(head) {
+            head += 1;
+            for &u in self.graph.neighbors(v) {
+                if !dirty[u as usize] {
+                    dirty[u as usize] = true;
+                    reached.push(u);
+                }
             }
         }
-        let dirty: Vec<bool> = comps
-            .labels
-            .iter()
-            .map(|&label| dirty_comp[label as usize])
-            .collect();
 
-        let dirty_sub = vertex_filtered_subgraph(&self.graph, &dirty);
-        let (reduced_dirty, dirty_stats) = apply_reductions(&dirty_sub, params, config);
+        let sub = induced_subgraph(&self.graph, &reached);
+        let (reduced_dirty, dirty_stats) = apply_reductions(&sub.graph, params, config);
+        let original = |v: VertexId| sub.original[v as usize];
 
-        let mut edges: Vec<(VertexId, VertexId)> = old
-            .graph
-            .edge_list()
-            .iter()
-            .copied()
-            .filter(|&(u, _)| !dirty[u as usize])
-            .collect();
-        let clean_edges = edges.len();
+        // A reduced edge never joins a clean and a dirty vertex, so the clean slice
+        // (filtered on `u`) and the dirty run are disjoint sorted lists.
+        let edges = merge_sorted(
+            old.graph
+                .edge_list()
+                .iter()
+                .copied()
+                .filter(|&(u, _)| !dirty[u as usize]),
+            reduced_dirty
+                .edge_list()
+                .iter()
+                .map(|&(u, v)| (original(u), original(v))),
+            |&edge| edge,
+        );
+        let clean_edges = edges.len() - reduced_dirty.num_edges();
         let clean_vertices = (0..old.graph.num_vertices() as VertexId)
             .filter(|&v| old.graph.degree(v) > 0 && !dirty[v as usize])
             .count();
-        edges.extend(reduced_dirty.edge_list().iter().copied());
 
         let mut builder = GraphBuilder::with_attributes(self.graph.attributes().to_vec());
         builder.add_edges(edges);
         let graph = builder.build().expect("spliced edges stay in range");
+
+        // Components never straddle the clean/dirty line either, and both lists
+        // are ordered by smallest vertex, as `build_components` orders them.
+        let components = merge_sorted(
+            old_components
+                .iter()
+                .filter(|c| !dirty[c.vertices[0] as usize])
+                .cloned(),
+            build_components(&reduced_dirty, params.min_size(), &self.digest_keys)
+                .into_iter()
+                .map(|mut c| {
+                    c.vertices.iter_mut().for_each(|v| *v = original(*v));
+                    c
+                }),
+            |c| c.vertices[0],
+        );
 
         let mut stats = dirty_stats;
         stats.original_vertices = self.graph.num_vertices();
@@ -806,8 +863,26 @@ impl DynamicRfcSolver {
             stage.vertices += clean_vertices;
             stage.edges += clean_edges;
         }
-        ReducedEntry { graph, stats }
+        (ReducedEntry { graph, stats }, components)
     }
+}
+
+/// Merges two sequences, each sorted by `key`, into one sorted vector.
+fn merge_sorted<T, K: Ord>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+    key: impl Fn(&T) -> K,
+) -> Vec<T> {
+    let mut b = b.peekable();
+    let mut merged = Vec::with_capacity(a.size_hint().0 + b.size_hint().0);
+    for x in a {
+        while let Some(y) = b.next_if(|y| key(y) < key(&x)) {
+            merged.push(y);
+        }
+        merged.push(x);
+    }
+    merged.extend(b);
+    merged
 }
 
 /// Publishes one commit's splice decisions into the global metrics registry and onto
@@ -1411,6 +1486,225 @@ mod tests {
         assert!(cache.get(&(model, 1, Arc::new(forged))).is_none());
         assert!(cache.get(&(model, 1, Arc::new(rebuilt))).is_some());
         assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+    }
+
+    /// One SplitMix64 step, for seeded inputs without a dev-dependency.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+
+    /// Four disjoint blobs on consecutive ids (40, 50, 60 and 70 vertices). A path
+    /// keeps each connected, random edges fill it, its first 20 ids form a dense
+    /// community, and a balanced 8-clique on its first 8 ids survives every
+    /// reduction at k = 3.
+    fn four_blobs(seed: u64) -> AttributedGraph {
+        let mut state = seed;
+        let mut b = GraphBuilder::new(220);
+        let mut lo = 0u32;
+        for size in [40u32, 50, 60, 70] {
+            let mut draw = |bound: u32| (splitmix(&mut state) % u64::from(bound)) as u32;
+            for v in lo..lo + size {
+                let attr = [Attribute::A, Attribute::B][draw(2) as usize];
+                b.set_attribute(v, attr);
+            }
+            for v in lo + 1..lo + size {
+                b.add_edge(v - 1, v);
+            }
+            for _ in 0..3 * size {
+                b.add_edge(lo + draw(size), lo + draw(size));
+            }
+            for u in lo..lo + 20 {
+                for v in u + 1..lo + 20 {
+                    if draw(4) != 0 {
+                        b.add_edge(u, v);
+                    }
+                }
+            }
+            for u in lo..lo + 8 {
+                b.set_attribute(u, [Attribute::A, Attribute::B][(u % 2) as usize]);
+                b.add_edges((u + 1..lo + 8).map(|v| (u, v)));
+            }
+            lo += size;
+        }
+        b.build().unwrap()
+    }
+
+    /// The current reduced graph and components of the entry for `key`.
+    fn current(
+        solver: &DynamicRfcSolver,
+        key: &EntryKey,
+    ) -> (Arc<ReducedEntry>, Arc<Vec<DynComponent>>) {
+        match &solver.entries[key].state {
+            EntryState::Current {
+                reduced,
+                components,
+            } => (Arc::clone(reduced), Arc::clone(components)),
+            EntryState::Stale { .. } => panic!("the entry was not spliced"),
+        }
+    }
+
+    /// The splice as a whole-graph construction: label the components of `graph`,
+    /// reduce the ones holding a changed vertex in the full vertex space, and
+    /// rebuild the union with the clean slice of `old` through the sorting
+    /// builder. Returns that graph, its stage counts, and the dirty mask.
+    fn full_space_splice(
+        graph: &AttributedGraph,
+        old: &ReducedEntry,
+        changed: &BTreeSet<VertexId>,
+        params: FairCliqueParams,
+        config: &ReductionConfig,
+    ) -> (AttributedGraph, Vec<(usize, usize)>, Vec<bool>) {
+        let comps = rfc_graph::components::connected_components(graph);
+        let mut dirty_comp = vec![false; comps.num_components];
+        for &v in changed {
+            dirty_comp[comps.labels[v as usize] as usize] = true;
+        }
+        let dirty: Vec<bool> = comps
+            .labels
+            .iter()
+            .map(|&l| dirty_comp[l as usize])
+            .collect();
+        let dirty_sub = rfc_graph::subgraph::vertex_filtered_subgraph(graph, &dirty);
+        let (reduced_dirty, stats) = apply_reductions(&dirty_sub, params, config);
+        let clean: Vec<(VertexId, VertexId)> = old
+            .graph
+            .edge_list()
+            .iter()
+            .copied()
+            .filter(|&(u, _)| !dirty[u as usize])
+            .collect();
+        let clean_vertices = old
+            .graph
+            .vertices()
+            .filter(|&v| old.graph.degree(v) > 0 && !dirty[v as usize])
+            .count();
+        let stages = stats
+            .stages
+            .iter()
+            .map(|s| (s.vertices + clean_vertices, s.edges + clean.len()))
+            .collect();
+        let mut b = GraphBuilder::with_attributes(graph.attributes().to_vec());
+        b.add_edges(reduced_dirty.edge_list().iter().copied());
+        b.add_edges(clean);
+        (b.build().unwrap(), stages, dirty)
+    }
+
+    /// Runs a seeded churn inside the first blob of `four_blobs(seed)`, querying
+    /// after every one or two commits, and checks each splice against the
+    /// full-space construction: the same reduced graph and stage counts, the
+    /// components of a fresh [`build_components`] in its order, and the clean
+    /// components' keys carried over pointer-equal. Returns the solve and
+    /// enumerate cache hits and misses.
+    fn check_splices(seed: u64) -> (u64, u64, u64, u64) {
+        let mut solver = DynamicRfcSolver::new(four_blobs(seed));
+        let model = FairnessModel::Relative { k: 3, delta: 1 };
+        let query = serial_query(model);
+        let params = FairCliqueParams::new(3, 0).unwrap();
+        let key: EntryKey = (3, ReductionConfig::default());
+        let enumerate = |solver: &mut DynamicRfcSolver| enumerate_sets_dynamic(solver, model);
+        solver.solve(&query).unwrap();
+        enumerate(&mut solver);
+        // Seeded churn inside the first blob (ids 0..40 plus appended vertices
+        // attached to it); some rounds commit twice before the next query.
+        let mut state = seed ^ 0x5eed;
+        let (mut splices, mut carried) = (0, 0);
+        for round in 0..40u32 {
+            let (old, old_components) = current(&solver, &key);
+            let runs = solver.preprocessing_runs();
+            let mut changed = BTreeSet::new();
+            for _ in 0..1 + round % 3 / 2 {
+                for _ in 0..1 + splitmix(&mut state) % 6 {
+                    let mut draw = |bound: u64| (splitmix(&mut state) % bound) as VertexId;
+                    // Edges mostly land in the dense community (ids 0..20).
+                    let (u, v) = (draw(40), draw(20));
+                    let attr = [Attribute::A, Attribute::B][draw(2) as usize];
+                    match draw(10) {
+                        0..=4 => {
+                            if u != v && solver.insert_edge(u, v).is_err() {
+                                let _ = solver.remove_edge(u, v);
+                            }
+                        }
+                        5 | 6 => {
+                            let _ = solver.remove_vertex(u);
+                        }
+                        7 | 8 => {
+                            let _ = solver.restore_vertex(u, attr);
+                        }
+                        _ => {
+                            let fresh = solver.insert_vertex(attr);
+                            let _ = solver.insert_edge(fresh, u);
+                            let _ = solver.insert_edge(fresh, v);
+                        }
+                    }
+                }
+                changed.extend(solver.delta.changed_vertices());
+                solver.commit();
+            }
+            solver.solve(&query).unwrap();
+            enumerate(&mut solver);
+            let (reduced, components) = current(&solver, &key);
+            if solver.preprocessing_runs() == runs {
+                // Kept wholesale: the components and their keys are untouched.
+                assert!(Arc::ptr_eq(&components, &old_components), "round {round}");
+                continue;
+            }
+            splices += 1;
+            let (graph, stages, dirty) =
+                full_space_splice(solver.graph(), &old, &changed, params, &key.1);
+            assert_eq!(reduced.graph, graph, "round {round}");
+            let spliced: Vec<(usize, usize)> = reduced
+                .stats
+                .stages
+                .iter()
+                .map(|s| (s.vertices, s.edges))
+                .collect();
+            assert_eq!(spliced, stages, "round {round}");
+            let fresh = build_components(&graph, params.min_size(), &solver.digest_keys);
+            assert_eq!(components.len(), fresh.len(), "round {round}");
+            for (got, want) in components.iter().zip(&fresh) {
+                assert_eq!(got.vertices, want.vertices, "round {round}");
+                assert_eq!(got.canon, want.canon, "round {round}");
+            }
+            for before in old_components
+                .iter()
+                .filter(|c| !dirty[c.vertices[0] as usize])
+            {
+                let after = components
+                    .iter()
+                    .find(|c| c.vertices == before.vertices)
+                    .expect("a clean component survives its splice");
+                assert!(Arc::ptr_eq(&after.canon, &before.canon), "round {round}");
+                carried += 1;
+            }
+        }
+        assert!(
+            splices >= 15 && carried >= 3 * splices,
+            "{splices} {carried}"
+        );
+        let stats = solver.cache_stats();
+        (
+            stats.solve.hits,
+            stats.solve.misses,
+            stats.enumerate.hits,
+            stats.enumerate.misses,
+        )
+    }
+
+    #[test]
+    fn splices_match_the_full_space_construction_and_keep_clean_keys() {
+        // The counts are those of the splice that rebuilt every component from its
+        // content; carrying the clean keys over must not move them.
+        for (seed, counts) in [
+            (17, (131, 18, 131, 18)),
+            (18, (130, 19, 130, 19)),
+            (42, (136, 22, 136, 22)),
+        ] {
+            assert_eq!(check_splices(seed), counts, "seed {seed}");
+        }
     }
 
     #[test]

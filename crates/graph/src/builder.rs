@@ -101,6 +101,9 @@ impl GraphBuilder {
     /// Finalizes the builder into an immutable [`AttributedGraph`].
     ///
     /// Self-loops are removed, duplicate edges collapsed, and neighbor lists sorted.
+    /// `O(n + m log m)`, or `O(n + m)` when the edges were added in sorted canonical
+    /// order (`u < v`, lexicographic), as when they come from another graph's
+    /// [`edge_list`](AttributedGraph::edge_list).
     pub fn build(self) -> Result<AttributedGraph, BuildError> {
         let n = self.attributes.len();
         let mut canonical: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.edges.len());
@@ -122,7 +125,10 @@ impl GraphBuilder {
             }
             canonical.push((u.min(v), u.max(v)));
         }
-        canonical.sort_unstable();
+        // Edges taken in order from another graph's edge list need no sort.
+        if !canonical.windows(2).all(|w| w[0] <= w[1]) {
+            canonical.sort_unstable();
+        }
         canonical.dedup();
         Ok(AttributedGraph::from_parts(self.attributes, canonical))
     }

@@ -6,8 +6,9 @@
 //! worlds: it records a batch of updates **against a fixed base graph** in compact
 //! sorted sets, answers "current state" queries (`has_edge`, `is_live`) against the
 //! overlay without rebuilding anything, and [`apply`](GraphDelta::apply)s the whole
-//! batch into a fresh CSR graph in one `O(n + m)` pass when the owner decides to
-//! commit.
+//! batch into a fresh CSR graph when the owner decides to commit. Applying a batch of
+//! `b` recorded changes costs `O(n + m + b log m)`: a span-by-span copy of the base
+//! edge list around the changed edges and one CSR fill, with no sort.
 //!
 //! ## Identity model
 //!
@@ -582,9 +583,12 @@ impl GraphDelta {
 
     /// Rebuilds the overlaid graph as a fresh immutable CSR [`AttributedGraph`]:
     /// base attributes with overrides plus appended vertices, and the base edge list
-    /// minus the dropped edges merged with the inserted ones. `O(n + m)` — both edge
-    /// sets are already canonical and sorted, so this is a pure merge with no
-    /// re-sorting.
+    /// minus the dropped edges merged with the inserted ones. The base list, the
+    /// dropped set and the inserted set are all canonical and sorted, so this is a
+    /// pure merge with no re-sorting: the base list is copied in spans between the
+    /// changed edges, each found by binary search, and the CSR build fills already
+    /// sorted rows. `O(n + m + b log m)` for a batch that changes `b` edges and
+    /// vertices.
     pub fn apply(&self, base: &AttributedGraph) -> AttributedGraph {
         let mut attributes = Vec::with_capacity(self.num_vertices(base));
         attributes.extend_from_slice(base.attributes());
@@ -593,37 +597,26 @@ impl GraphDelta {
             attributes[v as usize] = attr;
         }
 
-        let mut edges =
-            Vec::with_capacity(base.num_edges() - self.dropped.len() + self.inserted.len());
-        let mut kept = base
-            .edge_list()
-            .iter()
-            .copied()
-            .filter(|key| !self.dropped.contains(key))
-            .peekable();
-        let mut added = self.inserted.iter().copied().peekable();
-        loop {
-            match (kept.peek(), added.peek()) {
-                (Some(&a), Some(&b)) => {
-                    if a < b {
-                        edges.push(a);
-                        kept.next();
-                    } else {
-                        edges.push(b);
-                        added.next();
-                    }
-                }
-                (Some(_), None) => {
-                    edges.extend(kept);
-                    break;
-                }
-                (None, Some(_)) => {
-                    edges.extend(added);
-                    break;
-                }
-                (None, None) => break,
-            }
+        // The base list minus the dropped edges, copied span by span between them,
+        // then the inserted edges slotted in the same way.
+        let mut kept = Vec::with_capacity(base.num_edges() - self.dropped.len());
+        let mut rest = base.edge_list();
+        for edge in &self.dropped {
+            let at = rest.partition_point(|e| e < edge);
+            assert_eq!(rest.get(at), Some(edge), "a dropped edge is a base edge");
+            kept.extend_from_slice(&rest[..at]);
+            rest = &rest[at + 1..];
         }
+        kept.extend_from_slice(rest);
+        let mut edges = Vec::with_capacity(kept.len() + self.inserted.len());
+        let mut rest = &kept[..];
+        for edge in &self.inserted {
+            let at = rest.partition_point(|e| e < edge);
+            edges.extend_from_slice(&rest[..at]);
+            edges.push(*edge);
+            rest = &rest[at..];
+        }
+        edges.extend_from_slice(rest);
         AttributedGraph::from_parts(attributes, edges)
     }
 }
@@ -638,6 +631,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::fixtures;
+    use crate::fixtures::seeded::{random_graph, SplitMix64};
 
     fn small() -> AttributedGraph {
         // Balanced K4 (0..4) plus pendant 4 on vertex 3.
@@ -807,6 +801,57 @@ mod tests {
         b.add_edge(fresh, 6);
         b.add_edge(fresh, 7);
         assert_eq!(applied, b.build().unwrap());
+
+        // Seeded multi-op batches against a plain model of the graph, each applied
+        // onto the previous batch's result with its tombstones carried over.
+        for seed in 0..6u64 {
+            let mut rng = SplitMix64(seed);
+            let mut g = random_graph(30 + 10 * seed as usize, 120, seed);
+            let mut attrs = g.attributes().to_vec();
+            let mut edges: BTreeSet<(VertexId, VertexId)> = g.edge_list().iter().copied().collect();
+            let mut tombstones = BTreeSet::new();
+            for _ in 0..8 {
+                let mut d = GraphDelta::with_tombstones(tombstones.clone());
+                for _ in 0..rng.below(40) + 1 {
+                    let n = attrs.len();
+                    let (u, v) = (rng.vertex(n), rng.vertex(n));
+                    let attr = [Attribute::A, Attribute::B][rng.below(2)];
+                    let live = |x: VertexId| !tombstones.contains(&x);
+                    match rng.below(10) {
+                        0..=3 if u != v && live(u) && live(v) => {
+                            if edges.remove(&canonical(u, v)) {
+                                d.remove_edge(&g, u, v).unwrap();
+                            } else {
+                                d.insert_edge(&g, u, v).unwrap();
+                                edges.insert(canonical(u, v));
+                            }
+                        }
+                        4..=5 if live(u) => {
+                            d.remove_vertex(&g, u).unwrap();
+                            edges.retain(|&(a, b)| a != u && b != u);
+                            tombstones.insert(u);
+                        }
+                        6..=7 if !live(u) => {
+                            d.restore_vertex(&g, u, attr).unwrap();
+                            attrs[u as usize] = attr;
+                            tombstones.remove(&u);
+                        }
+                        8 => {
+                            let id = d.insert_vertex(&g, attr);
+                            assert_eq!(id as usize, attrs.len());
+                            attrs.push(attr);
+                        }
+                        _ => {}
+                    }
+                }
+                assert_eq!(d.tombstones(), tombstones);
+                let applied = d.apply(&g);
+                let mut b = GraphBuilder::with_attributes(attrs.clone());
+                b.add_edges(edges.iter().copied());
+                assert_eq!(applied, b.build().unwrap(), "seed {seed}");
+                g = applied;
+            }
+        }
     }
 
     #[test]

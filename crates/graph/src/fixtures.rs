@@ -160,6 +160,58 @@ pub fn fig2_graph() -> AttributedGraph {
     b.build().expect("fig2 fixture must build")
 }
 
+/// Seeded random inputs for the crate's oracle tests. The crate has no
+/// dev-dependencies, so the generator is a bare SplitMix64 stream.
+#[cfg(test)]
+pub(crate) mod seeded {
+    use super::*;
+    use crate::graph::VertexId;
+
+    /// A SplitMix64 stream.
+    pub(crate) struct SplitMix64(pub(crate) u64);
+
+    impl SplitMix64 {
+        /// The next 64 pseudo-random bits.
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+
+        /// A value in `0..bound`; `bound` must be positive.
+        pub(crate) fn below(&mut self, bound: usize) -> usize {
+            (self.next_u64() % bound as u64) as usize
+        }
+
+        /// A vertex id in `0..n`.
+        pub(crate) fn vertex(&mut self, n: usize) -> VertexId {
+            self.below(n) as VertexId
+        }
+    }
+
+    /// A graph on `n` vertices with random attributes and `draws` random vertex
+    /// pairs offered as edges; the builder drops the self-loops and repeats among
+    /// them, and vertices no draw hits stay isolated.
+    pub(crate) fn random_graph(n: usize, draws: usize, seed: u64) -> AttributedGraph {
+        let mut rng = SplitMix64(seed);
+        let mut b = GraphBuilder::new(n);
+        for v in 0..n {
+            if rng.below(2) == 1 {
+                b.set_attribute(v as VertexId, Attribute::B);
+            }
+        }
+        if n > 0 {
+            for _ in 0..draws {
+                let (u, v) = (rng.vertex(n), rng.vertex(n));
+                b.add_edge(u, v);
+            }
+        }
+        b.build().expect("random endpoints are in range")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

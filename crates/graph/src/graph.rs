@@ -36,49 +36,58 @@ pub struct AttributedGraph {
 }
 
 impl AttributedGraph {
-    /// Internal constructor used by [`crate::GraphBuilder`] and [`crate::subgraph`].
+    /// Internal constructor used by [`crate::GraphBuilder`], [`crate::subgraph`] and
+    /// [`crate::delta`]. `O(n + m)`.
     ///
-    /// `edges` must be canonical (`u < v`), sorted, and free of duplicates/self-loops;
-    /// `attributes.len()` is the vertex count.
+    /// `edges` must be canonical (`u < v < n`), sorted, and free of duplicates;
+    /// `attributes.len()` is the vertex count. Filling the rows in that order leaves
+    /// each row sorted without sorting it: vertex `x` first receives its smaller
+    /// neighbors from the edges `(u, x)` in increasing `u`, then its larger ones from
+    /// the edges `(x, v)` in increasing `v`. Row order rests on this precondition, so
+    /// it is checked with debug assertions off too.
+    ///
+    /// # Panics
+    /// Panics if `edges` is not canonical, strictly sorted and in range.
     pub(crate) fn from_parts(attributes: Vec<Attribute>, edges: Vec<(VertexId, VertexId)>) -> Self {
         let n = attributes.len();
-        let mut degrees = vec![0usize; n];
+        // One pass checks the precondition and counts each degree into
+        // `offsets[v + 1]`. Edges compare as `u << 32 | v`, and every canonical key
+        // is above 0, the key of the self-loop (0, 0).
+        let mut offsets = vec![0usize; n + 1];
+        let mut prev = 0u64;
         for &(u, v) in &edges {
-            degrees[u as usize] += 1;
-            degrees[v as usize] += 1;
+            let key = u64::from(u) << 32 | u64::from(v);
+            assert!(
+                u < v && (v as usize) < n && key > prev,
+                "CSR edges must be canonical (u < v < n), sorted and free of duplicates"
+            );
+            prev = key;
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &degrees {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut neighbors = vec![0 as VertexId; acc];
-        let mut edge_ids = vec![0 as EdgeId; acc];
+        let mut neighbors = vec![0 as VertexId; offsets[n]];
+        let mut edge_ids = vec![0 as EdgeId; offsets[n]];
+        // Vertex `u`'s run of edges `(u, ·)` starts once all its smaller neighbors
+        // are in place and no later edge names `u`, so the run fills the rest of
+        // its row through a local index.
         let mut cursor = offsets[..n].to_vec();
+        let (mut row, mut at) = (None, 0);
         for (eid, &(u, v)) in edges.iter().enumerate() {
             let eid = eid as EdgeId;
-            neighbors[cursor[u as usize]] = v;
-            edge_ids[cursor[u as usize]] = eid;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            edge_ids[cursor[v as usize]] = eid;
-            cursor[v as usize] += 1;
-        }
-        // Sort each adjacency slice by neighbor id, keeping edge ids aligned.
-        for v in 0..n {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            let mut pairs: Vec<(VertexId, EdgeId)> = neighbors[lo..hi]
-                .iter()
-                .copied()
-                .zip(edge_ids[lo..hi].iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            for (i, (nbr, eid)) in pairs.into_iter().enumerate() {
-                neighbors[lo + i] = nbr;
-                edge_ids[lo + i] = eid;
+            if row != Some(u) {
+                row = Some(u);
+                at = cursor[u as usize];
             }
+            neighbors[at] = v;
+            edge_ids[at] = eid;
+            at += 1;
+            let slot = &mut cursor[v as usize];
+            neighbors[*slot] = u;
+            edge_ids[*slot] = eid;
+            *slot += 1;
         }
         Self {
             offsets,
@@ -330,6 +339,154 @@ impl std::fmt::Display for GraphStats {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::delta::GraphDelta;
+    use crate::fixtures::seeded::{random_graph, SplitMix64};
+    use crate::subgraph::{edge_filtered_subgraph, induced_subgraph, vertex_filtered_subgraph};
+
+    /// The per-row-sorting constructor `from_parts` replaced, kept as the oracle
+    /// every constructor's CSR must equal.
+    fn reference_from_parts(
+        attributes: Vec<Attribute>,
+        edges: Vec<(VertexId, VertexId)>,
+    ) -> AttributedGraph {
+        let n = attributes.len();
+        let mut degrees = vec![0usize; n];
+        for &(u, v) in &edges {
+            degrees[u as usize] += 1;
+            degrees[v as usize] += 1;
+        }
+        let mut offsets = vec![0usize];
+        for d in &degrees {
+            offsets.push(offsets.last().unwrap() + d);
+        }
+        let mut neighbors = vec![0 as VertexId; offsets[n]];
+        let mut edge_ids = vec![0 as EdgeId; offsets[n]];
+        let mut cursor = offsets[..n].to_vec();
+        for (eid, &(u, v)) in edges.iter().enumerate() {
+            for (a, b) in [(u, v), (v, u)] {
+                neighbors[cursor[a as usize]] = b;
+                edge_ids[cursor[a as usize]] = eid as EdgeId;
+                cursor[a as usize] += 1;
+            }
+        }
+        for v in 0..n {
+            let (lo, hi) = (offsets[v], offsets[v + 1]);
+            let mut pairs: Vec<(VertexId, EdgeId)> = neighbors[lo..hi]
+                .iter()
+                .copied()
+                .zip(edge_ids[lo..hi].iter().copied())
+                .collect();
+            pairs.sort_unstable();
+            for (i, (nbr, eid)) in pairs.into_iter().enumerate() {
+                neighbors[lo + i] = nbr;
+                edge_ids[lo + i] = eid;
+            }
+        }
+        AttributedGraph {
+            offsets,
+            neighbors,
+            edge_ids,
+            attributes,
+            edges,
+        }
+    }
+
+    /// The reference CSR of `g`'s own attributes and edge list.
+    fn reference_of(g: &AttributedGraph) -> AttributedGraph {
+        reference_from_parts(g.attributes().to_vec(), g.edge_list().to_vec())
+    }
+
+    #[test]
+    fn every_constructor_builds_the_reference_csr() {
+        let mut rng = SplitMix64(3);
+        for seed in 0..12usize {
+            let n = 1 + 23 * seed;
+            // Builder input in random order with repeats and self-loops.
+            let pairs: Vec<(VertexId, VertexId)> = (0..[n / 2, 3 * n, 10 * n][seed % 3])
+                .map(|_| (rng.vertex(n), rng.vertex(n)))
+                .collect();
+            let attributes: Vec<Attribute> = (0..n)
+                .map(|_| [Attribute::A, Attribute::B][rng.below(2)])
+                .collect();
+            let mut canonical: Vec<(VertexId, VertexId)> = pairs
+                .iter()
+                .filter(|&&(u, v)| u != v)
+                .map(|&(u, v)| (u.min(v), u.max(v)))
+                .collect();
+            canonical.sort_unstable();
+            canonical.dedup();
+            let mut b = GraphBuilder::with_attributes(attributes.clone());
+            b.add_edges(pairs);
+            let g = b.build().unwrap();
+            assert_eq!(g, reference_from_parts(attributes, canonical));
+
+            // A builder fed a sorted canonical list skips its sort.
+            let mut b = GraphBuilder::with_attributes(g.attributes().to_vec());
+            b.add_edges(g.edge_list().iter().copied());
+            assert_eq!(b.build().unwrap(), g);
+
+            // Induced subgraph of an unsorted subset with repeats.
+            let subset: Vec<VertexId> = (0..n / 2 + 1).map(|_| rng.vertex(n)).collect();
+            let sub = induced_subgraph(&g, &subset);
+            let rank = |v: VertexId| sub.original.binary_search(&v).ok().map(|r| r as u32);
+            let mut edges: Vec<(VertexId, VertexId)> = g
+                .edge_list()
+                .iter()
+                .filter_map(|&(u, v)| Some((rank(u)?, rank(v)?)))
+                .collect();
+            edges.sort_unstable();
+            let attrs = sub.original.iter().map(|&v| g.attribute(v)).collect();
+            assert_eq!(sub.graph, reference_from_parts(attrs, edges));
+
+            let alive: Vec<bool> = (0..g.num_edges()).map(|_| rng.below(3) > 0).collect();
+            let h = edge_filtered_subgraph(&g, &alive);
+            assert_eq!(h, reference_of(&h));
+            let keep: Vec<bool> = (0..n).map(|_| rng.below(4) > 0).collect();
+            let h = vertex_filtered_subgraph(&g, &keep);
+            assert_eq!(h, reference_of(&h));
+
+            let mut d = GraphDelta::new();
+            for _ in 0..n / 3 + 1 {
+                let (u, v) = (rng.vertex(n), rng.vertex(n));
+                if d.has_edge(&g, u, v) {
+                    d.remove_edge(&g, u, v).unwrap();
+                } else if u != v {
+                    d.insert_edge(&g, u, v).unwrap();
+                }
+            }
+            let fresh = d.insert_vertex(&g, Attribute::B);
+            d.insert_edge(&g, fresh, rng.vertex(n)).unwrap();
+            let applied = d.apply(&g);
+            assert_eq!(applied, reference_of(&applied));
+        }
+        // The seeded graph helper goes through the builder too.
+        let g = random_graph(50, 200, 1);
+        assert_eq!(g, reference_of(&g));
+    }
+
+    #[test]
+    #[should_panic(expected = "canonical")]
+    fn from_parts_rejects_unsorted_edges() {
+        AttributedGraph::from_parts(vec![Attribute::A; 3], vec![(1, 2), (0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "canonical")]
+    fn from_parts_rejects_non_canonical_edges() {
+        AttributedGraph::from_parts(vec![Attribute::A; 3], vec![(0, 1), (2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "canonical")]
+    fn from_parts_rejects_duplicate_edges() {
+        AttributedGraph::from_parts(vec![Attribute::A; 3], vec![(0, 1), (0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "canonical")]
+    fn from_parts_rejects_out_of_range_ends() {
+        AttributedGraph::from_parts(vec![Attribute::A; 3], vec![(0, 3)]);
+    }
 
     /// The 15-vertex example graph of Fig. 1 in the paper (1-based ids in the figure,
     /// 0-based here: paper vertex `v_i` is id `i - 1`).

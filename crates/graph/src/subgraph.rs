@@ -43,6 +43,8 @@ pub fn induced_subgraph(g: &AttributedGraph, vertices: &[VertexId]) -> InducedSu
         new_id[v as usize] = i as u32;
     }
     let attributes = original.iter().map(|&v| g.attribute(v)).collect();
+    // Relabeling by rank keeps the id order, so walking the sorted vertices and
+    // their sorted rows emits the canonical edges already sorted.
     let mut edges = Vec::new();
     for &v in &original {
         for &u in g.neighbors(v) {
@@ -51,7 +53,6 @@ pub fn induced_subgraph(g: &AttributedGraph, vertices: &[VertexId]) -> InducedSu
             }
         }
     }
-    edges.sort_unstable();
     InducedSubgraph {
         graph: AttributedGraph::from_parts(attributes, edges),
         original,
