@@ -13,7 +13,7 @@ use rfc_core::prelude::*;
 use rfc_datasets::synthetic::{one_big_component, BigComponentConfig};
 use rfc_graph::json::JsonValue;
 use rfc_graph::{fixtures, io::write_graph_to_path};
-use rfc_serve::protocol::{termination_str, QuerySpec, Request};
+use rfc_serve::protocol::{termination_str, EnumSpec, QuerySpec, Request};
 
 /// One protocol connection to the daemon.
 struct Client {
@@ -36,19 +36,27 @@ impl Client {
 
     /// Sends one request line and reads lines until the terminal response.
     fn request(&mut self, line: &str) -> JsonValue {
+        self.stream(line).1
+    }
+
+    /// Sends one request line and returns the lines streamed before the terminal
+    /// response, then that response.
+    fn stream(&mut self, line: &str) -> (Vec<JsonValue>, JsonValue) {
         // One segment per request line (split writes stall on delayed ACKs).
         self.writer
             .write_all(format!("{line}\n").as_bytes())
             .unwrap();
         self.writer.flush().unwrap();
+        let mut streamed = Vec::new();
         loop {
             let mut raw = String::new();
             let n = self.reader.read_line(&mut raw).unwrap();
             assert!(n > 0, "daemon closed the connection unexpectedly");
             let value = JsonValue::parse(raw.trim_end()).expect("valid JSON response");
             if value.get("ok").is_some() {
-                return value;
+                return (streamed, value);
             }
+            streamed.push(value);
         }
     }
 }
@@ -253,7 +261,9 @@ fn tie_graph() -> AttributedGraph {
 /// daemon's `solve` (serial by default) give one answer: termination, cliques in
 /// order, bound and gap, on unbudgeted and budget-bound queries. The budget-bound
 /// input is one component, so the daemon's dynamic solver searches it as the
-/// library does.
+/// library does. The `enumerate --threads 1 --format jsonl` binary and the daemon's
+/// `enumerate` stream emit the same cliques in the same order, also with a
+/// `min_size` above `2k` and a `limit`.
 #[test]
 fn library_cli_and_daemon_give_the_same_answer() {
     // The config of `rfc_bench::workloads::big_component_graph(800, 17)`.
@@ -265,10 +275,21 @@ fn library_cli_and_daemon_give_the_same_answer() {
         planted_half: 18,
         prob_a: 0.5,
     };
+    // A dense community in a sparse periphery: a degree filter at a `min_size`
+    // above `2k` would split its components differently from the `2k` ones.
+    let core = BigComponentConfig {
+        n: 60,
+        edge_prob: 0.15,
+        community: 25,
+        community_prob: 0.7,
+        planted_half: 3,
+        prob_a: 0.5,
+    };
     let graphs = [
         ("fig1", fixtures::fig1_graph()),
         ("ties", tie_graph()),
         ("big", one_big_component(&big, 17).0),
+        ("core", one_big_component(&core, 2).0),
     ];
     let relative = |k, delta| FairnessModel::Relative { k, delta };
     let cases = [
@@ -351,4 +372,44 @@ fn library_cli_and_daemon_give_the_same_answer() {
         assert_eq!(cli, library, "CLI against library, {case}");
         assert_eq!(served, library, "daemon against library, {case}");
     }
+
+    let (k, delta, min_size, limit) = (2, 1, 7, 5);
+    let path = daemon.dir.join("core.graph");
+    let output = Command::new(env!("CARGO_BIN_EXE_maxfairclique"))
+        .args(["enumerate", "--graph", &path.display().to_string()])
+        .args(["-k", &k.to_string(), "-d", &delta.to_string()])
+        .args([
+            "--min-size",
+            &min_size.to_string(),
+            "--limit",
+            &limit.to_string(),
+        ])
+        .args(["--threads", "1", "--format", "jsonl"])
+        .output()
+        .expect("run maxfairclique enumerate");
+    assert!(output.status.success(), "{output:?}");
+    let cli: Vec<JsonValue> = String::from_utf8(output.stdout)
+        .unwrap()
+        .lines()
+        .map(|line| JsonValue::parse(line).expect("one JSON object per line"))
+        .collect();
+    let request = Request::Enumerate {
+        graph: "core".to_string(),
+        spec: EnumSpec {
+            min_size,
+            limit: Some(limit),
+            ..EnumSpec::new(FairnessModel::Relative { k, delta })
+        },
+    };
+    let (streamed, done) = client.stream(&request.to_line());
+    assert_eq!(done.get("emitted").and_then(JsonValue::as_u64), Some(limit));
+    let served: Vec<JsonValue> = streamed
+        .iter()
+        .map(|line| line.get("clique").expect("a clique line").clone())
+        .collect();
+    assert_eq!(cli.len() as u64, limit);
+    assert_eq!(
+        served, cli,
+        "daemon against CLI, enumerate min size {min_size}"
+    );
 }

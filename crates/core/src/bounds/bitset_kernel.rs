@@ -8,7 +8,7 @@
 //!
 //! The kernel reproduces [`instance_upper_bound`](super::instance_upper_bound) exactly.
 //! Vertices are colored in instance-degree-descending order with ties broken by the
-//! rank's key (its component-local vertex id), which is the order
+//! rank's component-local vertex id (`order[rank]`), which is the order
 //! [`greedy_coloring`](rfc_graph::coloring::greedy_coloring) uses on the induced
 //! subgraph, so the coloring and every bound value are identical. The soundness
 //! corrections come from the same helpers the CSR functions call.
@@ -18,28 +18,15 @@
 //! instances that `ubAD` did not already prune.
 
 use rfc_graph::bitset::{BitMatrix, Bitset};
-use rfc_graph::VertexId;
 
 use super::{advanced, classic, colorful, BoundConfig, ExtraBound};
 use crate::problem::FairCliqueParams;
+use crate::search::Ranked;
 
-/// One component in rank space: what the kernel reads of the search's context.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RankGraph<'a> {
-    /// Adjacency over ranks.
-    pub(crate) adj: &'a BitMatrix,
-    /// Ranks whose vertex has attribute `a`.
-    pub(crate) attr_a: &'a Bitset,
-    /// `key[rank]` is the rank's component-local vertex id, the coloring tie-break.
-    pub(crate) key: &'a [VertexId],
-}
-
-impl RankGraph<'_> {
-    /// The attribute index of `rank` (0 for `a`, 1 for `b`).
-    #[inline]
-    fn side(&self, rank: usize) -> usize {
-        usize::from(!self.attr_a.contains(rank))
-    }
+/// The attribute index of `rank` in `g` (0 for `a`, 1 for `b`).
+#[inline]
+fn side(g: &Ranked, rank: usize) -> usize {
+    usize::from(!g.attr_a.contains(rank))
 }
 
 /// The kernel's reusable buffers, sized to one component. A search worker keeps one
@@ -47,7 +34,7 @@ impl RankGraph<'_> {
 #[derive(Debug, Default)]
 pub(crate) struct BoundScratch {
     nbits: usize,
-    /// Instance ranks in coloring order, each with its packed `(degree desc, key asc)`
+    /// Instance ranks in coloring order, each with its packed `(degree desc, id asc)`
     /// sort key.
     order: Vec<(u64, usize)>,
     /// `classes[c][side]`: the ranks of color `c` with that attribute. Only the first
@@ -82,12 +69,12 @@ impl BoundScratch {
 
     /// Greedy-colors the instance into `classes`, leaving each rank's instance degree
     /// in `value`.
-    fn color(&mut self, g: &RankGraph<'_>, instance: &Bitset) {
+    fn color(&mut self, g: &Ranked, instance: &Bitset) {
         self.order.clear();
         for r in instance {
             let degree = instance.intersection_count(g.adj.row(r)) as u32;
             self.value[r] = degree;
-            let packed = (u64::from(u32::MAX - degree) << 32) | u64::from(g.key[r]);
+            let packed = (u64::from(u32::MAX - degree) << 32) | u64::from(g.order[r]);
             self.order.push((packed, r));
         }
         self.order.sort_unstable_by_key(|&(packed, _)| packed);
@@ -108,7 +95,7 @@ impl BoundScratch {
                 }
                 self.num_colors += 1;
             }
-            self.classes[c][g.side(r)].insert(r);
+            self.classes[c][side(g, r)].insert(r);
             self.color_of[r] = c as u32;
         }
     }
@@ -127,7 +114,7 @@ impl BoundScratch {
 
     /// Fills `colorful` with each instance rank's colorful degrees and `value` with
     /// their minimum `D_min`.
-    fn colorful_degrees(&mut self, g: &RankGraph<'_>, instance: &Bitset) {
+    fn colorful_degrees(&mut self, g: &Ranked, instance: &Bitset) {
         let classes = &self.classes[..self.num_colors];
         for r in instance {
             let row = g.adj.row(r);
@@ -143,9 +130,9 @@ impl BoundScratch {
     }
 
     /// Degeneracy of the instance (peeling its degrees).
-    fn degeneracy(&mut self, g: &RankGraph<'_>, instance: &Bitset) -> usize {
+    fn degeneracy(&mut self, g: &Ranked, instance: &Bitset) -> usize {
         self.peel
-            .max_level(g.adj, instance, &mut self.value, |w, alive, degree| {
+            .max_level(&g.adj, instance, &mut self.value, |w, alive, degree| {
                 for u in common(g.adj.row(w), alive.words()) {
                     degree[u] -= 1;
                 }
@@ -155,7 +142,7 @@ impl BoundScratch {
     /// Colorful degeneracy of the instance: peels `D_min`, removing each peeled
     /// vertex from its color class and re-testing its neighbors' rows against that
     /// class. The result does not depend on the peel's tie-breaks.
-    fn colorful_degeneracy(&mut self, g: &RankGraph<'_>, instance: &Bitset) -> usize {
+    fn colorful_degeneracy(&mut self, g: &Ranked, instance: &Bitset) -> usize {
         self.colorful_degrees(g, instance);
         let Self {
             classes,
@@ -165,8 +152,8 @@ impl BoundScratch {
             peel,
             ..
         } = self;
-        peel.max_level(g.adj, instance, value, |w, alive, d_min| {
-            let side = g.side(w);
+        peel.max_level(&g.adj, instance, value, |w, alive, d_min| {
+            let side = side(g, w);
             let class = &mut classes[color_of[w] as usize][side];
             class.remove(w);
             for u in common(g.adj.row(w), alive.words()) {
@@ -197,7 +184,7 @@ impl BoundScratch {
     /// Vertex count of the longest colorful path: the longest-path DP over the DAG
     /// oriented by `(color, component id)`. Same-colored vertices are never adjacent,
     /// so processing each class in rank order is a topological order too.
-    fn longest_colorful_path(&mut self, g: &RankGraph<'_>) -> usize {
+    fn longest_colorful_path(&mut self, g: &Ranked) -> usize {
         let done = &mut self.peel.alive;
         done.clear();
         let mut longest = 0;
@@ -298,7 +285,7 @@ fn common<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
 /// `target = 0` always yields that value; so for every target the kernel's value is
 /// below it exactly when the reference's is.
 pub(crate) fn rank_upper_bound(
-    g: &RankGraph<'_>,
+    g: &Ranked,
     instance: &Bitset,
     params: FairCliqueParams,
     config: &BoundConfig,
@@ -357,7 +344,7 @@ pub(crate) fn rank_upper_bound(
 mod tests {
     use super::*;
     use crate::bounds::instance_upper_bound;
-    use rfc_graph::{fixtures, Attribute, AttributedGraph, GraphBuilder};
+    use rfc_graph::{fixtures, Attribute, AttributedGraph, GraphBuilder, VertexId};
 
     /// SplitMix64 step, for seeded test graphs and subsets.
     fn next(state: &mut u64) -> u64 {
@@ -392,58 +379,42 @@ mod tests {
     }
 
     /// `g` in rank space under a seeded shuffle, so ranks, keys and vertex ids differ.
-    struct Ranked {
-        adj: BitMatrix,
-        attr_a: Bitset,
-        order: Vec<VertexId>,
-        rank_of: Vec<usize>,
+    fn shuffled(g: &AttributedGraph, seed: u64) -> Ranked {
+        let n = g.num_vertices();
+        let mut order: Vec<VertexId> = g.vertices().collect();
+        let mut state = seed;
+        for i in (1..n).rev() {
+            order.swap(i, (next(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let mut rank_of = vec![0; n];
+        for (rank, &v) in order.iter().enumerate() {
+            rank_of[v as usize] = rank;
+        }
+        let mut adj = BitMatrix::new(n);
+        for &(u, v) in g.edge_list() {
+            adj.set_edge(rank_of[u as usize], rank_of[v as usize]);
+        }
+        let mut attr_a = Bitset::new(n);
+        for v in g.vertices() {
+            if g.attribute(v) == Attribute::A {
+                attr_a.insert(rank_of[v as usize]);
+            }
+        }
+        Ranked {
+            order,
+            rank_of,
+            adj,
+            attr_a,
+        }
     }
 
-    impl Ranked {
-        fn new(g: &AttributedGraph, seed: u64) -> Self {
-            let n = g.num_vertices();
-            let mut order: Vec<VertexId> = g.vertices().collect();
-            let mut state = seed;
-            for i in (1..n).rev() {
-                order.swap(i, (next(&mut state) % (i as u64 + 1)) as usize);
-            }
-            let mut rank_of = vec![0; n];
-            for (rank, &v) in order.iter().enumerate() {
-                rank_of[v as usize] = rank;
-            }
-            let mut adj = BitMatrix::new(n);
-            for &(u, v) in g.edge_list() {
-                adj.set_edge(rank_of[u as usize], rank_of[v as usize]);
-            }
-            let mut attr_a = Bitset::new(n);
-            for v in g.vertices() {
-                if g.attribute(v) == Attribute::A {
-                    attr_a.insert(rank_of[v as usize]);
-                }
-            }
-            Self {
-                adj,
-                attr_a,
-                order,
-                rank_of,
-            }
+    /// The ranks of `vertices`.
+    fn ranks(ranked: &Ranked, vertices: &[VertexId]) -> Bitset {
+        let mut set = Bitset::new(ranked.order.len());
+        for &v in vertices {
+            set.insert(ranked.rank_of[v as usize]);
         }
-
-        fn graph(&self) -> RankGraph<'_> {
-            RankGraph {
-                adj: &self.adj,
-                attr_a: &self.attr_a,
-                key: &self.order,
-            }
-        }
-
-        fn bitset(&self, vertices: &[VertexId]) -> Bitset {
-            let mut set = Bitset::new(self.order.len());
-            for &v in vertices {
-                set.insert(self.rank_of[v as usize]);
-            }
-            set
-        }
+        set
     }
 
     /// The search's instance shapes plus arbitrary ones: the whole graph; for about ten
@@ -502,7 +473,7 @@ mod tests {
     /// bound configuration: equal full values, and equal prune decisions at several
     /// targets. Returns how many (instance, config, params) triples were compared.
     fn check_graph(g: &AttributedGraph, seed: u64, scratch: &mut BoundScratch) -> usize {
-        let ranked = Ranked::new(g, seed);
+        let ranked = shuffled(g, seed);
         scratch.reset(g.num_vertices());
         let params_list = [
             FairCliqueParams::new(1, 0).unwrap(),
@@ -511,11 +482,11 @@ mod tests {
         ];
         let mut compared = 0;
         for vertices in instances(g, &ranked, seed) {
-            let set = ranked.bitset(&vertices);
+            let set = ranks(&ranked, &vertices);
             for config in configs() {
                 for params in params_list {
                     let reference = instance_upper_bound(g, &vertices, params, &config);
-                    let full = rank_upper_bound(&ranked.graph(), &set, params, &config, 0, scratch);
+                    let full = rank_upper_bound(&ranked, &set, params, &config, 0, scratch);
                     assert_eq!(
                         full,
                         reference,
@@ -524,14 +495,8 @@ mod tests {
                         config.advanced
                     );
                     for target in [reference, reference + 1, 9] {
-                        let value = rank_upper_bound(
-                            &ranked.graph(),
-                            &set,
-                            params,
-                            &config,
-                            target,
-                            scratch,
-                        );
+                        let value =
+                            rank_upper_bound(&ranked, &set, params, &config, target, scratch);
                         assert_eq!(
                             value < target,
                             reference < target,
@@ -588,13 +553,13 @@ mod tests {
         use rfc_graph::coloring::greedy_coloring;
         use rfc_graph::subgraph::induced_subgraph;
         let g = erdos_renyi(70, 50, 7);
-        let ranked = Ranked::new(&g, 7);
+        let ranked = shuffled(&g, 7);
         let mut scratch = BoundScratch::default();
         scratch.reset(g.num_vertices());
         for vertices in instances(&g, &ranked, 7) {
             let sub = induced_subgraph(&g, &vertices);
             let expected = greedy_coloring(&sub.graph);
-            scratch.color(&ranked.graph(), &ranked.bitset(&vertices));
+            scratch.color(&ranked, &ranks(&ranked, &vertices));
             assert_eq!(scratch.num_colors, expected.num_colors);
             for (i, &v) in sub.original.iter().enumerate() {
                 let rank = ranked.rank_of[v as usize];
@@ -606,7 +571,7 @@ mod tests {
     #[test]
     fn early_exit_skips_later_bounds() {
         let g = fixtures::fig1_graph();
-        let ranked = Ranked::new(&g, 3);
+        let ranked = shuffled(&g, 3);
         let mut scratch = BoundScratch::default();
         scratch.reset(g.num_vertices());
         let all = Bitset::full(g.num_vertices());
@@ -618,29 +583,22 @@ mod tests {
         };
         // 10 a's and 5 b's give uba = 11, so a target of 12 prunes before coloring.
         assert_eq!(
-            rank_upper_bound(&ranked.graph(), &all, params, &config, 12, &mut scratch),
+            rank_upper_bound(&ranked, &all, params, &config, 12, &mut scratch),
             0
         );
         assert_eq!(scratch.num_colors, 0, "pruned by uba before coloring");
         // Just above ubAD, the instance is pruned before the colorful peel, which would
         // have emptied the color classes.
         let ubad_only = BoundConfig::with_extra(ExtraBound::None);
-        let ubad = rank_upper_bound(&ranked.graph(), &all, params, &ubad_only, 0, &mut scratch);
+        let ubad = rank_upper_bound(&ranked, &all, params, &ubad_only, 0, &mut scratch);
         assert!(ubad < 11, "ubAD = {ubad} must undercut uba");
         assert_eq!(
-            rank_upper_bound(
-                &ranked.graph(),
-                &all,
-                params,
-                &config,
-                ubad + 1,
-                &mut scratch
-            ),
+            rank_upper_bound(&ranked, &all, params, &config, ubad + 1, &mut scratch),
             0
         );
         assert_eq!(colored(&scratch), g.num_vertices(), "ubcd did not run");
         // With no target every bound runs, and the value is the reference's.
-        let full = rank_upper_bound(&ranked.graph(), &all, params, &config, 0, &mut scratch);
+        let full = rank_upper_bound(&ranked, &all, params, &config, 0, &mut scratch);
         let all_ids: Vec<VertexId> = g.vertices().collect();
         assert_eq!(full, instance_upper_bound(&g, &all_ids, params, &config));
         assert_eq!(

@@ -16,20 +16,22 @@
 //!    that contain a touched vertex, and the untouched components keep their slice of
 //!    the old reduced graph.
 //! 2. **Per-component solve and enumeration results** are cached under the
-//!    component's *canonical content* (attributes and edges relabeled by the
-//!    component's sorted vertex list). After any update, components whose content is
-//!    unchanged hit the cache and are never re-searched; only dirty components run
-//!    the branch-and-bound / re-enumeration. Because the key is the content itself,
-//!    component merges, splits and vertex-id-preserving churn all invalidate exactly
-//!    the components they touch — there is no separate dirty-tracking protocol to
-//!    get out of sync. The content carries a keyed digest, computed once when the
-//!    component is built with hash keys the solver draws at construction and keeps
-//!    for life, so hashing a lookup key costs O(1) however large the component. The
-//!    random keys stop clients from crafting colliding graph content. A splice
-//!    carries every clean component's key over, so a hit on a clean component
-//!    compares pointers. Equality otherwise compares the full content: a hit on a
-//!    component a commit rebuilt costs one content comparison, and a collision costs
-//!    one comparison, never a wrong cached answer.
+//!    component itself: each eligible component of a reduced graph is built once,
+//!    with the reduced graph, as its sorted vertex list and the compact graph those
+//!    vertices induce, and that graph is the key. After any update, components
+//!    whose graph is unchanged hit the cache and are never re-searched; only dirty
+//!    components run the branch-and-bound / re-enumeration, directly on their
+//!    stored graph. Because the key is the content itself, component merges,
+//!    splits and vertex-id-preserving churn all invalidate exactly the components
+//!    they touch — there is no separate dirty-tracking protocol to get out of sync.
+//!    A key hashes to a keyed digest of its graph, computed on first use with hash
+//!    keys drawn once per process, so hashing a lookup key costs O(1) however large
+//!    the component. The random keys stop clients from crafting colliding graph
+//!    content. A splice carries every clean component over, so a hit on a clean
+//!    component compares pointers. Equality otherwise compares the digest, then the
+//!    graph's attributes and edges: a hit on a component a commit rebuilt costs one
+//!    content comparison, and a collision costs one comparison, never a wrong cached
+//!    answer.
 //!
 //! ## Soundness of the cache invalidation
 //!
@@ -48,11 +50,13 @@
 //! depends only on its connected component. A component of `G′` without any touched
 //! vertex is byte-identical to a component of the pre-update graph, so its slice of
 //! the old reduced graph is exactly what a from-scratch pipeline would produce for
-//! it; the dirty components get a genuine pipeline re-run. (The spliced graph may
-//! color dirty components differently than a global run would, so it need not be
-//! *edge-identical* to a from-scratch reduction — but both are sound reductions, and
-//! the differential harness in `tests/dynamic_consistency.rs` pins the final
-//! solve/enumerate answers, not the intermediate graphs.)
+//! it; the dirty components get a genuine pipeline re-run. The spliced graph is in
+//! fact edge-identical to a from-scratch reduction of `G′`: greedy coloring and
+//! every peel act component by component, and the dirty part keeps its id order, so
+//! every tie falls the same way. The splice tests assert that identity after every
+//! splice. A graph *kept wholesale* is sound as argued above, but no proof covers
+//! it being identical to a from-scratch reduction, so it is documented as sound
+//! only.
 //!
 //! *Per-component result caches.* The cache key **is** the component's content, so a
 //! hit replays the exact answer of an identical subproblem; maximum fair cliques and
@@ -62,9 +66,10 @@
 //!
 //! ## What incremental buys
 //!
-//! A commit touching one component re-reduces and re-searches only that component;
-//! everything else is spliced and replayed from cache. A commit whose removals land
-//! entirely outside the reduced graph keeps the reduction wholesale —
+//! A commit touching one component re-reduces and re-searches only that component,
+//! and induces its graph once, with the spliced reduced graph; everything else is
+//! spliced and replayed from cache. A commit whose removals land entirely outside
+//! the reduced graph keeps the reduction wholesale —
 //! [`Solution::reduction_cache_hit`] stays `true` across such commits, and the
 //! cache-accounting unit tests below pin exactly that. A batch that touches every
 //! component (uniform high churn) leaves nothing clean to splice or replay, so it
@@ -78,7 +83,7 @@
 //! a breadth-first search from the changed vertices finds the dirty components, the
 //! pipeline reduces them as one compact induced subgraph, and the result is merged
 //! with the old clean slice in one linear pass. Only the dirty components are
-//! canonicalized and digested again; the clean ones keep their entries and keys. A
+//! induced and digested again; the clean ones are carried over, keys and all. A
 //! splice therefore costs the dirty components' reduction plus linear passes, not a
 //! whole-graph reduction.
 //!
@@ -93,15 +98,14 @@
 //! [`cache_stats`](DynamicRfcSolver::cache_stats) reports hit/miss/eviction counters
 //! for a daemon `stats` endpoint.
 
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, OnceLock};
 
 use rfc_graph::coloring::greedy_coloring;
-use rfc_graph::components::components_of_subset;
 use rfc_graph::delta::{DeltaError, GraphDelta, UpdateOp};
 use rfc_graph::subgraph::induced_subgraph;
 use rfc_graph::{Attribute, AttributedGraph, GraphBuilder, VertexId};
@@ -116,10 +120,10 @@ use crate::reduction::{
 };
 use crate::search::control::SearchControl;
 use crate::search::parallel::{canonical_order, SharedIncumbent};
-use crate::search::{SearchConfig, SearchStats, ThreadCount};
+use crate::search::{CliqueIds, SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{
-    fan_out, run_enumerate, run_solve, search_phase, traced_reduce, Enumerated, Query, QueryRun,
-    ReducedEntry, Searched, Solution, SolveError,
+    fan_out, run_enumerate, run_solve, search_phase, traced_reduce, Component, Enumerated, Query,
+    QueryRun, ReducedEntry, Searched, Solution, SolveError,
 };
 
 /// What one [`DynamicRfcSolver::commit`] did.
@@ -152,59 +156,45 @@ pub struct DynCacheStats {
     pub enumerate: CacheStats,
 }
 
-/// The canonical content of one connected component of a reduced graph: attributes
-/// and edges relabeled by rank in the component's sorted vertex list. Two components
-/// with equal canonical content are the same subproblem, so this is the key of the
-/// per-component result caches.
-///
-/// [`Hash`] writes only the digest, so hashing a key costs O(1) however large the
-/// component. The derived [`PartialEq`] compares fields in declaration order, so
-/// the digest first: only a hit or a digest collision compares the full content.
-#[derive(Debug, PartialEq, Eq)]
-struct CanonicalComponent {
-    /// Keyed hash of `attrs` and `edges`, computed once by [`CanonicalComponent::new`].
-    /// Declared first so that equality compares it before the content.
-    digest: u64,
-    /// Attribute of each rank.
-    attrs: Vec<Attribute>,
-    /// Edges as rank pairs (`u < v`), sorted.
-    edges: Vec<(u32, u32)>,
-}
-
-impl CanonicalComponent {
-    /// Digests the content with `keys`, which must be the same for every component
-    /// a cache ever compares: equal content then always gets equal digests.
-    fn new(attrs: Vec<Attribute>, edges: Vec<(u32, u32)>, keys: &RandomState) -> Self {
-        let digest = keys.hash_one((&attrs, &edges));
-        Self {
-            digest,
-            attrs,
-            edges,
-        }
+impl Component {
+    /// The keyed hash of the component graph's attributes and edges, computed on
+    /// first use. The hash keys are drawn once per process, so equal graphs always
+    /// digest the same.
+    fn digest(&self) -> u64 {
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        let keys = KEYS.get_or_init(RandomState::new);
+        *self
+            .digest
+            .get_or_init(|| keys.hash_one((self.graph.attributes(), self.graph.edge_list())))
     }
 }
 
-impl Hash for CanonicalComponent {
+/// A component as a result-cache key: two components with equal graphs are the same
+/// subproblem, wherever their vertices lie. [`Hash`] writes only the digest, so
+/// hashing a key costs O(1) however large the component.
+impl Hash for Component {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.digest);
+        state.write_u64(self.digest());
     }
 }
 
-/// One eligible component of the current reduced graph.
-#[derive(Debug, Clone)]
-struct DynComponent {
-    /// The component's vertices, sorted by id; `vertices[rank]` maps a canonical
-    /// rank back to a graph vertex.
-    vertices: Vec<VertexId>,
-    /// The content key shared with the result caches.
-    canon: Arc<CanonicalComponent>,
+/// Compares the digests first: only a hit or a digest collision compares the
+/// graphs' attributes and edges.
+impl PartialEq for Component {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest() == other.digest()
+            && self.graph.attributes() == other.graph.attributes()
+            && self.graph.edge_list() == other.graph.edge_list()
+    }
 }
+
+impl Eq for Component {}
 
 /// Cache key of a per-component result: fairness model, then a solve's pool
 /// capacity (1 = maximum objective, n = top-n) or an enumeration's effective
-/// minimum size, then the component content.
-type ComponentKey = (FairnessModel, usize, Arc<CanonicalComponent>);
-/// One component's cached cliques, in canonical ranks.
+/// minimum size, then the component.
+type ComponentKey = (FairnessModel, usize, Arc<Component>);
+/// One component's cached cliques, in compact ids.
 type ComponentCliques = Arc<Vec<Vec<u32>>>;
 /// Reduced-graph cache key, identical to [`RfcSolver`](crate::solver::RfcSolver)'s.
 type EntryKey = (usize, ReductionConfig);
@@ -212,19 +202,13 @@ type EntryKey = (usize, ReductionConfig);
 /// Where a reduced-graph cache entry stands relative to the committed graph.
 #[derive(Debug)]
 enum EntryState {
-    /// `reduced` is a sound reduction of the committed graph and `components` are
-    /// its eligible connected components.
-    Current {
-        reduced: Arc<ReducedEntry>,
-        components: Arc<Vec<DynComponent>>,
-    },
+    /// `reduced` is a sound reduction of the committed graph.
+    Current { reduced: Arc<ReducedEntry> },
     /// One or more commits landed inside the reduced graph; `old` is the last sound
-    /// reduction, `components` are its eligible components, and `changed`
-    /// accumulates every vertex touched since. The entry is spliced lazily on its
-    /// next use, which carries the clean components over.
+    /// reduction, and `changed` accumulates every vertex touched since. The entry is
+    /// spliced lazily on its next use, which carries the clean components over.
     Stale {
         old: Arc<ReducedEntry>,
-        components: Arc<Vec<DynComponent>>,
         changed: BTreeSet<VertexId>,
     },
 }
@@ -233,23 +217,13 @@ enum EntryState {
 #[derive(Debug)]
 struct DynEntry {
     state: EntryState,
-    /// Per-component top-`capacity` fair cliques (canonical ranks, largest first;
+    /// Per-component top-`capacity` fair cliques (compact ids, largest first;
     /// empty = no fair clique in the component). LRU-bounded when the owner set a
     /// cache capacity.
     solve_cache: LruCache<ComponentKey, ComponentCliques>,
-    /// Per-component maximal fair cliques (canonical ranks, deterministic
-    /// enumeration order). Same bound.
+    /// Per-component maximal fair cliques (compact ids, deterministic enumeration
+    /// order). Same bound.
     enum_cache: LruCache<ComponentKey, ComponentCliques>,
-}
-
-impl DynEntry {
-    /// The eligible components of a current entry (a refcount bump, no copying).
-    fn components(&self) -> Arc<Vec<DynComponent>> {
-        match &self.state {
-            EntryState::Current { components, .. } => Arc::clone(components),
-            EntryState::Stale { .. } => unreachable!("ensure_entry left a stale entry"),
-        }
-    }
 }
 
 /// An incremental maximum-fair-clique solver over a mutable graph (see the [module
@@ -298,10 +272,6 @@ pub struct DynamicRfcSolver {
     commits: u64,
     /// Reduction pipeline executions (full builds and dirty-component splices).
     preprocessing_runs: usize,
-    /// Hash keys of every component digest, drawn once so that a component rebuilt
-    /// with unchanged content by a later splice digests the same and still hits
-    /// the caches.
-    digest_keys: RandomState,
 }
 
 impl DynamicRfcSolver {
@@ -318,7 +288,6 @@ impl DynamicRfcSolver {
             cache_capacity: None,
             commits: 0,
             preprocessing_runs: 0,
-            digest_keys: RandomState::new(),
         }
     }
 
@@ -476,12 +445,9 @@ impl DynamicRfcSolver {
         let refresh_vertex_space = delta.changes_vertex_space();
         let mut kept = 0usize;
         let mut invalidated = 0usize;
-        for entry in self.entries.values_mut() {
+        for (&(k, _), entry) in self.entries.iter_mut() {
             match &mut entry.state {
-                EntryState::Current {
-                    reduced,
-                    components,
-                } => {
+                EntryState::Current { reduced } => {
                     // Kept iff the batch inserts nothing and removes nothing that
                     // survives in R: then R ⊆ G′ ⊆ G and R stays a sound reduction.
                     let keepable = !delta.has_edge_insertions()
@@ -492,21 +458,20 @@ impl DynamicRfcSolver {
                         kept += 1;
                         if refresh_vertex_space {
                             // Same edges, but the vertex space grew or attributes
-                            // changed (all on R-isolated vertices): re-host them.
+                            // changed (all on R-isolated vertices): re-host them,
+                            // carrying every component over.
                             let mut b =
                                 GraphBuilder::with_attributes(new_graph.attributes().to_vec());
                             b.add_edges(reduced.graph.edge_list().iter().copied());
                             let graph = b.build().expect("kept reduced edges stay in range");
-                            *reduced = Arc::new(ReducedEntry {
-                                graph,
-                                stats: reduced.stats.clone(),
-                            });
+                            let (stats, carried) =
+                                (reduced.stats.clone(), reduced.components.clone());
+                            *reduced = Arc::new(ReducedEntry::new(graph, stats, k, carried));
                         }
                     } else {
                         invalidated += 1;
                         entry.state = EntryState::Stale {
                             old: Arc::clone(reduced),
-                            components: Arc::clone(components),
                             changed: changed.iter().copied().collect(),
                         };
                     }
@@ -587,7 +552,7 @@ impl DynamicRfcSolver {
             Err(partial) => return Searched::stopped(partial),
         };
         let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-        let components = entry.components();
+        let components: Vec<&Arc<Component>> = reduced.components.iter().collect();
         let (params, ctrl, config) = (run.params, &run.ctrl, &query.config);
         let (per_comp, mut stats) = component_results(
             &mut entry.solve_cache,
@@ -596,24 +561,16 @@ impl DynamicRfcSolver {
             (query.fairness, capacity),
             config.threads,
             ctrl,
-            |vertices, pinned| {
+            |component, pinned| {
                 let threads = pinned.unwrap_or(config.threads);
-                solve_component(
-                    &reduced.graph,
-                    vertices,
-                    params,
-                    config,
-                    threads,
-                    capacity,
-                    ctrl,
-                )
+                solve_component(component, params, config, threads, capacity, ctrl)
             },
         );
         stats.reduction = reduced.stats.clone();
 
         // Merge the per-component pools in the canonical order `RfcSolver` uses. A
-        // pool holds ascending ranks and a component's ranks follow its sorted vertex
-        // list, so mapping a pool clique's ranks yields ascending vertex ids.
+        // pool holds ascending compact ids, which follow the component's sorted
+        // vertex list, so mapping a pool clique yields ascending vertex ids.
         let mut ranked: Vec<(usize, usize)> = Vec::new();
         for (ci, cell) in per_comp.iter().enumerate() {
             if let Some(cliques) = cell {
@@ -656,8 +613,8 @@ impl DynamicRfcSolver {
             Err(partial) => return Enumerated::stopped(partial),
         };
         let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-        let components = entry.components();
-        let eligible: Vec<&DynComponent> = components
+        let eligible: Vec<&Arc<Component>> = reduced
+            .components
             .iter()
             .filter(|c| c.vertices.len() >= problem.min_size)
             .collect();
@@ -669,7 +626,7 @@ impl DynamicRfcSolver {
             (query.fairness, problem.min_size),
             query.threads,
             ctrl,
-            |vertices, _| enumerate_component(&reduced.graph, vertices, problem, ctrl),
+            |component, _| enumerate_component(component, problem, ctrl),
         );
         stats.reduction = reduced.stats.clone();
 
@@ -714,38 +671,31 @@ impl DynamicRfcSolver {
         key: &EntryKey,
         ctrl: &SearchControl,
     ) -> Result<(Arc<ReducedEntry>, bool), ReductionStats> {
-        if let Some(EntryState::Current { reduced, .. }) = self.entries.get(key).map(|e| &e.state) {
+        if let Some(EntryState::Current { reduced }) = self.entries.get(key).map(|e| &e.state) {
             return Ok((Arc::clone(reduced), true));
         }
         if ctrl.check_now() {
             return Err(ReductionStats::default());
         }
         let params = FairCliqueParams::new(key.0, 0).expect("k >= 1 was validated by the caller");
-        let (reduced, components, mut solve_cache, mut enum_cache) = match self.entries.remove(key)
-        {
+        let (reduced, mut solve_cache, mut enum_cache) = match self.entries.remove(key) {
             None => {
                 let (graph, stats) =
                     apply_reductions_controlled(&self.graph, params, &key.1, Some(ctrl));
                 let Some(graph) = graph else {
                     return Err(stats);
                 };
-                let components = build_components(&graph, params.min_size(), &self.digest_keys);
                 let cache = || LruCache::new(self.cache_capacity);
-                (ReducedEntry { graph, stats }, components, cache(), cache())
+                let reduced = ReducedEntry::new(graph, stats, params.k, Vec::new());
+                (reduced, cache(), cache())
             }
             Some(DynEntry {
-                state:
-                    EntryState::Stale {
-                        old,
-                        components,
-                        changed,
-                    },
+                state: EntryState::Stale { old, changed },
                 solve_cache,
                 enum_cache,
             }) => {
-                let (reduced, components) =
-                    self.splice(&old, &components, &changed, params, &key.1);
-                (reduced, components, solve_cache, enum_cache)
+                let reduced = self.splice(&old, &changed, params, &key.1);
+                (reduced, solve_cache, enum_cache)
             }
             Some(DynEntry {
                 state: EntryState::Current { .. },
@@ -754,20 +704,21 @@ impl DynamicRfcSolver {
         };
         self.preprocessing_runs += 1;
         let reduced = Arc::new(reduced);
-        let components = Arc::new(components);
         // Drop results for components that no longer exist; identical components
         // (the clean majority of a splice) keep their entries and will hit. A clean
-        // component's key is the `Arc` the cache already holds, so it matches by
-        // pointer without comparing content.
-        let live: HashSet<&Arc<CanonicalComponent>> = components.iter().map(|c| &c.canon).collect();
-        solve_cache.retain(|k| live.contains(&k.2));
-        enum_cache.retain(|k| live.contains(&k.2));
+        // component is the `Arc` the cache already holds, so it matches by pointer
+        // without comparing content. Should two different live components share a
+        // digest, one of them loses its results, which only costs a recomputation.
+        let live: HashMap<u64, &Arc<Component>> =
+            reduced.components.iter().map(|c| (c.digest(), c)).collect();
+        let is_live = |k: &ComponentKey| live.get(&k.2.digest()).is_some_and(|c| **c == k.2);
+        solve_cache.retain(is_live);
+        enum_cache.retain(is_live);
         self.entries.insert(
             *key,
             DynEntry {
                 state: EntryState::Current {
                     reduced: Arc::clone(&reduced),
-                    components,
                 },
                 solve_cache,
                 enum_cache,
@@ -779,9 +730,8 @@ impl DynamicRfcSolver {
     /// Splices a stale reduced graph: re-runs the pipeline on the components of the
     /// committed graph containing a changed vertex and keeps the old reduction's
     /// slice of every clean component (sound — see the [module docs](self)).
-    /// Returns the spliced graph with its eligible components: the clean ones are
-    /// `old_components`' own entries, keys included, and only the dirty ones are
-    /// canonicalized again. The list comes in [`build_components`]' order.
+    /// Returns the spliced entry: its clean eligible components are `old`'s own,
+    /// keys included, and only the dirty ones are induced again.
     ///
     /// The dirty part is reduced as one compact induced subgraph. Its relabeling
     /// keeps the id order, so every id tie-break in the pipeline (the coloring
@@ -791,11 +741,10 @@ impl DynamicRfcSolver {
     fn splice(
         &self,
         old: &ReducedEntry,
-        old_components: &[DynComponent],
         changed: &BTreeSet<VertexId>,
         params: FairCliqueParams,
         config: &ReductionConfig,
-    ) -> (ReducedEntry, Vec<DynComponent>) {
+    ) -> ReducedEntry {
         // The dirty components: every vertex reachable from a changed one.
         let mut dirty = vec![false; self.graph.num_vertices()];
         let mut reached: Vec<VertexId> = changed.iter().copied().collect();
@@ -840,22 +789,6 @@ impl DynamicRfcSolver {
         builder.add_edges(edges);
         let graph = builder.build().expect("spliced edges stay in range");
 
-        // Components never straddle the clean/dirty line either, and both lists
-        // are ordered by smallest vertex, as `build_components` orders them.
-        let components = merge_sorted(
-            old_components
-                .iter()
-                .filter(|c| !dirty[c.vertices[0] as usize])
-                .cloned(),
-            build_components(&reduced_dirty, params.min_size(), &self.digest_keys)
-                .into_iter()
-                .map(|mut c| {
-                    c.vertices.iter_mut().for_each(|v| *v = original(*v));
-                    c
-                }),
-            |c| c.vertices[0],
-        );
-
         let mut stats = dirty_stats;
         stats.original_vertices = self.graph.num_vertices();
         stats.original_edges = self.graph.num_edges();
@@ -863,7 +796,13 @@ impl DynamicRfcSolver {
             stage.vertices += clean_vertices;
             stage.edges += clean_edges;
         }
-        (ReducedEntry { graph, stats }, components)
+        // Components never straddle the clean/dirty line either, so the clean ones
+        // are eligible components of the spliced graph as they stand.
+        let clean = old
+            .components
+            .iter()
+            .filter(|c| !dirty[c.vertices[0] as usize]);
+        ReducedEntry::new(graph, stats, params.k, clean.cloned().collect())
     }
 }
 
@@ -921,65 +860,24 @@ fn flush_cache_metrics(kind: &str, before: &CacheStats, after: &CacheStats) {
     }
 }
 
-/// The eligible components of a reduced graph with their canonical content keys,
-/// digested with the solver's `keys`.
-fn build_components(
-    reduced: &AttributedGraph,
-    min_size: usize,
-    keys: &RandomState,
-) -> Vec<DynComponent> {
-    let active: Vec<VertexId> = reduced
-        .vertices()
-        .filter(|&v| reduced.degree(v) + 1 >= min_size)
-        .collect();
-    let mut rank = vec![u32::MAX; reduced.num_vertices()];
-    components_of_subset(reduced, &active)
-        .into_iter()
-        .filter(|component| component.len() >= min_size)
-        .map(|vertices| {
-            for (i, &v) in vertices.iter().enumerate() {
-                rank[v as usize] = i as u32;
-            }
-            let attrs: Vec<Attribute> = vertices.iter().map(|&v| reduced.attribute(v)).collect();
-            let mut edges: Vec<(u32, u32)> = Vec::new();
-            for &v in &vertices {
-                for &w in reduced.neighbors(v) {
-                    // Neighbors outside the active set keep rank MAX; active
-                    // neighbors are in this component (components are closed).
-                    if w > v && rank[w as usize] != u32::MAX {
-                        edges.push((rank[v as usize], rank[w as usize]));
-                    }
-                }
-            }
-            edges.sort_unstable();
-            DynComponent {
-                vertices,
-                canon: Arc::new(CanonicalComponent::new(attrs, edges, keys)),
-            }
-        })
-        .collect()
-}
-
-/// Each component's cliques: from `cache` under `(model, size)` and the component's
-/// content, or computed by `work` on its vertices. The misses fan out over `threads`
-/// largest first, with [`fan_out`]'s rule. A miss that ran to completion is cached;
-/// one the control skipped stays `None`. Returns the cliques in component order with
-/// the misses' merged counters, and publishes the cache activity as `kind`.
-fn component_results<C, S>(
+/// Each component's cliques: from `cache` under `(model, size)` and the component,
+/// or computed by `work` on it. The misses fan out over `threads` largest first,
+/// with [`fan_out`]'s rule. A miss that ran to completion is cached; one the
+/// control skipped stays `None`. Returns the cliques in component order with the
+/// misses' merged counters, and publishes the cache activity as `kind`.
+fn component_results<S>(
     cache: &mut LruCache<ComponentKey, ComponentCliques>,
     kind: &str,
-    components: &[C],
+    components: &[&Arc<Component>],
     (model, size): (FairnessModel, usize),
     threads: ThreadCount,
     ctrl: &SearchControl,
-    work: impl Fn(&[VertexId], Option<ThreadCount>) -> (Vec<Vec<u32>>, bool, S) + Sync,
+    work: impl Fn(&Arc<Component>, Option<ThreadCount>) -> (Vec<Vec<u32>>, bool, S) + Sync,
 ) -> (Vec<Option<ComponentCliques>>, S)
 where
-    C: Borrow<DynComponent> + Sync,
     S: Default + Send + for<'a> std::ops::AddAssign<&'a S>,
 {
-    let component = |i: usize| components[i].borrow();
-    let key = |i: usize| (model, size, Arc::clone(&component(i).canon));
+    let key = |i: usize| (model, size, Arc::clone(components[i]));
     let before = cache.stats();
     let mut results: Vec<Option<ComponentCliques>> = (0..components.len())
         .map(|i| cache.get(&key(i)).cloned())
@@ -987,9 +885,9 @@ where
     let mut misses: Vec<usize> = (0..components.len())
         .filter(|&i| results[i].is_none())
         .collect();
-    misses.sort_by_key(|&i| Reverse(component(i).vertices.len()));
+    misses.sort_by_key(|&i| Reverse(components[i].vertices.len()));
     let fresh = fan_out(&misses, threads, Some(ctrl), |&i, pinned| {
-        work(&component(i).vertices, pinned)
+        work(components[i], pinned)
     });
     let mut stats = S::default();
     for (&i, result) in misses.iter().zip(fresh) {
@@ -1007,54 +905,43 @@ where
     (results, stats)
 }
 
-/// Exact search of one component: the shared search phase over the component's
-/// induced subgraph, on `threads`. Returns the pool's cliques in canonical ranks
-/// (the induced subgraph of a sorted component *is* the canonical relabeling),
-/// whether the search ran to completion, and its counters.
+/// Exact search of one component: the shared search phase over its stored graph,
+/// on `threads`. Returns the pool's cliques in compact ids, whether the search ran
+/// to completion, and its counters.
 fn solve_component(
-    reduced: &AttributedGraph,
-    component: &[VertexId],
+    component: &Arc<Component>,
     params: FairCliqueParams,
     config: &SearchConfig,
     threads: ThreadCount,
     capacity: usize,
     ctrl: &SearchControl,
 ) -> (Vec<Vec<u32>>, bool, SearchStats) {
-    let sub = induced_subgraph(reduced, component);
     let pool = SharedIncumbent::with_capacity(capacity);
     let config = SearchConfig {
         threads,
         ..config.clone()
     };
-    let stats = search_phase(&sub.graph, params, &config, &pool, ctrl);
+    let (graph, ids) = (&component.graph, CliqueIds::Compact);
+    let one = std::slice::from_ref(component);
+    let stats = search_phase(graph, one, ids, params, &config, &pool, ctrl);
     (pool.into_cliques(), !ctrl.stopped(), stats)
 }
 
-/// Full maximal-fair-clique enumeration of one component, collected as canonical
-/// rank cliques (deterministic order), plus whether it ran to completion.
+/// Full maximal-fair-clique enumeration of one component, collected in compact ids
+/// (deterministic order), plus whether it ran to completion.
 fn enumerate_component(
-    reduced: &AttributedGraph,
-    component: &[VertexId],
+    component: &Component,
     problem: EnumProblem,
     ctrl: &SearchControl,
 ) -> (Vec<Vec<u32>>, bool, EnumStats) {
     let mut collected: Vec<Vec<u32>> = Vec::new();
-    let mut emit = |vertices: Vec<VertexId>| {
-        let ranks: Vec<u32> = vertices
-            .iter()
-            .map(|v| {
-                component
-                    .binary_search(v)
-                    .expect("emitted vertices lie in the component") as u32
-            })
-            .collect();
-        collected.push(ranks);
+    let mut emit = |clique: Vec<VertexId>| {
+        collected.push(clique);
         SinkFlow::Continue
     };
-    let (stats, _sink_stopped) =
-        enumerate_one_component(reduced, component, problem, ctrl, &mut emit);
-    let completed = !ctrl.stopped();
-    (collected, completed, stats)
+    let (ids, sink_stop) = (CliqueIds::Compact, AtomicBool::new(false));
+    let stats = enumerate_one_component(component, ids, problem, ctrl, &sink_stop, &mut emit);
+    (collected, !ctrl.stopped(), stats)
 }
 
 #[cfg(test)]
@@ -1466,18 +1353,25 @@ mod tests {
     #[test]
     fn equal_digests_with_different_content_never_share_a_cache_entry() {
         let keys = RandomState::new();
-        let attrs = vec![Attribute::A, Attribute::B, Attribute::A];
-        let edges = vec![(0, 1), (0, 2), (1, 2)];
-        let real = CanonicalComponent::new(attrs.clone(), edges.clone(), &keys);
-        // Same digest and attributes, one edge short: a forced collision.
-        let forged = CanonicalComponent {
-            digest: real.digest,
-            attrs: attrs.clone(),
-            edges: edges[..2].to_vec(),
+        let component = |vertices: Vec<VertexId>, edges: &[(u32, u32)], digest| {
+            let mut b =
+                GraphBuilder::with_attributes(vec![Attribute::A, Attribute::B, Attribute::A]);
+            b.add_edges(edges.iter().copied());
+            let graph = b.build().unwrap();
+            Component {
+                vertices,
+                graph,
+                digest,
+            }
         };
+        let triangle = [(0, 1), (0, 2), (1, 2)];
+        let real = component(vec![0, 1, 2], &triangle, OnceLock::new());
+        // Same digest and attributes, one edge short: a forced collision.
+        let forged = component(vec![0, 1, 2], &triangle[..2], OnceLock::from(real.digest()));
         assert_eq!(keys.hash_one(&real), keys.hash_one(&forged));
         assert_ne!(real, forged);
-        let rebuilt = CanonicalComponent::new(attrs, edges, &keys);
+        // The same graph elsewhere in the vertex space is the same key.
+        let rebuilt = component(vec![5, 7, 9], &triangle, OnceLock::new());
         assert_eq!(real, rebuilt);
 
         let model = FairnessModel::Relative { k: 1, delta: 0 };
@@ -1533,16 +1427,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The current reduced graph and components of the entry for `key`.
-    fn current(
-        solver: &DynamicRfcSolver,
-        key: &EntryKey,
-    ) -> (Arc<ReducedEntry>, Arc<Vec<DynComponent>>) {
+    /// The current reduced entry for `key`.
+    fn current(solver: &DynamicRfcSolver, key: &EntryKey) -> Arc<ReducedEntry> {
         match &solver.entries[key].state {
-            EntryState::Current {
-                reduced,
-                components,
-            } => (Arc::clone(reduced), Arc::clone(components)),
+            EntryState::Current { reduced } => Arc::clone(reduced),
             EntryState::Stale { .. } => panic!("the entry was not spliced"),
         }
     }
@@ -1595,10 +1483,10 @@ mod tests {
 
     /// Runs a seeded churn inside the first blob of `four_blobs(seed)`, querying
     /// after every one or two commits, and checks each splice against the
-    /// full-space construction: the same reduced graph and stage counts, the
-    /// components of a fresh [`build_components`] in its order, and the clean
-    /// components' keys carried over pointer-equal. Returns the solve and
-    /// enumerate cache hits and misses.
+    /// full-space construction: the same reduced graph and stage counts, a reduced
+    /// graph equal to a from-scratch reduction, the components of a fresh
+    /// decomposition of it in their order, and the clean components carried over
+    /// pointer-equal. Returns the solve and enumerate cache hits and misses.
     fn check_splices(seed: u64) -> (u64, u64, u64, u64) {
         let mut solver = DynamicRfcSolver::new(four_blobs(seed));
         let model = FairnessModel::Relative { k: 3, delta: 1 };
@@ -1613,7 +1501,7 @@ mod tests {
         let mut state = seed ^ 0x5eed;
         let (mut splices, mut carried) = (0, 0);
         for round in 0..40u32 {
-            let (old, old_components) = current(&solver, &key);
+            let old = current(&solver, &key);
             let runs = solver.preprocessing_runs();
             let mut changed = BTreeSet::new();
             for _ in 0..1 + round % 3 / 2 {
@@ -1646,16 +1534,25 @@ mod tests {
             }
             solver.solve(&query).unwrap();
             enumerate(&mut solver);
-            let (reduced, components) = current(&solver, &key);
+            let reduced = current(&solver, &key);
+            let (components, old_components) = (&reduced.components, &old.components);
             if solver.preprocessing_runs() == runs {
                 // Kept wholesale: the components and their keys are untouched.
-                assert!(Arc::ptr_eq(&components, &old_components), "round {round}");
+                assert_eq!(components.len(), old_components.len(), "round {round}");
+                for (after, before) in components.iter().zip(old_components) {
+                    assert!(Arc::ptr_eq(after, before), "round {round}");
+                }
                 continue;
             }
             splices += 1;
             let (graph, stages, dirty) =
                 full_space_splice(solver.graph(), &old, &changed, params, &key.1);
             assert_eq!(reduced.graph, graph, "round {round}");
+            let scratch = apply_reductions(solver.graph(), params, &key.1).0;
+            assert_eq!(
+                reduced.graph, scratch,
+                "round {round}: not the from-scratch reduction"
+            );
             let spliced: Vec<(usize, usize)> = reduced
                 .stats
                 .stages
@@ -1663,11 +1560,11 @@ mod tests {
                 .map(|s| (s.vertices, s.edges))
                 .collect();
             assert_eq!(spliced, stages, "round {round}");
-            let fresh = build_components(&graph, params.min_size(), &solver.digest_keys);
-            assert_eq!(components.len(), fresh.len(), "round {round}");
-            for (got, want) in components.iter().zip(&fresh) {
+            let fresh = ReducedEntry::new(graph, Default::default(), params.k, Vec::new());
+            assert_eq!(components.len(), fresh.components.len(), "round {round}");
+            for (got, want) in components.iter().zip(&fresh.components) {
                 assert_eq!(got.vertices, want.vertices, "round {round}");
-                assert_eq!(got.canon, want.canon, "round {round}");
+                assert_eq!(got.graph, want.graph, "round {round}");
             }
             for before in old_components
                 .iter()
@@ -1677,7 +1574,7 @@ mod tests {
                     .iter()
                     .find(|c| c.vertices == before.vertices)
                     .expect("a clean component survives its splice");
-                assert!(Arc::ptr_eq(&after.canon, &before.canon), "round {round}");
+                assert!(Arc::ptr_eq(after, before), "round {round}");
                 carried += 1;
             }
         }

@@ -11,8 +11,8 @@
 //!
 //! ## Algorithm
 //!
-//! The engine runs one pivot-aware Bron–Kerbosch-style recursion per connected
-//! component of the solver's cached *reduced* graph, over the dense
+//! The engine runs one pivot-aware Bron–Kerbosch-style recursion per eligible
+//! connected component of the solver's cached *reduced* graph, over the dense
 //! [`BitMatrix`] adjacency of the component (the same representation the
 //! branch-and-bound uses), with vertices relabeled by their degeneracy rank. Each node
 //! carries `(R, P, X)` — the current clique, the not-yet-branched common neighbors,
@@ -51,27 +51,29 @@
 //! local, so early termination only loses cliques, it never corrupts them). With
 //! [`ThreadCount::Serial`] the emission order is deterministic: components in
 //! discovery order, and within a component the depth-first order of the recursion
-//! over degeneracy-ranked candidates. Parallel runs fan components out to workers
-//! largest-first and funnel emissions through a channel to the calling thread, so the
-//! sink itself never needs locking; the emitted *set* is identical, the order is not.
+//! over degeneracy-ranked candidates. The components are the reduced graph's
+//! eligible components for the model's `2k`, filtered by size for a larger
+//! `min_size`, so the library, the dynamic solver and the daemon all emit one
+//! sequence. Parallel runs fan components out to workers largest-first and funnel
+//! emissions through a channel to the calling thread, so the sink itself never needs
+//! locking; the emitted *set* is identical, the order is not.
 
+use std::cmp::Reverse;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use rfc_graph::bitset::{BitMatrix, Bitset};
 use rfc_graph::coloring::greedy_coloring;
-use rfc_graph::components::components_of_subset;
-use rfc_graph::subgraph::induced_subgraph;
 use rfc_graph::{Attribute, AttributeCounts, AttributedGraph, VertexId};
 
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::{ReductionConfig, ReductionStats};
 use crate::search::control::SearchControl;
 use crate::search::steal;
-use crate::search::{BranchOrder, ThreadCount};
-use crate::solver::{Budget, CancelToken};
+use crate::search::{BranchOrder, CliqueIds, Ranked, ThreadCount};
+use crate::solver::{Budget, CancelToken, Component};
 
 /// Tells the enumeration engine whether to keep going after an emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -541,7 +543,7 @@ struct ComponentEnum<'a> {
     min_size: usize,
     /// Whether fairness is monotone on this component (classic pivoting is sound).
     pivoting: bool,
-    /// `original[rank]` is the parent-graph vertex id branched at that rank.
+    /// `original[rank]` is the published id of the vertex branched at that rank.
     original: Vec<VertexId>,
     /// Adjacency over ranks.
     adj: BitMatrix,
@@ -564,9 +566,10 @@ struct ComponentEnum<'a> {
 }
 
 impl<'a> ComponentEnum<'a> {
+    /// Builds the enumerator of one eligible component, emitting cliques in `ids`.
     fn new(
-        reduced: &AttributedGraph,
-        component: &[VertexId],
+        component: &Component,
+        ids: CliqueIds,
         problem: EnumProblem,
         ctrl: &'a SearchControl,
         sink_stop: &'a AtomicBool,
@@ -576,32 +579,18 @@ impl<'a> ComponentEnum<'a> {
             params,
             min_size,
         } = problem;
-        let sub = induced_subgraph(reduced, component);
-        let cg = &sub.graph;
-        let n = cg.num_vertices();
-        let order = crate::search::ordering_sequence(cg, BranchOrder::Degeneracy);
-        let mut positions = vec![0usize; n];
-        for (rank, &v) in order.iter().enumerate() {
-            positions[v as usize] = rank;
-        }
-        let mut adj = BitMatrix::new(n);
-        for &(u, v) in cg.edge_list() {
-            adj.set_edge(positions[u as usize], positions[v as usize]);
-        }
-        let mut attr_a = Bitset::new(n);
-        let mut attrs = vec![Attribute::B; n];
-        for v in cg.vertices() {
-            attrs[positions[v as usize]] = cg.attribute(v);
-            if cg.attribute(v) == Attribute::A {
-                attr_a.insert(positions[v as usize]);
-            }
-        }
-        let coloring = greedy_coloring(cg);
-        let mut colors = vec![0u32; n];
-        for v in cg.vertices() {
-            colors[positions[v as usize]] = coloring.color(v);
-        }
-        let original: Vec<VertexId> = order.iter().map(|&v| sub.to_original(v)).collect();
+        let graph = &component.graph;
+        let n = graph.num_vertices();
+        let Ranked {
+            order, adj, attr_a, ..
+        } = Ranked::new(graph, BranchOrder::Degeneracy);
+        let attrs = order.iter().map(|&v| graph.attribute(v)).collect();
+        let coloring = greedy_coloring(graph);
+        let colors = order.iter().map(|&v| coloring.color(v)).collect();
+        let original = match ids.table(component) {
+            Some(ids) => order.iter().map(|&v| ids[v as usize]).collect(),
+            None => order,
+        };
         // Fairness is monotone iff the imbalance constraint can never bind within
         // this component (the weak model resolves to δ ≥ |G| ≥ n).
         let pivoting = params.delta >= n;
@@ -808,59 +797,60 @@ impl<'a> ComponentEnum<'a> {
     }
 }
 
-/// Enumerates the maximal fair cliques of **one** connected component of `reduced`,
-/// handing each one (as reduced-graph vertex ids) to `emit`. Returns the component's
-/// stats (with `components_searched = 1`) and whether `emit` stopped the run.
+/// Enumerates the maximal fair cliques of **one** eligible component, handing each
+/// one (in `ids`) to `emit`, and returns the component's stats (with
+/// `components_searched = 1`). `sink_stop` is raised once `emit` asks to stop, and
+/// stops this component too when another one raised it.
 ///
-/// This is the single-component engine shared by [`run_enumeration`]'s serial path
-/// and the dynamic solver's per-component re-enumeration
+/// Every enumeration runs its components through this: both paths of
+/// [`run_enumeration`] and the dynamic solver's per-component re-enumeration
 /// ([`DynamicRfcSolver::enumerate`](crate::dynamic::DynamicRfcSolver::enumerate)),
 /// which caches completed component results and only re-runs this on components an
 /// update actually changed.
 pub(crate) fn enumerate_one_component(
-    reduced: &AttributedGraph,
-    component: &[VertexId],
+    component: &Component,
+    ids: CliqueIds,
     problem: EnumProblem,
     ctrl: &SearchControl,
+    sink_stop: &AtomicBool,
     emit: &mut dyn FnMut(Vec<VertexId>) -> SinkFlow,
-) -> (EnumStats, bool) {
-    let sink_stop = AtomicBool::new(false);
-    let mut ce = ComponentEnum::new(reduced, component, problem, ctrl, &sink_stop);
+) -> EnumStats {
+    let mut ce = ComponentEnum::new(component, ids, problem, ctrl, sink_stop);
     ce.run(emit);
-    let mut stats = ce.stats;
-    stats.components_searched = 1;
-    (stats, sink_stop.load(Ordering::Relaxed))
+    EnumStats {
+        components_searched: 1,
+        ..ce.stats
+    }
 }
 
-/// Runs the enumeration over every eligible component of `reduced`, streaming into
-/// `sink`. Returns the merged stats, the number of cliques delivered to the sink, and
-/// whether the sink stopped the run.
+/// Runs the enumeration over the eligible `components` of a reduced graph that have
+/// at least `problem.min_size` vertices, streaming into `sink`. Returns the merged
+/// stats, the number of cliques delivered to the sink, and whether the sink stopped
+/// the run.
 ///
 /// This is the engine below
 /// [`RfcSolver::enumerate`](crate::solver::RfcSolver::enumerate): the reduction has
-/// already happened, and the caller owns termination classification and wall-clock
-/// accounting.
+/// already happened, and with it each component's induced graph, built once for the
+/// model's `2k`; a larger `min_size` only filters them by size, as the dynamic
+/// solver does, so both emit one serial sequence. The caller owns termination
+/// classification and wall-clock accounting.
 pub(crate) fn run_enumeration(
     original: &AttributedGraph,
-    reduced: &AttributedGraph,
+    components: &[Arc<Component>],
     problem: EnumProblem,
     threads: ThreadCount,
     ctrl: &SearchControl,
     sink: &mut dyn CliqueSink,
 ) -> (EnumStats, u64, bool) {
-    let min_size = problem.min_size;
     let mut stats = EnumStats::default();
-    // A clique of size ≥ min_size only contains vertices of degree ≥ min_size − 1 and
-    // lives in a component of at least min_size vertices; any fair extension that
-    // could disqualify an emitted clique is itself larger, so it survives this filter
-    // too and maximality judgements are unaffected.
-    let active: Vec<VertexId> = reduced
-        .vertices()
-        .filter(|&v| reduced.degree(v) + 1 >= min_size)
-        .collect();
-    let mut components: Vec<Vec<VertexId>> = components_of_subset(reduced, &active)
-        .into_iter()
-        .filter(|component| component.len() >= min_size)
+    // A clique of size ≥ min_size lives in a component of at least min_size
+    // vertices; any fair extension that could disqualify an emitted clique is
+    // itself larger, so it lies in the same component and maximality judgements
+    // are unaffected.
+    let mut components: Vec<&Component> = components
+        .iter()
+        .map(|c| &**c)
+        .filter(|c| c.vertices.len() >= problem.min_size)
         .collect();
 
     let workers = threads.resolve().min(components.len());
@@ -878,18 +868,14 @@ pub(crate) fn run_enumeration(
                 emitted += 1;
                 sink.emit(FairClique::from_vertices(original, vertices))
             };
-            let (component_stats, stopped) =
-                enumerate_one_component(reduced, component, problem, ctrl, &mut emit);
-            stats += &component_stats;
-            if stopped {
-                sink_stop.store(true, Ordering::Relaxed);
-            }
+            let ids = CliqueIds::Reduced;
+            stats += &enumerate_one_component(component, ids, problem, ctrl, &sink_stop, &mut emit);
         }
         stats.cpu_micros += busy.elapsed().as_micros() as u64;
     } else {
         // Largest components first so the most expensive enumerations start
         // immediately (ties broken by vertex ids to keep dispatch reproducible).
-        components.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        components.sort_unstable_by_key(|c| (Reverse(c.vertices.len()), c.vertices[0]));
         // Bounded channel: a sink slower than the workers applies backpressure
         // (workers block in `send`) instead of buffering an unbounded backlog —
         // million-clique runs stay constant-memory end to end.
@@ -913,9 +899,6 @@ pub(crate) fn run_enumeration(
                     }
                     let busy = Instant::now();
                     let (local, tx) = state;
-                    local.components_searched += 1;
-                    let mut ce =
-                        ComponentEnum::new(reduced, &components[i], problem, ctrl, sink_stop);
                     let mut emit = |vertices: Vec<VertexId>| {
                         // A dropped receiver means the run is over.
                         if tx.send(vertices).is_ok() {
@@ -924,8 +907,8 @@ pub(crate) fn run_enumeration(
                             SinkFlow::Stop
                         }
                     };
-                    ce.run(&mut emit);
-                    *local += &ce.stats;
+                    let (c, ids) = (components[i], CliqueIds::Reduced);
+                    *local += &enumerate_one_component(c, ids, problem, ctrl, sink_stop, &mut emit);
                     local.cpu_micros += busy.elapsed().as_micros() as u64;
                 });
                 let mut merged = EnumStats::default();

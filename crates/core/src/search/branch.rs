@@ -13,9 +13,9 @@
 //! The per-component state is split in two so one component can be searched by many
 //! workers:
 //!
-//! * [`ComponentContext`] — the immutable, shareable part (induced subgraph, branching
-//!   order, bitset adjacency, attribute mask). Built once per component, read by every
-//!   worker that runs one of its subtrees.
+//! * [`ComponentContext`] — the immutable, shareable part (the component graph and its
+//!   id table, branching order, bitset adjacency, attribute mask). Built once per
+//!   search of a component, read by every worker that runs one of its subtrees.
 //! * [`ComponentSearch`] — one worker's view of a search in progress: its stats,
 //!   scratch pool, current partial clique and the subtree tasks it has split off.
 //!
@@ -28,68 +28,46 @@
 //! incumbent first, so work that was already pruned-out by the time it is stolen costs
 //! one node visit.
 
-use rfc_graph::bitset::{BitMatrix, Bitset, BitsetPool};
-use rfc_graph::subgraph::{induced_subgraph, InducedSubgraph};
-use rfc_graph::{Attribute, AttributeCounts, AttributedGraph, VertexId};
+use rfc_graph::bitset::{Bitset, BitsetPool};
+use rfc_graph::{AttributeCounts, AttributedGraph, VertexId};
 
-use crate::bounds::bitset_kernel::{rank_upper_bound, BoundScratch, RankGraph};
+use crate::bounds::bitset_kernel::{rank_upper_bound, BoundScratch};
 use crate::bounds::ExtraBound;
 use crate::problem::FairCliqueParams;
 
 use super::control::SearchControl;
-use super::ordering::{ordering_sequence, positions_of};
+use super::ordering::Ranked;
 use super::parallel::SharedIncumbent;
 use super::{SearchConfig, SearchStats};
 
 /// The immutable per-component search state, shareable across workers.
-pub(super) struct ComponentContext {
-    /// The component as an induced subgraph with compact vertex ids.
-    pub(super) sub: InducedSubgraph,
-    /// `order[rank]` is the component-local vertex with that branching rank.
-    pub(super) order: Vec<VertexId>,
-    /// `rank_of[v]` is the branching rank of component-local vertex `v` (the inverse
-    /// of `order`).
-    rank_of: Vec<usize>,
-    /// Adjacency over ranks: bit `r` of row `q` is set iff the vertices ranked `q` and
-    /// `r` are adjacent.
-    pub(super) adj: BitMatrix,
-    /// Ranks whose vertex has attribute `a` (candidate attribute counts come from one
-    /// AND + popcount against this mask).
-    pub(super) attr_a: Bitset,
+pub(super) struct ComponentContext<'a> {
+    /// The component graph, with compact vertex ids.
+    graph: &'a AttributedGraph,
+    /// `ids[v]` is the id clique member `v` is published under; `None` publishes
+    /// the compact ids themselves.
+    ids: Option<&'a [VertexId]>,
+    /// The component in branching order. Candidate attribute counts come from one
+    /// AND + popcount against its `attr_a` mask.
+    ranked: Ranked,
     /// Branch nodes strictly shallower than this depth are split off as
     /// [`SubtreeTask`]s instead of being recursed into. `0` (the serial setting)
     /// disables splitting entirely.
     pub(super) split_depth: usize,
 }
 
-impl ComponentContext {
-    /// Builds the context for one connected `component` of `parent`.
+impl<'a> ComponentContext<'a> {
+    /// Builds the context for one component `graph`, publishing cliques through
+    /// `ids` (see [`CliqueIds`](super::CliqueIds)).
     pub(super) fn new(
-        parent: &AttributedGraph,
-        component: &[VertexId],
+        graph: &'a AttributedGraph,
+        ids: Option<&'a [VertexId]>,
         config: &SearchConfig,
     ) -> Self {
-        let sub = induced_subgraph(parent, component);
-        let cg = &sub.graph;
-        let n = cg.num_vertices();
-        let order = ordering_sequence(cg, config.branch_order);
-        let rank_of = positions_of(&order);
-        let mut adj = BitMatrix::new(n);
-        for &(u, v) in cg.edge_list() {
-            adj.set_edge(rank_of[u as usize], rank_of[v as usize]);
-        }
-        let mut attr_a = Bitset::new(n);
-        for v in cg.vertices() {
-            if cg.attribute(v) == Attribute::A {
-                attr_a.insert(rank_of[v as usize]);
-            }
-        }
         Self {
-            sub,
-            order,
-            rank_of,
-            adj,
-            attr_a,
+            graph,
+            ids,
+            ranked: Ranked::new(graph, config.branch_order),
             split_depth: 0,
         }
     }
@@ -103,15 +81,14 @@ impl ComponentContext {
 
     /// Number of vertices of the component (the capacity of all its bitsets).
     pub(super) fn num_vertices(&self) -> usize {
-        self.sub.graph.num_vertices()
+        self.graph.num_vertices()
     }
 
-    /// The component in rank space, as the bound kernel reads it.
-    fn rank_graph(&self) -> RankGraph<'_> {
-        RankGraph {
-            adj: &self.adj,
-            attr_a: &self.attr_a,
-            key: &self.order,
+    /// The clique `r` of compact ids, in published ids.
+    fn publish(&self, r: &[VertexId]) -> Vec<VertexId> {
+        match self.ids {
+            Some(ids) => r.iter().map(|&v| ids[v as usize]).collect(),
+            None => r.to_vec(),
         }
     }
 }
@@ -155,7 +132,7 @@ pub(super) struct SubtreeTask {
 /// global [`useful_size`](SharedIncumbent::useful_size) — whether it came from this
 /// component, the heuristic warm start, or (in parallel mode) another worker.
 pub(super) struct ComponentSearch<'a> {
-    ctx: &'a ComponentContext,
+    ctx: &'a ComponentContext<'a>,
     /// Index of `ctx`'s component in the caller's table, stamped onto spawned tasks.
     comp: usize,
     params: FairCliqueParams,
@@ -176,7 +153,7 @@ pub(super) struct ComponentSearch<'a> {
 impl<'a> ComponentSearch<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn new(
-        ctx: &'a ComponentContext,
+        ctx: &'a ComponentContext<'a>,
         comp: usize,
         params: FairCliqueParams,
         config: &'a SearchConfig,
@@ -205,7 +182,7 @@ impl<'a> ComponentSearch<'a> {
     }
 
     /// Runs the search from the component root. Any fair clique reaching the shared
-    /// pool's useful size is published (in parent-graph vertex ids) the moment it is
+    /// pool's useful size is published (in the context's ids) the moment it is
     /// found.
     pub(super) fn run(&mut self) {
         let n = self.ctx.num_vertices();
@@ -238,7 +215,7 @@ impl<'a> ComponentSearch<'a> {
             return;
         }
         self.stats.branches += 1;
-        let cg = &self.ctx.sub.graph;
+        let cg = self.ctx.graph;
         let params = self.params;
 
         // Record the current clique if it is fair and useful to the shared pool
@@ -246,7 +223,7 @@ impl<'a> ComponentSearch<'a> {
         // top-k pool, where the canonical tie-break decides membership).
         if self.r.len() >= self.incumbent.useful_size()
             && params.is_fair(counts)
-            && self.incumbent.offer(self.ctx.sub.to_original_set(&self.r))
+            && self.incumbent.offer(self.ctx.publish(&self.r))
         {
             self.stats.incumbent_updates += 1;
         }
@@ -255,7 +232,7 @@ impl<'a> ComponentSearch<'a> {
         }
 
         // --- Cheap feasibility pruning (every node) ---------------------------------
-        let cand_a = candidates.intersection_count(self.ctx.attr_a.words());
+        let cand_a = candidates.intersection_count(self.ctx.ranked.attr_a.words());
         let cand_b = cand_total - cand_a;
         let reach_a = counts.a() + cand_a;
         let reach_b = counts.b() + cand_b;
@@ -305,10 +282,10 @@ impl<'a> ComponentSearch<'a> {
             let goal = useful.max(params.min_size());
             let mut instance = self.scratch.bitsets.acquire_copy(candidates);
             for &v in &self.r {
-                instance.insert(self.ctx.rank_of[v as usize]);
+                instance.insert(self.ctx.ranked.rank_of[v as usize]);
             }
             let ub = rank_upper_bound(
-                &self.ctx.rank_graph(),
+                &self.ctx.ranked,
                 &instance,
                 params,
                 bounds,
@@ -343,13 +320,13 @@ impl<'a> ComponentSearch<'a> {
                 break;
             }
             rest.remove(rank);
-            let v = self.ctx.order[rank];
+            let v = self.ctx.ranked.order[rank];
             let mut next_counts = counts;
             next_counts.add(cg.attribute(v));
             let (next_candidates, next_total) = self
                 .scratch
                 .bitsets
-                .acquire_intersection(&rest, self.ctx.adj.row(rank));
+                .acquire_intersection(&rest, self.ctx.ranked.adj.row(rank));
             if depth < self.ctx.split_depth {
                 let mut r = self.r.clone();
                 r.push(v);
@@ -385,8 +362,7 @@ mod tests {
         config: &SearchConfig,
         incumbent_size: usize,
     ) -> (Option<Vec<VertexId>>, SearchStats) {
-        let all: Vec<VertexId> = g.vertices().collect();
-        let ctx = ComponentContext::new(g, &all, config);
+        let ctx = ComponentContext::new(g, None, config);
         let mut stats = SearchStats::default();
         let incumbent = SharedIncumbent::with_floor(incumbent_size);
         let ctrl = SearchControl::unlimited();
@@ -451,16 +427,15 @@ mod tests {
     #[test]
     fn bitset_adjacency_matches_graph_adjacency() {
         let g = fixtures::fig1_graph();
-        let all: Vec<VertexId> = g.vertices().collect();
         let config = SearchConfig::default();
-        let ctx = ComponentContext::new(&g, &all, &config);
+        let ctx = ComponentContext::new(&g, None, &config);
         let n = ctx.num_vertices();
         for qr in 0..n {
             for rr in 0..n {
-                let (u, v) = (ctx.order[qr], ctx.order[rr]);
+                let (u, v) = (ctx.ranked.order[qr], ctx.ranked.order[rr]);
                 assert_eq!(
-                    ctx.adj.contains(qr, rr),
-                    ctx.sub.graph.has_edge(u, v),
+                    ctx.ranked.adj.contains(qr, rr),
+                    ctx.graph.has_edge(u, v),
                     "ranks ({qr}, {rr}) ↔ vertices ({u}, {v})"
                 );
             }
@@ -475,8 +450,7 @@ mod tests {
         let g = fixtures::fig1_graph();
         let params = FairCliqueParams::new(3, 1).unwrap();
         let config = SearchConfig::basic();
-        let all: Vec<VertexId> = g.vertices().collect();
-        let ctx = ComponentContext::new(&g, &all, &config).with_split_depth(1);
+        let ctx = ComponentContext::new(&g, None, &config).with_split_depth(1);
         let incumbent = SharedIncumbent::new(None);
         let ctrl = SearchControl::unlimited();
         let mut stats = SearchStats::default();

@@ -8,11 +8,14 @@
 //!    (`EnColorfulCore` → `ColorfulSup` → `EnColorfulSup`, Algorithm 2 lines 1–3);
 //! 2. optionally warm-starts the incumbent with the [`HeurRFC`](crate::heuristic)
 //!    heuristic;
-//! 3. runs an exact branch-and-bound over every connected component of the reduced
-//!    graph — serially or across worker threads with a shared incumbent (see
+//! 3. runs an exact branch-and-bound over every eligible connected component of the
+//!    reduced graph (at least `2k` vertices, each of degree at least `2k − 1`) —
+//!    serially or across worker threads with a shared incumbent (see
 //!    [`ThreadCount`]) — ordering vertices by the colorful-core peeling order
 //!    (`CalColorOD`) and pruning with the configured [upper bounds](crate::bounds)
-//!    plus attribute- and δ-feasibility checks;
+//!    plus attribute- and δ-feasibility checks. Each component's induced graph is
+//!    built once, with the cached reduced graph, and every solve, enumeration and
+//!    bound of that graph reads it;
 //! 4. returns the maximum relative fair clique (if any) together with detailed
 //!    [`SearchStats`].
 //!
@@ -33,17 +36,20 @@ mod ordering;
 pub(crate) mod parallel;
 pub(crate) mod steal;
 
+pub(crate) use ordering::Ranked;
 pub use ordering::{ordering_positions, ordering_sequence, BranchOrder};
 pub use parallel::ThreadCount;
 
-use rfc_graph::components::components_of_subset;
+use std::cmp::Reverse;
+use std::sync::Arc;
+
 use rfc_graph::{AttributedGraph, VertexId};
 
 use crate::bounds::BoundConfig;
 use crate::heuristic::HeuristicConfig;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::{ReductionConfig, ReductionStats};
-use crate::solver::{Query, RfcSolver};
+use crate::solver::{Component, Query, RfcSolver};
 
 /// Full configuration of the `MaxRFC` search.
 ///
@@ -336,30 +342,42 @@ fn solve_one_shot(
     }
 }
 
-/// Runs the branch-and-bound phase over every eligible connected component of
-/// `reduced`, publishing improvements into `incumbent` and honoring `ctrl`.
+/// The ids a component search publishes its cliques in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CliqueIds {
+    /// Each component's `vertices`: ids of the reduced graph, which are the input
+    /// graph's (the library's shared pool).
+    Reduced,
+    /// The component graph's own compact ids: a dynamic miss, whose pool holds them
+    /// as the dynamic solver's caches do.
+    Compact,
+}
+
+impl CliqueIds {
+    /// The table taking `component`'s compact ids to these ids (`None`: the identity).
+    pub(crate) fn table(self, component: &Component) -> Option<&[VertexId]> {
+        match self {
+            CliqueIds::Reduced => Some(&component.vertices),
+            CliqueIds::Compact => None,
+        }
+    }
+}
+
+/// Runs the branch-and-bound phase over the eligible `components` of a reduced
+/// graph, publishing improvements in `ids` into `incumbent` and honoring `ctrl`.
 ///
 /// This is the engine below [`RfcSolver::solve`]: reduction and the heuristic warm
 /// start have already happened by the time it runs. Returns the search-phase counters
 /// (the caller owns reduction stats and wall-clock time).
 pub(crate) fn branch_and_bound(
-    reduced: &AttributedGraph,
+    components: &[Arc<Component>],
+    ids: CliqueIds,
     params: FairCliqueParams,
     config: &SearchConfig,
     incumbent: &parallel::SharedIncumbent,
     ctrl: &control::SearchControl,
 ) -> SearchStats {
     let mut stats = SearchStats::default();
-
-    // Only vertices that kept enough neighbors can be part of a fair clique.
-    let active: Vec<VertexId> = reduced
-        .vertices()
-        .filter(|&v| reduced.degree(v) + 1 >= params.min_size())
-        .collect();
-    let mut components: Vec<Vec<VertexId>> = components_of_subset(reduced, &active)
-        .into_iter()
-        .filter(|component| component.len() >= params.min_size())
-        .collect();
 
     // A single giant component still uses every worker (its subtrees are stealable),
     // so the worker count is *not* capped at the component count.
@@ -373,15 +391,15 @@ pub(crate) fn branch_and_bound(
         // classic sequential algorithm (improvements still flow through `incumbent`).
         let busy = std::time::Instant::now();
         let mut scratch = branch::Scratch::default();
-        for component in &components {
+        for component in components {
             if ctrl.stopped() {
                 break;
             }
             stats.components_searched += 1;
             let mut span = rfc_obs::trace::span("component");
-            span.counter("vertices", component.len() as u64);
+            span.counter("vertices", component.vertices.len() as u64);
             let branches_before = stats.branches;
-            let ctx = branch::ComponentContext::new(reduced, component, config);
+            let ctx = branch::ComponentContext::new(&component.graph, ids.table(component), config);
             scratch.reset(ctx.num_vertices());
             branch::ComponentSearch::new(
                 &ctx,
@@ -401,10 +419,11 @@ pub(crate) fn branch_and_bound(
         // Largest components first so the most expensive searches start immediately
         // and a straggler can't serialize the tail (ties broken by vertex ids to keep
         // the dispatch order itself reproducible).
-        components.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        let mut largest_first: Vec<&Component> = components.iter().map(|c| &**c).collect();
+        largest_first.sort_unstable_by_key(|c| (Reverse(c.vertices.len()), c.vertices[0]));
         stats += &parallel::search_components(
-            reduced,
-            &components,
+            &largest_first,
+            ids,
             params,
             config,
             workers,

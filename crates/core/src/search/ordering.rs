@@ -6,10 +6,11 @@
 //! candidate sets passed down the search tree stay small — the same trick degeneracy
 //! ordering plays for plain maximum clique search.
 
+use rfc_graph::bitset::{BitMatrix, Bitset};
 use rfc_graph::colorful::colorful_core_decomposition;
 use rfc_graph::coloring::greedy_coloring;
 use rfc_graph::cores::core_decomposition;
-use rfc_graph::{AttributedGraph, VertexId};
+use rfc_graph::{Attribute, AttributedGraph, VertexId};
 
 /// The vertex ordering used for canonical branching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,12 +50,52 @@ pub fn ordering_positions(g: &AttributedGraph, order: BranchOrder) -> Vec<usize>
 }
 
 /// Inverts a branching sequence into per-vertex positions.
-pub(super) fn positions_of(sequence: &[VertexId]) -> Vec<usize> {
+fn positions_of(sequence: &[VertexId]) -> Vec<usize> {
     let mut positions = vec![0usize; sequence.len()];
     for (i, &v) in sequence.iter().enumerate() {
         positions[v as usize] = i;
     }
     positions
+}
+
+/// A component graph relabeled by rank in a branching order, with its adjacency
+/// over ranks: the form the branch-and-bound, its bound kernel and the enumerator
+/// all read, where iterating a rank bitset in ascending order is iterating in
+/// branching order.
+pub(crate) struct Ranked {
+    /// `order[rank]` is the vertex with that rank.
+    pub(crate) order: Vec<VertexId>,
+    /// `rank_of[v]` is the rank of vertex `v` (the inverse of `order`).
+    pub(crate) rank_of: Vec<usize>,
+    /// Bit `r` of row `q` is set iff the vertices ranked `q` and `r` are adjacent.
+    pub(crate) adj: BitMatrix,
+    /// Ranks whose vertex has attribute `a`.
+    pub(crate) attr_a: Bitset,
+}
+
+impl Ranked {
+    /// Ranks the vertices of `g` in `order` and builds the rank adjacency.
+    pub(crate) fn new(g: &AttributedGraph, order: BranchOrder) -> Self {
+        let n = g.num_vertices();
+        let order = ordering_sequence(g, order);
+        let rank_of = positions_of(&order);
+        let mut adj = BitMatrix::new(n);
+        for &(u, v) in g.edge_list() {
+            adj.set_edge(rank_of[u as usize], rank_of[v as usize]);
+        }
+        let mut attr_a = Bitset::new(n);
+        for (rank, &v) in order.iter().enumerate() {
+            if g.attribute(v) == Attribute::A {
+                attr_a.insert(rank);
+            }
+        }
+        Self {
+            order,
+            rank_of,
+            adj,
+            attr_a,
+        }
+    }
 }
 
 #[cfg(test)]

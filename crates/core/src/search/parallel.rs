@@ -42,14 +42,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use rfc_graph::{AttributedGraph, VertexId};
+use rfc_graph::VertexId;
 
 use crate::problem::FairCliqueParams;
+use crate::solver::Component;
 
 use super::branch::{ComponentContext, ComponentSearch, Scratch, SubtreeTask};
 use super::control::SearchControl;
 use super::steal;
-use super::{SearchConfig, SearchStats};
+use super::{CliqueIds, SearchConfig, SearchStats};
 
 /// How many worker threads the search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -335,8 +336,9 @@ struct WorkerState {
     scratch: Scratch,
 }
 
-/// Searches `components` of `reduced` on a work-stealing pool of `workers` threads
-/// sharing `incumbent`, and returns the merged per-worker [`SearchStats`].
+/// Searches `components` on a work-stealing pool of `workers` threads sharing
+/// `incumbent`, which takes cliques in `ids`, and returns the merged per-worker
+/// [`SearchStats`].
 ///
 /// `components` should be sorted largest-first by the caller: they seed the pool's
 /// FIFO injector in order, so the ordering is exactly the dispatch priority. The
@@ -344,8 +346,8 @@ struct WorkerState {
 /// [`OnceLock`] for thieves) and splits the top of its tree into [`SubtreeTask`]s;
 /// any worker can then run any subtree against the shared context.
 pub(super) fn search_components(
-    reduced: &AttributedGraph,
-    components: &[Vec<VertexId>],
+    components: &[&Component],
+    ids: CliqueIds,
     params: FairCliqueParams,
     config: &SearchConfig,
     workers: usize,
@@ -373,8 +375,9 @@ pub(super) fn search_components(
             SearchTask::Component(i) => {
                 stats.components_searched += 1;
                 let ctx = contexts[i].get_or_init(|| {
-                    ComponentContext::new(reduced, &components[i], config).with_split_depth(
-                        split_depth_for(components[i].len(), workers, components.len()),
+                    let c = components[i];
+                    ComponentContext::new(&c.graph, ids.table(c), config).with_split_depth(
+                        split_depth_for(c.vertices.len(), workers, components.len()),
                     )
                 });
                 (ctx, i, None)

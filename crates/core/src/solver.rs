@@ -43,8 +43,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use rfc_graph::coloring::greedy_coloring;
+use rfc_graph::components::components_of_subset;
 use rfc_graph::cores::degeneracy;
-use rfc_graph::AttributedGraph;
+use rfc_graph::subgraph::induced_subgraph;
+use rfc_graph::{AttributedGraph, VertexId};
 
 use crate::enumerate::{
     run_enumeration, CliqueSink, EnumOutcome, EnumProblem, EnumQuery, EnumStats, EnumTermination,
@@ -55,7 +57,7 @@ use crate::reduction::{apply_reductions_controlled, ReductionConfig, ReductionSt
 use crate::search::control::{SearchControl, StopReason};
 use crate::search::parallel::SharedIncumbent;
 use crate::search::steal::run_pool;
-use crate::search::{branch_and_bound, SearchConfig, SearchStats, ThreadCount};
+use crate::search::{branch_and_bound, CliqueIds, SearchConfig, SearchStats, ThreadCount};
 
 /// What a [`Query`] asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -409,13 +411,76 @@ impl std::error::Error for SolveError {
     }
 }
 
-/// A reduced graph plus the pipeline stats that produced it, shared across queries
-/// (and reused by [`DynamicRfcSolver`](crate::dynamic::DynamicRfcSolver), which keeps
-/// or splices these entries across graph updates).
+/// A reduced graph plus the pipeline stats that produced it and its eligible
+/// components, shared across queries (and reused by
+/// [`DynamicRfcSolver`](crate::dynamic::DynamicRfcSolver), which keeps or splices
+/// these entries across graph updates).
 #[derive(Debug)]
 pub(crate) struct ReducedEntry {
     pub(crate) graph: AttributedGraph,
     pub(crate) stats: ReductionStats,
+    /// The components every search, enumeration and bound of the entry reads, in
+    /// order of smallest vertex (see [`ReducedEntry::new`]).
+    pub(crate) components: Vec<Arc<Component>>,
+}
+
+impl ReducedEntry {
+    /// Builds the entry of `graph`, reduced for `k`, with its eligible components:
+    /// the connected components of the vertices of degree at least `2k − 1`, kept
+    /// when they hold at least `2k` vertices. No other vertex lies in a fair clique
+    /// (of at least `2k` vertices), so Algorithm 2 searches only these, and the rule
+    /// lives here alone.
+    ///
+    /// The components in `carried`, which must be eligible components of `graph`,
+    /// are taken over as they are (a splice's clean components keep their cache
+    /// keys); every other one is found and induced once.
+    pub(crate) fn new(
+        graph: AttributedGraph,
+        stats: ReductionStats,
+        k: usize,
+        carried: Vec<Arc<Component>>,
+    ) -> Self {
+        let min_size = 2 * k;
+        let mut taken = vec![false; graph.num_vertices()];
+        for &v in carried.iter().flat_map(|c| &c.vertices) {
+            taken[v as usize] = true;
+        }
+        let active: Vec<VertexId> = graph
+            .vertices()
+            .filter(|&v| !taken[v as usize] && graph.degree(v) + 1 >= min_size)
+            .collect();
+        let found = components_of_subset(&graph, &active)
+            .into_iter()
+            .filter(|vertices| vertices.len() >= min_size)
+            .map(|vertices| {
+                let sub = induced_subgraph(&graph, &vertices);
+                Arc::new(Component {
+                    vertices,
+                    graph: sub.graph,
+                    digest: OnceLock::new(),
+                })
+            });
+        let mut components: Vec<Arc<Component>> = carried.into_iter().chain(found).collect();
+        components.sort_unstable_by_key(|c| c.vertices[0]);
+        Self {
+            graph,
+            stats,
+            components,
+        }
+    }
+}
+
+/// One eligible component of a reduced graph, as every search reads it.
+#[derive(Debug)]
+pub(crate) struct Component {
+    /// The component's vertices, sorted: compact vertex `i` is `vertices[i]` in the
+    /// reduced graph, whose ids are the input graph's.
+    pub(crate) vertices: Vec<VertexId>,
+    /// The subgraph `vertices` induce, relabeled to `0..vertices.len()` in id order.
+    pub(crate) graph: AttributedGraph,
+    /// A keyed hash of `graph`, computed on first use by the dynamic solver's result
+    /// caches, which key on the component.
+    pub(crate) digest: OnceLock<u64>,
 }
 
 /// A build-once / query-many maximum fair clique solver (see the [module
@@ -536,7 +601,7 @@ impl RfcSolver {
             };
             let (mut stats, emitted, sink_stopped) = run_enumeration(
                 &self.graph,
-                &reduced.graph,
+                &reduced.components,
                 problem,
                 query.threads,
                 &run.ctrl,
@@ -600,7 +665,9 @@ impl RfcSolver {
                     threads,
                     ..query.config.clone()
                 };
-                let mut stats = search_phase(&reduced.graph, run.params, &config, &pool, &run.ctrl);
+                let (graph, components) = (&reduced.graph, &reduced.components);
+                let (ids, params, ctrl) = (CliqueIds::Reduced, run.params, &run.ctrl);
+                let mut stats = search_phase(graph, components, ids, params, &config, &pool, ctrl);
                 stats.reduction = reduced.stats.clone();
                 Searched {
                     cliques: pool
@@ -653,7 +720,7 @@ impl RfcSolver {
             let Some(graph) = graph else {
                 return Err(stats);
             };
-            let entry = Arc::new(ReducedEntry { graph, stats });
+            let entry = Arc::new(ReducedEntry::new(graph, stats, k, Vec::new()));
             self.preprocessing_runs.fetch_add(1, Ordering::Relaxed);
             let mut cache = self.reductions.lock().expect("reduction cache poisoned");
             let entry = Arc::clone(cache.entry(key).or_insert(entry));
@@ -735,7 +802,7 @@ impl QueryRun {
         let upper_bound = certify_bound(objective, best_size, &mut termination, || {
             reduced
                 .iter()
-                .map(|entry| colorful_upper_bound(&entry.graph, params))
+                .map(|entry| colorful_upper_bound(&entry.components, params))
                 .min()
         });
         stats.elapsed_micros = self.start.elapsed().as_micros() as u64;
@@ -904,12 +971,16 @@ pub(crate) fn run_enumerate(
     Ok(run.finish_enumerate(enumerated))
 }
 
-/// The search phase of every solve, on the graph it searches (a reduced graph, or
-/// one component of it): the `HeurRFC` warm start offered into `pool`, then the
-/// branch-and-bound, under the `heuristic` and `search` spans. The warm start is
-/// skipped once the control has tripped.
+/// The search phase of every solve: the `HeurRFC` warm start on `graph` offered
+/// into `pool`, then the branch-and-bound over `components`, under the `heuristic`
+/// and `search` spans. `graph` is a reduced graph with its eligible components, and
+/// `pool` holds its ids ([`CliqueIds::Reduced`]), or one component's own graph,
+/// whose pool holds compact ids ([`CliqueIds::Compact`]). The warm start is skipped
+/// once the control has tripped.
 pub(crate) fn search_phase(
     graph: &AttributedGraph,
+    components: &[Arc<Component>],
+    ids: CliqueIds,
     params: FairCliqueParams,
     config: &SearchConfig,
     pool: &SharedIncumbent,
@@ -926,7 +997,7 @@ pub(crate) fn search_phase(
         }
     }
     let mut span = rfc_obs::trace::span("search");
-    stats += &branch_and_bound(graph, params, config, pool, ctrl);
+    stats += &branch_and_bound(components, ids, params, config, pool, ctrl);
     span.counter("branches", stats.branches);
     span.counter("components", stats.components_searched as u64);
     span.counter("bound_prunes", stats.bound_prunes);
@@ -1033,34 +1104,31 @@ fn certify_bound(
     Some(ub)
 }
 
-/// A sound upper bound on the size of any fair clique of `g` under `params`, from a
-/// fresh greedy coloring of each candidate component.
+/// A sound upper bound on the size of any fair clique of a reduced graph under
+/// `params`, from a fresh greedy coloring of each of its eligible `components`.
 ///
 /// Clique vertices carry pairwise-distinct colors, so within one connected component
 /// a fair clique holds at most "distinct colors among `a`-vertices" vertices of
 /// attribute `a` (likewise `b`); [`FairCliqueParams::best_fair_total`] converts those
-/// caps into a size cap. The result is the maximum over components that could host a
-/// fair clique at all — `0` proves infeasibility. This is the bound behind
-/// [`Solution::upper_bound`] and the portfolio's reported optimality gap.
-pub(crate) fn colorful_upper_bound(g: &AttributedGraph, params: FairCliqueParams) -> usize {
-    use rfc_graph::coloring::greedy_coloring_of_subset;
-    use rfc_graph::components::components_of_subset;
-
-    let min_size = params.min_size();
-    let active: Vec<rfc_graph::VertexId> = (0..g.num_vertices() as u32)
-        .filter(|&v| g.degree(v) + 1 >= min_size)
-        .collect();
+/// caps into a size cap. The result is the maximum over the components — `0` proves
+/// infeasibility. This is the bound behind [`Solution::upper_bound`] and the
+/// portfolio's reported optimality gap.
+pub(crate) fn colorful_upper_bound(
+    components: &[Arc<Component>],
+    params: FairCliqueParams,
+) -> usize {
     let mut best = 0usize;
-    for component in components_of_subset(g, &active) {
-        if component.len() < min_size || component.len() <= best {
+    for component in components {
+        let g = &component.graph;
+        if g.num_vertices() <= best {
             continue;
         }
-        let coloring = greedy_coloring_of_subset(g, &component);
+        let coloring = greedy_coloring(g);
         // Distinct colors seen per attribute within this component.
         let mut seen = vec![[false; 2]; coloring.num_colors];
         let mut caps = [0usize; 2];
-        for &v in &component {
-            let color = coloring.colors[v as usize] as usize;
+        for v in g.vertices() {
+            let color = coloring.color(v) as usize;
             let attr = g.attribute(v).index();
             if !seen[color][attr] {
                 seen[color][attr] = true;
@@ -1068,7 +1136,7 @@ pub(crate) fn colorful_upper_bound(g: &AttributedGraph, params: FairCliqueParams
             }
         }
         if let Some(total) = params.best_fair_total(caps[0], caps[1]) {
-            best = best.max(total.min(component.len()));
+            best = best.max(total.min(g.num_vertices()));
         }
     }
     best

@@ -103,9 +103,19 @@ impl GraphBuilder {
     /// Self-loops are removed, duplicate edges collapsed, and neighbor lists sorted.
     /// `O(n + m log m)`, or `O(n + m)` when the edges were added in sorted canonical
     /// order (`u < v`, lexicographic), as when they come from another graph's
-    /// [`edge_list`](AttributedGraph::edge_list).
+    /// [`edge_list`](AttributedGraph::edge_list). Such a list, if it is also in
+    /// range and free of duplicates, becomes the graph's edge list without a copy.
     pub fn build(self) -> Result<AttributedGraph, BuildError> {
         let n = self.attributes.len();
+        let mut prev = None;
+        let ready = self.edges.iter().all(|&edge| {
+            let fits = edge.0 < edge.1 && (edge.1 as usize) < n && prev < Some(edge);
+            prev = Some(edge);
+            fits
+        });
+        if ready {
+            return Ok(AttributedGraph::from_parts(self.attributes, self.edges));
+        }
         let mut canonical: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.edges.len());
         for (u, v) in self.edges {
             if u as usize >= n {

@@ -420,10 +420,33 @@ mod tests {
             let g = b.build().unwrap();
             assert_eq!(g, reference_from_parts(attributes, canonical));
 
-            // A builder fed a sorted canonical list skips its sort.
-            let mut b = GraphBuilder::with_attributes(g.attributes().to_vec());
-            b.add_edges(g.edge_list().iter().copied());
-            assert_eq!(b.build().unwrap(), g);
+            // A builder fed a sorted canonical list skips its copies and its sort.
+            let rebuild = |edges: &[(VertexId, VertexId)]| {
+                let mut b = GraphBuilder::with_attributes(g.attributes().to_vec());
+                b.add_edges(edges.iter().copied());
+                b.build()
+            };
+            assert_eq!(rebuild(g.edge_list()).unwrap(), g);
+            // Sorted lists that miss that path by one edge still build `g`, or fail
+            // on an endpoint out of range.
+            if let Some(&(u, v)) = g.edge_list().get(rng.below(g.num_edges().max(1))) {
+                let sorted = |drop: bool, extra| {
+                    let mut edges = g.edge_list().to_vec();
+                    edges.retain(|&e| !drop || e != (u, v));
+                    edges.push(extra);
+                    edges.sort_unstable();
+                    rebuild(&edges)
+                };
+                assert_eq!(sorted(false, (u, v)).unwrap(), g, "duplicate");
+                assert_eq!(sorted(false, (u, u)).unwrap(), g, "self-loop");
+                assert_eq!(sorted(true, (v, u)).unwrap(), g, "reversed pair");
+                let out_of_range = crate::builder::BuildError::VertexOutOfRange {
+                    vertex: n as VertexId,
+                    num_vertices: n,
+                };
+                let last = (n as VertexId - 1, n as VertexId);
+                assert_eq!(sorted(false, last), Err(out_of_range), "out of range");
+            }
 
             // Induced subgraph of an unsorted subset with repeats.
             let subset: Vec<VertexId> = (0..n / 2 + 1).map(|_| rng.vertex(n)).collect();

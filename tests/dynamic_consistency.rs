@@ -569,3 +569,67 @@ fn a_zero_bound_certifies_infeasible_like_the_library() {
     assert_eq!(dynamic.upper_bound, Some(0));
     assert_eq!(dynamic.optimality_gap(), library.optimality_gap());
 }
+
+/// One SplitMix64 step, the generator of [`dense_core_graph`].
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+/// 60 vertices from one SplitMix64 stream: an attribute per vertex (`a` on an
+/// even draw), then each pair `u < v` in order is an edge with probability 70%
+/// inside the first 25 ids and 12% elsewhere.
+fn dense_core_graph(seed: u64) -> AttributedGraph {
+    let mut state = seed;
+    let attrs = (0..60)
+        .map(|_| match splitmix(&mut state) % 2 {
+            0 => Attribute::A,
+            _ => Attribute::B,
+        })
+        .collect();
+    let mut b = GraphBuilder::with_attributes(attrs);
+    for u in 0..60 {
+        for v in u + 1..60 {
+            let percent = if v < 25 { 70 } else { 12 };
+            if splitmix(&mut state) % 100 < percent {
+                b.add_edge(u, v);
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// Serial enumeration emits one sequence from every entry point, not just one
+/// set: the library and the dynamic solver (the daemon's path) search the same
+/// components in the same order, also when `min_size` lies above `2k`.
+#[test]
+fn serial_enumeration_emits_one_sequence_from_every_entry_point() {
+    let relative = FairnessModel::Relative { k: 2, delta: 1 };
+    let weak = FairnessModel::Weak { k: 2 };
+    for seed in 1..=6 {
+        let graph = dense_core_graph(seed);
+        let library = RfcSolver::new(graph.clone());
+        let mut dynamic = DynamicRfcSolver::new(graph);
+        for (model, min_size) in [(relative, 4), (relative, 7), (weak, 4), (weak, 8)] {
+            let query = EnumQuery::new(model)
+                .with_min_size(min_size)
+                .with_threads(ThreadCount::Serial);
+            let mut from_library = CollectSink::new();
+            library.enumerate(&query, &mut from_library).unwrap();
+            let mut from_dynamic = CollectSink::new();
+            dynamic.enumerate(&query, &mut from_dynamic).unwrap();
+            assert!(
+                !from_library.is_empty(),
+                "seed {seed}, {model}, min {min_size}"
+            );
+            assert_eq!(
+                from_dynamic.cliques(),
+                from_library.cliques(),
+                "seed {seed}, {model}, min size {min_size}"
+            );
+        }
+    }
+}
