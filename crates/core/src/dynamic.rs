@@ -1,6 +1,6 @@
 //! Incremental re-solve and re-enumeration over a changing graph.
 //!
-//! [`DynamicRfcSolver`] wraps the build-once/query-many [`RfcSolver`](crate::solver::RfcSolver) pipeline for
+//! [`DynamicRfcSolver`] wraps the build-once/query-many [`RfcSolver`] pipeline for
 //! graphs that *churn*: edges and vertices arrive and leave between queries. Updates
 //! are buffered in an [`rfc_graph::delta::GraphDelta`] and folded into the committed
 //! graph by [`commit`](DynamicRfcSolver::commit); queries
@@ -8,13 +8,15 @@
 //! always answer against the committed graph and reuse everything an update provably
 //! could not have changed:
 //!
-//! 1. **Reduced graphs** are cached per `(k, ReductionConfig)` like in [`RfcSolver`](crate::solver::RfcSolver).
-//!    On commit each cached entry is *kept* when the batch contains no edge
-//!    insertions and none of its removed edges is present in the reduced graph, and
-//!    marked stale otherwise. Stale entries are **spliced**, not recomputed: the
-//!    reduction pipeline re-runs only on the connected components of the new graph
-//!    that contain a touched vertex, and the untouched components keep their slice of
-//!    the old reduced graph.
+//! 1. **Reduced graphs** live in the committed graph's [`RfcSolver`], cached per
+//!    `(k, ReductionConfig)` as for any library query;
+//!    [`snapshot`](DynamicRfcSolver::snapshot) hands that solver out, so a racing
+//!    portfolio reads the same reduced graphs. A commit builds the next solver and
+//!    marks every reduced graph stale. A stale one is **spliced** on its next use,
+//!    not recomputed: the reduction pipeline re-runs only on the connected
+//!    components of the new graph that contain a touched vertex, and the untouched
+//!    components keep their slice of the old reduced graph. The splice is the only
+//!    way a reduced graph follows a commit.
 //! 2. **Per-component solve and enumeration results** are cached under the
 //!    component itself: each eligible component of a reduced graph is built once,
 //!    with the reduced graph, as its sorted vertex list and the compact graph those
@@ -35,17 +37,6 @@
 //!
 //! ## Soundness of the cache invalidation
 //!
-//! *Kept reduced graphs.* Every reduction stage is δ-independent and only deletes
-//! vertices/edges contained in **no** fair clique of size ≥ 2k, so a reduced graph
-//! `R` of `G` preserves every fair clique of every subgraph of `G` as long as
-//! `R` stays a subgraph of it. A batch with no edge insertions whose removed edges
-//! all lie outside `R` yields a new graph `G′` with `R ⊆ G′ ⊆ G`; every fair clique
-//! of `G′` is a fair clique of `G` and hence preserved in `R`, so `R` is still a
-//! sound (and, because peeling is monotone under edge deletion, exact) reduction of
-//! `G′`. Edge *insertions* can revive reduced-away vertices — their colorful degrees
-//! and supports only grow — so they always invalidate, even between two vertices the
-//! pipeline had peeled.
-//!
 //! *Spliced reduced graphs.* Reductions are componentwise: a vertex's peel status
 //! depends only on its connected component. A component of `G′` without any touched
 //! vertex is byte-identical to a component of the pre-update graph, so its slice of
@@ -54,9 +45,8 @@
 //! fact edge-identical to a from-scratch reduction of `G′`: greedy coloring and
 //! every peel act component by component, and the dirty part keeps its id order, so
 //! every tie falls the same way. The splice tests assert that identity after every
-//! splice. A graph *kept wholesale* is sound as argued above, but no proof covers
-//! it being identical to a from-scratch reduction, so it is documented as sound
-//! only.
+//! splice. Every reduced graph a query reads, built or spliced, is therefore a
+//! from-scratch reduction of the committed graph, stage counts included.
 //!
 //! *Per-component result caches.* The cache key **is** the component's content, so a
 //! hit replays the exact answer of an identical subproblem; maximum fair cliques and
@@ -68,26 +58,22 @@
 //!
 //! A commit touching one component re-reduces and re-searches only that component,
 //! and induces its graph once, with the spliced reduced graph; everything else is
-//! spliced and replayed from cache. A commit whose removals land entirely outside
-//! the reduced graph keeps the reduction wholesale —
-//! [`Solution::reduction_cache_hit`] stays `true` across such commits, and the
-//! cache-accounting unit tests below pin exactly that. A batch that touches every
-//! component (uniform high churn) leaves nothing clean to splice or replay, so it
-//! costs about what a full [`RfcSolver::new`](crate::solver::RfcSolver::new) rebuild does.
+//! spliced and replayed from cache. A batch that touches every component (uniform
+//! high churn) leaves nothing clean to splice or replay, so it costs about what a
+//! full [`RfcSolver::new`] rebuild does.
 //!
 //! A commit itself is linear work over the graph and no sort: the batch is
 //! applied by copying the old edge list in spans around the changed edges into a
-//! fresh CSR, and the greedy coloring behind the O(1) infeasibility gate is redone in
-//! `O(|V| + |E|)`. Each cached reduced graph is then kept or marked stale by looking
-//! up the batch's removed edges in it. The first query on a stale entry splices it:
-//! a breadth-first search from the changed vertices finds the dirty components, the
-//! pipeline reduces them as one compact induced subgraph, and the result is merged
-//! with the old clean slice in one linear pass. Only the dirty components are
-//! induced and digested again; the clean ones are carried over, keys and all. A
-//! splice therefore costs the dirty components' reduction plus linear passes, not a
-//! whole-graph reduction.
+//! fresh CSR, and the next solver redoes the greedy coloring behind the O(1)
+//! infeasibility gate in `O(|V| + |E|)`. The first query on a stale entry splices
+//! it: a breadth-first search from the changed vertices finds the dirty components,
+//! the pipeline reduces them as one compact induced subgraph, and the result is
+//! merged with the old clean slice in one linear pass. Only the dirty components
+//! are induced and digested again; the clean ones are carried over, keys and all.
+//! A splice therefore costs the dirty components' reduction plus linear passes, not
+//! a whole-graph reduction.
 //!
-//! Unlike [`RfcSolver`](crate::solver::RfcSolver), the dynamic solver takes `&mut self` on queries (its caches
+//! Unlike [`RfcSolver`], the dynamic solver takes `&mut self` on queries (its caches
 //! are plain maps, not lock-protected): keep one solver per thread, or wrap it in a
 //! mutex, for concurrent serving (the `rfc-serve` daemon does the latter — the type
 //! is `Send`, so a `Mutex<DynamicRfcSolver>` is shareable across connection threads,
@@ -105,7 +91,6 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 
-use rfc_graph::coloring::greedy_coloring;
 use rfc_graph::delta::{DeltaError, GraphDelta, UpdateOp};
 use rfc_graph::subgraph::induced_subgraph;
 use rfc_graph::{Attribute, AttributedGraph, GraphBuilder, VertexId};
@@ -116,14 +101,14 @@ use crate::enumerate::{
 };
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::{
-    apply_reductions, apply_reductions_controlled, ReductionConfig, ReductionStats,
+    apply_reductions_controlled, ReductionConfig, ReductionStats, StageSurvivors,
 };
 use crate::search::control::SearchControl;
 use crate::search::parallel::{canonical_order, SharedIncumbent};
 use crate::search::{CliqueIds, SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{
     fan_out, run_enumerate, run_solve, search_phase, traced_reduce, Component, Enumerated, Query,
-    QueryRun, ReducedEntry, Searched, Solution, SolveError,
+    QueryRun, ReducedEntry, ReductionKey, RfcSolver, Searched, Solution, SolveError,
 };
 
 /// What one [`DynamicRfcSolver::commit`] did.
@@ -133,11 +118,12 @@ pub struct CommitOutcome {
     pub ops: usize,
     /// Number of distinct vertices the batch touched (the invalidation frontier).
     pub changed_vertices: usize,
-    /// Cached reduced graphs kept wholesale (the batch provably could not change
-    /// them; their next query still reports `reduction_cache_hit = true`).
+    /// Cached reduced graphs left current. Only a batch with no net structural
+    /// change leaves any (their next query still reports `reduction_cache_hit =
+    /// true`); any other batch marks every one stale.
     pub reductions_kept: usize,
-    /// Cached reduced graphs marked stale (they will be spliced — dirty components
-    /// re-reduced, clean components reused — on their next query).
+    /// Cached reduced graphs that are stale (they will be spliced — dirty
+    /// components re-reduced, clean components reused — on their next query).
     pub reductions_invalidated: usize,
     /// Vertices of the committed graph.
     pub num_vertices: usize,
@@ -196,27 +182,15 @@ impl Eq for Component {}
 type ComponentKey = (FairnessModel, usize, Arc<Component>);
 /// One component's cached cliques, in compact ids.
 type ComponentCliques = Arc<Vec<Vec<u32>>>;
-/// Reduced-graph cache key, identical to [`RfcSolver`](crate::solver::RfcSolver)'s.
-type EntryKey = (usize, ReductionConfig);
 
-/// Where a reduced-graph cache entry stands relative to the committed graph.
-#[derive(Debug)]
-enum EntryState {
-    /// `reduced` is a sound reduction of the committed graph.
-    Current { reduced: Arc<ReducedEntry> },
-    /// One or more commits landed inside the reduced graph; `old` is the last sound
-    /// reduction, and `changed` accumulates every vertex touched since. The entry is
-    /// spliced lazily on its next use, which carries the clean components over.
-    Stale {
-        old: Arc<ReducedEntry>,
-        changed: BTreeSet<VertexId>,
-    },
-}
-
-/// A reduced graph plus the per-component result caches that live and die with it.
+/// The per-component result caches of one `(k, reduction config)`, and its reduced
+/// graph while that is stale.
 #[derive(Debug)]
 struct DynEntry {
-    state: EntryState,
+    /// After a structural commit, the entry's last reduced graph and every vertex
+    /// changed since. The next query splices it into the committed graph's solver,
+    /// carrying the clean components over, and clears it.
+    stale: Option<(Arc<ReducedEntry>, BTreeSet<VertexId>)>,
     /// Per-component top-`capacity` fair cliques (compact ids, largest first;
     /// empty = no fair clique in the component). LRU-bounded when the owner set a
     /// cache capacity.
@@ -224,6 +198,16 @@ struct DynEntry {
     /// Per-component maximal fair cliques (compact ids, deterministic enumeration
     /// order). Same bound.
     enum_cache: LruCache<ComponentKey, ComponentCliques>,
+}
+
+impl DynEntry {
+    fn new(capacity: Option<usize>) -> Self {
+        Self {
+            stale: None,
+            solve_cache: LruCache::new(capacity),
+            enum_cache: LruCache::new(capacity),
+        }
+    }
 }
 
 /// An incremental maximum-fair-clique solver over a mutable graph (see the [module
@@ -252,10 +236,9 @@ struct DynEntry {
 /// ```
 #[derive(Debug)]
 pub struct DynamicRfcSolver {
-    /// The committed graph every query answers against.
-    graph: AttributedGraph,
-    /// Colors of a greedy coloring of the committed graph (O(1) infeasibility gate).
-    num_colors: usize,
+    /// The committed graph's solver: the graph every query answers against, its
+    /// colouring gate and its current reduced graphs.
+    solver: Arc<RfcSolver>,
     /// Updates buffered since the last commit (seeded with the persistent
     /// tombstones, so removed vertex ids stay reserved across commits until
     /// restored).
@@ -264,8 +247,8 @@ pub struct DynamicRfcSolver {
     pending_ops: usize,
     /// Ids removed in some committed batch and not (yet) restored.
     removed_vertices: BTreeSet<VertexId>,
-    /// Reduced graphs + result caches per `(k, reduction config)`.
-    entries: HashMap<EntryKey, DynEntry>,
+    /// Result caches and stale reduced graphs per `(k, reduction config)`.
+    entries: HashMap<ReductionKey, DynEntry>,
     /// LRU bound applied to each entry's result caches (`None` = unbounded).
     cache_capacity: Option<usize>,
     /// Completed commits.
@@ -277,10 +260,8 @@ pub struct DynamicRfcSolver {
 impl DynamicRfcSolver {
     /// Builds a dynamic solver over an initial graph.
     pub fn new(graph: AttributedGraph) -> Self {
-        let num_colors = greedy_coloring(&graph).num_colors;
         Self {
-            graph,
-            num_colors,
+            solver: Arc::new(RfcSolver::new(graph)),
             delta: GraphDelta::new(),
             pending_ops: 0,
             removed_vertices: BTreeSet::new(),
@@ -329,12 +310,22 @@ impl DynamicRfcSolver {
     /// The committed graph. Buffered (uncommitted) updates are not visible here or
     /// to any query until [`commit`](DynamicRfcSolver::commit).
     pub fn graph(&self) -> &AttributedGraph {
-        &self.graph
+        self.solver.graph()
     }
 
     /// Colors of the committed graph's greedy coloring (an upper bound on any clique).
     pub fn num_colors(&self) -> usize {
-        self.num_colors
+        self.solver.num_colors()
+    }
+
+    /// The committed graph's [`RfcSolver`], which holds every reduced graph this
+    /// solver's queries built or spliced since the last commit. A query on it, such
+    /// as a racing [`solve_portfolio`](RfcSolver::solve_portfolio), holds no borrow of
+    /// this solver, and the reduced graphs it builds serve this solver's next queries
+    /// too. A structural commit moves this solver on to a new snapshot; an earlier
+    /// one stays a solver of the graph it was taken at.
+    pub fn snapshot(&self) -> Arc<RfcSolver> {
+        Arc::clone(&self.solver)
     }
 
     /// Updates buffered since the last commit.
@@ -347,43 +338,43 @@ impl DynamicRfcSolver {
         self.commits
     }
 
-    /// Reduction pipeline executions so far — full builds plus dirty-component
-    /// splices; commits that keep a reduction wholesale don't add to this.
+    /// Reduction pipeline executions of this solver's queries so far — full builds
+    /// plus dirty-component splices.
     pub fn preprocessing_runs(&self) -> usize {
         self.preprocessing_runs
     }
 
     /// Buffers the insertion of edge `(u, v)`.
     pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), DeltaError> {
-        self.delta.insert_edge(&self.graph, u, v)?;
+        self.delta.insert_edge(self.solver.graph(), u, v)?;
         self.pending_ops += 1;
         Ok(())
     }
 
     /// Buffers the removal of edge `(u, v)`.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), DeltaError> {
-        self.delta.remove_edge(&self.graph, u, v)?;
+        self.delta.remove_edge(self.solver.graph(), u, v)?;
         self.pending_ops += 1;
         Ok(())
     }
 
     /// Buffers the insertion of a new vertex and returns its id.
     pub fn insert_vertex(&mut self, attr: Attribute) -> VertexId {
-        let id = self.delta.insert_vertex(&self.graph, attr);
+        let id = self.delta.insert_vertex(self.solver.graph(), attr);
         self.pending_ops += 1;
         id
     }
 
     /// Buffers the re-insertion of a previously removed vertex id.
     pub fn restore_vertex(&mut self, v: VertexId, attr: Attribute) -> Result<(), DeltaError> {
-        self.delta.restore_vertex(&self.graph, v, attr)?;
+        self.delta.restore_vertex(self.solver.graph(), v, attr)?;
         self.pending_ops += 1;
         Ok(())
     }
 
     /// Buffers the removal of a vertex (and all its incident edges).
     pub fn remove_vertex(&mut self, v: VertexId) -> Result<(), DeltaError> {
-        self.delta.remove_vertex(&self.graph, v)?;
+        self.delta.remove_vertex(self.solver.graph(), v)?;
         self.pending_ops += 1;
         Ok(())
     }
@@ -395,7 +386,7 @@ impl DynamicRfcSolver {
         if *op == UpdateOp::Commit {
             return Ok(Some(self.commit()));
         }
-        self.delta.apply_op(&self.graph, op)?;
+        self.delta.apply_op(self.solver.graph(), op)?;
         self.pending_ops += 1;
         Ok(None)
     }
@@ -407,9 +398,10 @@ impl DynamicRfcSolver {
         self.pending_ops = 0;
     }
 
-    /// Folds the buffered updates into the committed graph and invalidates only what
-    /// the batch can affect (see the [module docs](self) for the rules). Cheap when
-    /// the batch is empty or cancels out.
+    /// Folds the buffered updates into the committed graph: a batch with a net
+    /// structural change builds the next solver and marks every reduced graph stale,
+    /// to be spliced on its next use (see the [module docs](self)). Cheap when the
+    /// batch is empty or cancels out.
     pub fn commit(&mut self) -> CommitOutcome {
         let commit_span = rfc_obs::trace::span("commit");
         let ops = self.pending_ops;
@@ -421,76 +413,36 @@ impl DynamicRfcSolver {
         );
         self.commits += 1;
         let changed = delta.changed_vertices();
+        let (mut kept, mut invalidated) = (0, 0);
         if delta.is_empty() {
-            // No net structural change: every entry keeps its current standing —
-            // entries left stale by an earlier commit stay stale (and still count
-            // as invalidated, since their next query will splice).
-            let kept = self
-                .entries
-                .values()
-                .filter(|e| matches!(e.state, EntryState::Current { .. }))
-                .count();
-            let outcome = CommitOutcome {
-                ops,
-                changed_vertices: changed.len(),
-                reductions_kept: kept,
-                reductions_invalidated: self.entries.len() - kept,
-                num_vertices: self.graph.num_vertices(),
-                num_edges: self.graph.num_edges(),
-            };
-            flush_commit_metrics(commit_span, &outcome);
-            return outcome;
-        }
-        let new_graph = delta.apply(&self.graph);
-        let refresh_vertex_space = delta.changes_vertex_space();
-        let mut kept = 0usize;
-        let mut invalidated = 0usize;
-        for (&(k, _), entry) in self.entries.iter_mut() {
-            match &mut entry.state {
-                EntryState::Current { reduced } => {
-                    // Kept iff the batch inserts nothing and removes nothing that
-                    // survives in R: then R ⊆ G′ ⊆ G and R stays a sound reduction.
-                    let keepable = !delta.has_edge_insertions()
-                        && delta
-                            .dropped_edges()
-                            .all(|(u, v)| !reduced.graph.has_edge(u, v));
-                    if keepable {
-                        kept += 1;
-                        if refresh_vertex_space {
-                            // Same edges, but the vertex space grew or attributes
-                            // changed (all on R-isolated vertices): re-host them,
-                            // carrying every component over.
-                            let mut b =
-                                GraphBuilder::with_attributes(new_graph.attributes().to_vec());
-                            b.add_edges(reduced.graph.edge_list().iter().copied());
-                            let graph = b.build().expect("kept reduced edges stay in range");
-                            let (stats, carried) =
-                                (reduced.stats.clone(), reduced.components.clone());
-                            *reduced = Arc::new(ReducedEntry::new(graph, stats, k, carried));
-                        }
-                    } else {
-                        invalidated += 1;
-                        entry.state = EntryState::Stale {
-                            old: Arc::clone(reduced),
-                            changed: changed.iter().copied().collect(),
-                        };
-                    }
-                }
-                EntryState::Stale { changed: acc, .. } => {
+            // No net structural change: every entry keeps its standing.
+            for (key, entry) in &self.entries {
+                if self.solver.cached(key).is_some() {
+                    kept += 1;
+                } else if entry.stale.is_some() {
                     invalidated += 1;
-                    acc.extend(changed.iter().copied());
                 }
             }
+        } else {
+            let next = RfcSolver::new(delta.apply(self.solver.graph()));
+            for (key, entry) in self.entries.iter_mut() {
+                if let Some(current) = self.solver.cached(key) {
+                    entry.stale = Some((current, BTreeSet::new()));
+                }
+                if let Some((_, acc)) = &mut entry.stale {
+                    acc.extend(changed.iter().copied());
+                    invalidated += 1;
+                }
+            }
+            self.solver = Arc::new(next);
         }
-        self.graph = new_graph;
-        self.num_colors = greedy_coloring(&self.graph).num_colors;
         let outcome = CommitOutcome {
             ops,
             changed_vertices: changed.len(),
             reductions_kept: kept,
             reductions_invalidated: invalidated,
-            num_vertices: self.graph.num_vertices(),
-            num_edges: self.graph.num_edges(),
+            num_vertices: self.graph().num_vertices(),
+            num_edges: self.graph().num_edges(),
         };
         flush_commit_metrics(commit_span, &outcome);
         outcome
@@ -498,10 +450,11 @@ impl DynamicRfcSolver {
 
     /// Answers one query against the committed graph, re-searching only components
     /// whose content changed since they were last solved. Accepts exactly the same
-    /// [`Query`] shapes as [`RfcSolver::solve`](crate::solver::RfcSolver::solve)
-    /// (all fairness models, maximum and top-k objectives, budgets, cancellation);
+    /// [`Query`] shapes as [`RfcSolver::solve`] (all fairness models, maximum and
+    /// top-k objectives, budgets, cancellation);
     /// [`Solution::reduction_cache_hit`] is `true` iff the reduced graph was reused
-    /// without any recomputation or splicing.
+    /// without any recomputation or splicing, so it is `false` on the first query
+    /// after any structural commit.
     ///
     /// Budgets and cancellation only gate *fresh* search work: a query whose
     /// components are all answered from cache reports
@@ -517,7 +470,7 @@ impl DynamicRfcSolver {
     /// work-stealing search; otherwise the misses fan out over the threads and each
     /// is searched serially.
     pub fn solve(&mut self, query: &Query) -> Result<Solution, SolveError> {
-        let (num_vertices, num_colors) = (self.graph.num_vertices(), self.num_colors);
+        let (num_vertices, num_colors) = (self.graph().num_vertices(), self.num_colors());
         run_solve("solve", query, num_vertices, num_colors, |run, capacity| {
             self.solve_components(query, run, capacity)
         })
@@ -537,7 +490,7 @@ impl DynamicRfcSolver {
         query: &EnumQuery,
         sink: &mut dyn CliqueSink,
     ) -> Result<EnumOutcome, SolveError> {
-        let (num_vertices, num_colors) = (self.graph.num_vertices(), self.num_colors);
+        let (num_vertices, num_colors) = (self.graph().num_vertices(), self.num_colors());
         run_enumerate(query, num_vertices, num_colors, |run, problem| {
             self.enumerate_components(query, run, problem, sink)
         })
@@ -586,7 +539,7 @@ impl DynamicRfcSolver {
         ranked.truncate(capacity);
         let cliques = ranked
             .iter()
-            .map(|entry| FairClique::from_vertices(&self.graph, original(entry).collect()))
+            .map(|entry| FairClique::from_vertices(self.solver.graph(), original(entry).collect()))
             .collect();
         Searched {
             cliques,
@@ -641,8 +594,10 @@ impl DynamicRfcSolver {
             for ranks in cliques.iter() {
                 let ids = ranks.iter().map(|&r| component.vertices[r as usize]);
                 emitted += 1;
-                if sink.emit(FairClique::from_vertices(&self.graph, ids.collect()))
-                    == SinkFlow::Stop
+                if sink.emit(FairClique::from_vertices(
+                    self.solver.graph(),
+                    ids.collect(),
+                )) == SinkFlow::Stop
                 {
                     sink_stopped = true;
                     break 'emission;
@@ -657,165 +612,159 @@ impl DynamicRfcSolver {
         }
     }
 
-    /// The dynamic reduce step: makes the entry for `key` current (computing or
-    /// splicing its reduced graph as needed) and returns its reduced graph with
-    /// whether it was already current — the
+    /// The dynamic reduce step: returns the committed graph's reduced graph for
+    /// `key` with whether it was already current — the
     /// [`reduction_cache_hit`](Solution::reduction_cache_hit) the query reports.
     ///
-    /// A current entry is always served, untouched by the control: cached answers
-    /// stay exact and budget-exempt. A tripped control stops the query before a
-    /// missing entry is computed or a stale one is spliced, or between pipeline
-    /// stages; the error carries the partial stage counters, and nothing is cached.
+    /// A reduced graph current in the solver is always served, untouched by the
+    /// control: cached answers stay exact and budget-exempt. Otherwise a stale one
+    /// is spliced and a missing one built by the library's
+    /// [`build`](RfcSolver::build), both under the query's control. A tripped
+    /// control stops the query before either starts, or between pipeline stages;
+    /// the error carries the partial stage counters, the solver caches nothing and
+    /// a stale entry stays stale.
     fn ensure_entry(
         &mut self,
-        key: &EntryKey,
+        key: &ReductionKey,
         ctrl: &SearchControl,
     ) -> Result<(Arc<ReducedEntry>, bool), ReductionStats> {
-        if let Some(EntryState::Current { reduced }) = self.entries.get(key).map(|e| &e.state) {
-            return Ok((Arc::clone(reduced), true));
-        }
-        if ctrl.check_now() {
-            return Err(ReductionStats::default());
-        }
-        let params = FairCliqueParams::new(key.0, 0).expect("k >= 1 was validated by the caller");
-        let (reduced, mut solve_cache, mut enum_cache) = match self.entries.remove(key) {
-            None => {
-                let (graph, stats) =
-                    apply_reductions_controlled(&self.graph, params, &key.1, Some(ctrl));
-                let Some(graph) = graph else {
-                    return Err(stats);
-                };
-                let cache = || LruCache::new(self.cache_capacity);
-                let reduced = ReducedEntry::new(graph, stats, params.k, Vec::new());
-                (reduced, cache(), cache())
+        let capacity = self.cache_capacity;
+        let entry = self
+            .entries
+            .entry(*key)
+            .or_insert_with(|| DynEntry::new(capacity));
+        let (reduced, hit) = match (self.solver.cached(key), &entry.stale) {
+            (Some(reduced), _) => (reduced, true),
+            _ if ctrl.check_now() => return Err(ReductionStats::default()),
+            (None, Some((old, changed))) => {
+                let params =
+                    FairCliqueParams::new(key.0, 0).expect("k >= 1 was validated by the caller");
+                let spliced = splice(self.solver.graph(), old, changed, params, &key.1, ctrl)?;
+                (self.solver.insert(*key, spliced), false)
             }
-            Some(DynEntry {
-                state: EntryState::Stale { old, changed },
-                solve_cache,
-                enum_cache,
-            }) => {
-                let reduced = self.splice(&old, &changed, params, &key.1);
-                (reduced, solve_cache, enum_cache)
-            }
-            Some(DynEntry {
-                state: EntryState::Current { .. },
-                ..
-            }) => unreachable!("a current entry is served above"),
+            (None, None) => (self.solver.build(*key, ctrl)?, false),
         };
-        self.preprocessing_runs += 1;
-        let reduced = Arc::new(reduced);
-        // Drop results for components that no longer exist; identical components
-        // (the clean majority of a splice) keep their entries and will hit. A clean
-        // component is the `Arc` the cache already holds, so it matches by pointer
-        // without comparing content. Should two different live components share a
-        // digest, one of them loses its results, which only costs a recomputation.
-        let live: HashMap<u64, &Arc<Component>> =
-            reduced.components.iter().map(|c| (c.digest(), c)).collect();
-        let is_live = |k: &ComponentKey| live.get(&k.2.digest()).is_some_and(|c| **c == k.2);
-        solve_cache.retain(is_live);
-        enum_cache.retain(is_live);
-        self.entries.insert(
-            *key,
-            DynEntry {
-                state: EntryState::Current {
-                    reduced: Arc::clone(&reduced),
-                },
-                solve_cache,
-                enum_cache,
-            },
-        );
-        Ok((reduced, false))
-    }
-
-    /// Splices a stale reduced graph: re-runs the pipeline on the components of the
-    /// committed graph containing a changed vertex and keeps the old reduction's
-    /// slice of every clean component (sound — see the [module docs](self)).
-    /// Returns the spliced entry: its clean eligible components are `old`'s own,
-    /// keys included, and only the dirty ones are induced again.
-    ///
-    /// The dirty part is reduced as one compact induced subgraph. Its relabeling
-    /// keeps the id order, so every id tie-break in the pipeline (the coloring
-    /// order above all) falls the same way as in the full id space, where the other
-    /// vertices would be isolated; its reduced edges, mapped back, are the ones a
-    /// reduction of the dirty part in place would keep, and they come out sorted.
-    fn splice(
-        &self,
-        old: &ReducedEntry,
-        changed: &BTreeSet<VertexId>,
-        params: FairCliqueParams,
-        config: &ReductionConfig,
-    ) -> ReducedEntry {
-        // The dirty components: every vertex reachable from a changed one.
-        let mut dirty = vec![false; self.graph.num_vertices()];
-        let mut reached: Vec<VertexId> = changed.iter().copied().collect();
-        for &v in &reached {
-            dirty[v as usize] = true;
+        self.preprocessing_runs += usize::from(!hit);
+        if entry.stale.take().is_some() {
+            // Drop results for components that no longer exist; identical
+            // components (the clean majority of a splice) keep their entries and
+            // will hit. A clean component is the `Arc` the cache already holds, so
+            // it matches by pointer without comparing content. Should two different
+            // live components share a digest, one of them loses its results, which
+            // only costs a recomputation.
+            let live: HashMap<u64, &Arc<Component>> =
+                reduced.components.iter().map(|c| (c.digest(), c)).collect();
+            let is_live = |k: &ComponentKey| live.get(&k.2.digest()).is_some_and(|c| **c == k.2);
+            entry.solve_cache.retain(is_live);
+            entry.enum_cache.retain(is_live);
         }
-        let mut head = 0;
-        while let Some(&v) = reached.get(head) {
-            head += 1;
-            for &u in self.graph.neighbors(v) {
-                if !dirty[u as usize] {
-                    dirty[u as usize] = true;
-                    reached.push(u);
-                }
-            }
-        }
-
-        let sub = induced_subgraph(&self.graph, &reached);
-        let (reduced_dirty, dirty_stats) = apply_reductions(&sub.graph, params, config);
-        let original = |v: VertexId| sub.original[v as usize];
-
-        // A reduced edge never joins a clean and a dirty vertex, so the clean slice
-        // (filtered on `u`) and the dirty run are disjoint sorted lists.
-        let edges = merge_sorted(
-            old.graph
-                .edge_list()
-                .iter()
-                .copied()
-                .filter(|&(u, _)| !dirty[u as usize]),
-            reduced_dirty
-                .edge_list()
-                .iter()
-                .map(|&(u, v)| (original(u), original(v))),
-            |&edge| edge,
-        );
-        let clean_edges = edges.len() - reduced_dirty.num_edges();
-        let clean_vertices = (0..old.graph.num_vertices() as VertexId)
-            .filter(|&v| old.graph.degree(v) > 0 && !dirty[v as usize])
-            .count();
-
-        let mut builder = GraphBuilder::with_attributes(self.graph.attributes().to_vec());
-        builder.add_edges(edges);
-        let graph = builder.build().expect("spliced edges stay in range");
-
-        let mut stats = dirty_stats;
-        stats.original_vertices = self.graph.num_vertices();
-        stats.original_edges = self.graph.num_edges();
-        for stage in &mut stats.stages {
-            stage.vertices += clean_vertices;
-            stage.edges += clean_edges;
-        }
-        // Components never straddle the clean/dirty line either, so the clean ones
-        // are eligible components of the spliced graph as they stand.
-        let clean = old
-            .components
-            .iter()
-            .filter(|c| !dirty[c.vertices[0] as usize]);
-        ReducedEntry::new(graph, stats, params.k, clean.cloned().collect())
+        Ok((reduced, hit))
     }
 }
 
-/// Merges two sequences, each sorted by `key`, into one sorted vector.
-fn merge_sorted<T, K: Ord>(
-    a: impl Iterator<Item = T>,
-    b: impl Iterator<Item = T>,
-    key: impl Fn(&T) -> K,
-) -> Vec<T> {
+/// Splices a stale reduced graph `old` into a reduction of `graph`, the committed
+/// graph: re-runs the pipeline under `ctrl` on the components of `graph` containing
+/// a `changed` vertex and keeps `old`'s slice of every clean component (sound — see
+/// the [module docs](self)). Returns the spliced entry, whose clean eligible
+/// components are `old`'s own, keys included; only the dirty ones are induced
+/// again. A trip returns the partial stage counters.
+///
+/// The dirty part is reduced as one compact induced subgraph. Its relabeling keeps
+/// the id order, so every id tie-break in the pipeline (the coloring order above
+/// all) falls the same way as in the full id space, where the other vertices would
+/// be isolated; its reduced edges, mapped back, are the ones a reduction of the
+/// dirty part in place would keep, and they come out sorted.
+fn splice(
+    graph: &AttributedGraph,
+    old: &ReducedEntry,
+    changed: &BTreeSet<VertexId>,
+    params: FairCliqueParams,
+    config: &ReductionConfig,
+    ctrl: &SearchControl,
+) -> Result<ReducedEntry, ReductionStats> {
+    // The dirty components: every vertex reachable from a changed one.
+    let mut dirty = vec![false; graph.num_vertices()];
+    let mut reached: Vec<VertexId> = changed.iter().copied().collect();
+    for &v in &reached {
+        dirty[v as usize] = true;
+    }
+    let mut head = 0;
+    while let Some(&v) = reached.get(head) {
+        head += 1;
+        for &u in graph.neighbors(v) {
+            if !dirty[u as usize] {
+                dirty[u as usize] = true;
+                reached.push(u);
+            }
+        }
+    }
+
+    let sub = induced_subgraph(graph, &reached);
+    let original = |v: VertexId| sub.original[v as usize];
+    let (reduced_dirty, mut stats, dirty_survivors) =
+        apply_reductions_controlled(&sub.graph, params, config, Some(ctrl));
+    // Each stage's survivors: the dirty ones from this run, the clean ones from
+    // `old`, since their components reduce as they did there. The stage counts
+    // follow from them, so they are a from-scratch pipeline's too.
+    let stage_survivors: StageSurvivors = (old.stage_survivors.iter().zip(&dirty_survivors))
+        .map(|(old_stage, dirty_stage)| {
+            let clean = old_stage
+                .iter()
+                .copied()
+                .filter(|&(v, _)| !dirty[v as usize]);
+            clean
+                .chain(dirty_stage.iter().map(|&(v, d)| (original(v), d)))
+                .collect()
+        })
+        .collect();
+    stats.original_vertices = graph.num_vertices();
+    stats.original_edges = graph.num_edges();
+    for (stage, survivors) in stats.stages.iter_mut().zip(&stage_survivors) {
+        stage.vertices = survivors.len();
+        stage.edges = survivors.iter().map(|&(_, d)| d as usize).sum::<usize>() / 2;
+    }
+    let Some(reduced_dirty) = reduced_dirty else {
+        return Err(stats);
+    };
+
+    // A reduced edge never joins a clean and a dirty vertex, so the clean slice
+    // (filtered on `u`) and the dirty run are disjoint sorted lists.
+    let edges = merge_sorted(
+        old.graph
+            .edge_list()
+            .iter()
+            .copied()
+            .filter(|&(u, _)| !dirty[u as usize]),
+        reduced_dirty
+            .edge_list()
+            .iter()
+            .map(|&(u, v)| (original(u), original(v))),
+    );
+    let mut builder = GraphBuilder::with_attributes(graph.attributes().to_vec());
+    builder.add_edges(edges);
+    let reduced = builder.build().expect("spliced edges stay in range");
+    // Components never straddle the clean/dirty line either, so the clean ones
+    // are eligible components of the spliced graph as they stand.
+    let clean = old
+        .components
+        .iter()
+        .filter(|c| !dirty[c.vertices[0] as usize]);
+    let carried = clean.cloned().collect();
+    Ok(ReducedEntry::new(
+        reduced,
+        stats,
+        stage_survivors,
+        params.k,
+        carried,
+    ))
+}
+
+/// Merges two sorted sequences into one sorted vector.
+fn merge_sorted<T: Ord>(a: impl Iterator<Item = T>, b: impl Iterator<Item = T>) -> Vec<T> {
     let mut b = b.peekable();
     let mut merged = Vec::with_capacity(a.size_hint().0 + b.size_hint().0);
     for x in a {
-        while let Some(y) = b.next_if(|y| key(y) < key(&x)) {
+        while let Some(y) = b.next_if(|y| *y < x) {
             merged.push(y);
         }
         merged.push(x);
@@ -948,7 +897,9 @@ fn enumerate_component(
 mod tests {
     use super::*;
     use crate::enumerate::{CollectSink, EnumTermination};
-    use crate::solver::{Budget, CancelToken, Objective, RfcSolver, Termination};
+    use crate::portfolio::PortfolioConfig;
+    use crate::reduction::apply_reductions;
+    use crate::solver::{Budget, CancelToken, Objective, Termination};
     use crate::verify;
     use rfc_graph::fixtures;
 
@@ -1022,10 +973,9 @@ mod tests {
     }
 
     #[test]
-    fn reduction_kept_across_commits_that_miss_the_reduced_graph() {
-        // Satellite: cache-invalidation accounting. For k = 3 the pipeline strips
-        // the sparse left side of the Fig. 1 graph — edge (0, 1) is not in R —
-        // while the planted clique (edge (6, 7)) survives.
+    fn every_structural_commit_splices_the_reduced_graph() {
+        // For k = 3 the pipeline strips the sparse left side of the Fig. 1 graph —
+        // edge (0, 1) is not in R — while the planted clique (edge (6, 7)) survives.
         let mut solver = DynamicRfcSolver::new(fixtures::fig1_graph());
         let query = serial_query(FairnessModel::Relative { k: 3, delta: 1 });
         let first = solver.solve(&query).unwrap();
@@ -1034,45 +984,40 @@ mod tests {
         assert!(solver.solve(&query).unwrap().reduction_cache_hit);
         assert_eq!(solver.preprocessing_runs(), 1);
 
-        // Removals that only touch already-reduced vertices keep the reduction.
+        // A removal outside R still splices. The rebuilt component is the old
+        // one's content, so it hits the result cache.
         solver.remove_edge(0, 1).unwrap();
-        let outcome = solver.commit();
-        assert_eq!(
-            (outcome.reductions_kept, outcome.reductions_invalidated),
-            (1, 0)
-        );
-        let kept = solver.solve(&query).unwrap();
-        assert!(
-            kept.reduction_cache_hit,
-            "removal outside R must not invalidate"
-        );
-        assert_eq!(kept.best().unwrap().size(), 7);
-        assert_eq!(solver.preprocessing_runs(), 1);
-
-        // A removal inside a surviving component flips the flag…
-        solver.remove_edge(6, 7).unwrap();
         let outcome = solver.commit();
         assert_eq!(
             (outcome.reductions_kept, outcome.reductions_invalidated),
             (0, 1)
         );
-        let invalidated = solver.solve(&query).unwrap();
-        assert!(
-            !invalidated.reduction_cache_hit,
-            "removal inside R must invalidate"
-        );
+        let spliced = solver.solve(&query).unwrap();
+        assert!(!spliced.reduction_cache_hit);
         assert_eq!(solver.preprocessing_runs(), 2);
+        assert_eq!(spliced.stats.components_searched, 0);
+        assert_eq!(spliced.best().unwrap().size(), 7);
         assert!(solver.solve(&query).unwrap().reduction_cache_hit);
 
-        // …and any insertion invalidates, even between reduced-away vertices
-        // (insertions can revive peeled vertices).
+        // A removal inside R splices too, and so does any insertion.
+        solver.remove_edge(6, 7).unwrap();
+        solver.commit();
+        assert!(!solver.solve(&query).unwrap().reduction_cache_hit);
+        assert_eq!(solver.preprocessing_runs(), 3);
         solver.insert_edge(0, 1).unwrap();
         solver.commit();
         assert!(!solver.solve(&query).unwrap().reduction_cache_hit);
 
-        // A net-empty (cancelling) commit must not promote a stale entry to
-        // "kept": leave the entry stale first (insertions always invalidate),
-        // then cancel a batch out.
+        // A net-empty (cancelling) commit changes nothing: a current entry stays
+        // current, and a stale one stays stale.
+        solver.insert_edge(6, 7).unwrap();
+        solver.remove_edge(6, 7).unwrap(); // cancels out: no net change
+        let cancelled = solver.commit();
+        assert_eq!(cancelled.ops, 2);
+        assert_eq!(
+            (cancelled.reductions_kept, cancelled.reductions_invalidated),
+            (1, 0)
+        );
         solver.insert_edge(6, 7).unwrap();
         let staled = solver.commit();
         assert_eq!(
@@ -1080,15 +1025,60 @@ mod tests {
             (0, 1)
         );
         solver.remove_edge(6, 7).unwrap();
-        solver.insert_edge(6, 7).unwrap(); // cancels out: no net change
+        solver.insert_edge(6, 7).unwrap();
         let cancelled = solver.commit();
-        assert_eq!(cancelled.ops, 2);
         assert_eq!(
             (cancelled.reductions_kept, cancelled.reductions_invalidated),
             (0, 1),
             "a no-op commit must keep reporting the entry as stale"
         );
         assert!(!solver.solve(&query).unwrap().reduction_cache_hit);
+    }
+
+    #[test]
+    fn a_spliced_solve_reports_the_committed_graphs_reduction_stats() {
+        let mut solver = DynamicRfcSolver::new(fixtures::fig1_graph());
+        let query = serial_query(FairnessModel::Relative { k: 3, delta: 1 });
+        solver.solve(&query).unwrap();
+        // Edge (0, 1) lies outside the reduced graph.
+        solver.remove_edge(0, 1).unwrap();
+        solver.commit();
+        let dynamic = solver.solve(&query).unwrap().stats.reduction;
+        let scratch = RfcSolver::new(solver.graph().clone())
+            .solve(&query)
+            .unwrap()
+            .stats
+            .reduction;
+        assert_eq!(dynamic.original_edges, 43);
+        let counts = |stats: &ReductionStats| {
+            let stages = stats.stages.iter().map(|s| (s.stage, s.vertices, s.edges));
+            let original = (stats.original_vertices, stats.original_edges);
+            (original, stages.collect::<Vec<_>>())
+        };
+        assert_eq!(counts(&dynamic), counts(&scratch));
+    }
+
+    #[test]
+    fn the_snapshot_shares_the_reduced_graphs_until_a_structural_commit() {
+        let mut solver = DynamicRfcSolver::new(two_balanced_cliques());
+        let query = serial_query(FairnessModel::Relative { k: 2, delta: 1 });
+        solver.solve(&query).unwrap();
+        let snapshot = solver.snapshot();
+        let runs = snapshot.preprocessing_runs();
+        let raced = snapshot
+            .solve_portfolio(&query, &PortfolioConfig::new(2))
+            .unwrap();
+        assert!(raced.solution.reduction_cache_hit);
+        assert_eq!(raced.solution.best().unwrap().size(), 8);
+        assert_eq!(solver.snapshot().preprocessing_runs(), runs);
+
+        // A net-empty batch keeps the snapshot; a structural one replaces it.
+        solver.commit();
+        assert!(Arc::ptr_eq(&snapshot, &solver.snapshot()));
+        solver.remove_edge(0, 1).unwrap();
+        solver.commit();
+        assert!(!Arc::ptr_eq(&snapshot, &solver.snapshot()));
+        assert_eq!(snapshot.graph(), &two_balanced_cliques());
     }
 
     #[test]
@@ -1428,24 +1418,24 @@ mod tests {
     }
 
     /// The current reduced entry for `key`.
-    fn current(solver: &DynamicRfcSolver, key: &EntryKey) -> Arc<ReducedEntry> {
-        match &solver.entries[key].state {
-            EntryState::Current { reduced } => Arc::clone(reduced),
-            EntryState::Stale { .. } => panic!("the entry was not spliced"),
-        }
+    fn current(solver: &DynamicRfcSolver, key: &ReductionKey) -> Arc<ReducedEntry> {
+        solver
+            .solver
+            .cached(key)
+            .expect("the entry was not spliced")
     }
 
     /// The splice as a whole-graph construction: label the components of `graph`,
     /// reduce the ones holding a changed vertex in the full vertex space, and
     /// rebuild the union with the clean slice of `old` through the sorting
-    /// builder. Returns that graph, its stage counts, and the dirty mask.
+    /// builder. Returns that graph and the dirty mask.
     fn full_space_splice(
         graph: &AttributedGraph,
         old: &ReducedEntry,
         changed: &BTreeSet<VertexId>,
         params: FairCliqueParams,
         config: &ReductionConfig,
-    ) -> (AttributedGraph, Vec<(usize, usize)>, Vec<bool>) {
+    ) -> (AttributedGraph, Vec<bool>) {
         let comps = rfc_graph::components::connected_components(graph);
         let mut dirty_comp = vec![false; comps.num_components];
         for &v in changed {
@@ -1457,42 +1447,27 @@ mod tests {
             .map(|&l| dirty_comp[l as usize])
             .collect();
         let dirty_sub = rfc_graph::subgraph::vertex_filtered_subgraph(graph, &dirty);
-        let (reduced_dirty, stats) = apply_reductions(&dirty_sub, params, config);
-        let clean: Vec<(VertexId, VertexId)> = old
-            .graph
-            .edge_list()
-            .iter()
-            .copied()
-            .filter(|&(u, _)| !dirty[u as usize])
-            .collect();
-        let clean_vertices = old
-            .graph
-            .vertices()
-            .filter(|&v| old.graph.degree(v) > 0 && !dirty[v as usize])
-            .count();
-        let stages = stats
-            .stages
-            .iter()
-            .map(|s| (s.vertices + clean_vertices, s.edges + clean.len()))
-            .collect();
+        let (reduced_dirty, _) = apply_reductions(&dirty_sub, params, config);
+        let clean = old.graph.edge_list().iter().copied();
         let mut b = GraphBuilder::with_attributes(graph.attributes().to_vec());
         b.add_edges(reduced_dirty.edge_list().iter().copied());
-        b.add_edges(clean);
-        (b.build().unwrap(), stages, dirty)
+        b.add_edges(clean.filter(|&(u, _)| !dirty[u as usize]));
+        (b.build().unwrap(), dirty)
     }
 
     /// Runs a seeded churn inside the first blob of `four_blobs(seed)`, querying
-    /// after every one or two commits, and checks each splice against the
-    /// full-space construction: the same reduced graph and stage counts, a reduced
-    /// graph equal to a from-scratch reduction, the components of a fresh
-    /// decomposition of it in their order, and the clean components carried over
-    /// pointer-equal. Returns the solve and enumerate cache hits and misses.
+    /// after every one or two commits, and checks that each round splices once and
+    /// matches the full-space construction: the same reduced graph, a reduced
+    /// graph and stage counts equal to a from-scratch reduction's, the components
+    /// of a fresh decomposition of it in their order, and the clean components
+    /// carried over pointer-equal. Returns the solve and enumerate cache hits and
+    /// misses.
     fn check_splices(seed: u64) -> (u64, u64, u64, u64) {
         let mut solver = DynamicRfcSolver::new(four_blobs(seed));
         let model = FairnessModel::Relative { k: 3, delta: 1 };
         let query = serial_query(model);
         let params = FairCliqueParams::new(3, 0).unwrap();
-        let key: EntryKey = (3, ReductionConfig::default());
+        let key: ReductionKey = (3, ReductionConfig::default());
         let enumerate = |solver: &mut DynamicRfcSolver| enumerate_sets_dynamic(solver, model);
         solver.solve(&query).unwrap();
         enumerate(&mut solver);
@@ -1501,7 +1476,7 @@ mod tests {
         let mut state = seed ^ 0x5eed;
         let (mut splices, mut carried) = (0, 0);
         for round in 0..40u32 {
-            let old = current(&solver, &key);
+            let (old, snapshot) = (current(&solver, &key), solver.snapshot());
             let runs = solver.preprocessing_runs();
             let mut changed = BTreeSet::new();
             for _ in 0..1 + round % 3 / 2 {
@@ -1536,31 +1511,28 @@ mod tests {
             enumerate(&mut solver);
             let reduced = current(&solver, &key);
             let (components, old_components) = (&reduced.components, &old.components);
-            if solver.preprocessing_runs() == runs {
-                // Kept wholesale: the components and their keys are untouched.
-                assert_eq!(components.len(), old_components.len(), "round {round}");
-                for (after, before) in components.iter().zip(old_components) {
-                    assert!(Arc::ptr_eq(after, before), "round {round}");
-                }
-                continue;
-            }
-            splices += 1;
-            let (graph, stages, dirty) =
-                full_space_splice(solver.graph(), &old, &changed, params, &key.1);
+            // Every structural commit splices; a net-empty round keeps the solver.
+            let spliced = !Arc::ptr_eq(&snapshot, &solver.snapshot());
+            assert_eq!(solver.preprocessing_runs(), runs + usize::from(spliced));
+            splices += usize::from(spliced);
+            let (graph, dirty) = full_space_splice(solver.graph(), &old, &changed, params, &key.1);
             assert_eq!(reduced.graph, graph, "round {round}");
-            let scratch = apply_reductions(solver.graph(), params, &key.1).0;
+            let (scratch, scratch_stats) = apply_reductions(solver.graph(), params, &key.1);
             assert_eq!(
                 reduced.graph, scratch,
                 "round {round}: not the from-scratch reduction"
             );
-            let spliced: Vec<(usize, usize)> = reduced
-                .stats
-                .stages
-                .iter()
-                .map(|s| (s.vertices, s.edges))
-                .collect();
-            assert_eq!(spliced, stages, "round {round}");
-            let fresh = ReducedEntry::new(graph, Default::default(), params.k, Vec::new());
+            let counts = |stats: &ReductionStats| {
+                let stages = stats.stages.iter().map(|s| (s.vertices, s.edges));
+                (stats.original_edges, stages.collect::<Vec<_>>())
+            };
+            assert_eq!(
+                counts(&reduced.stats),
+                counts(&scratch_stats),
+                "round {round}"
+            );
+            let fresh =
+                ReducedEntry::new(graph, Default::default(), Vec::new(), params.k, Vec::new());
             assert_eq!(components.len(), fresh.components.len(), "round {round}");
             for (got, want) in components.iter().zip(&fresh.components) {
                 assert_eq!(got.vertices, want.vertices, "round {round}");

@@ -23,7 +23,7 @@ pub mod edge_support;
 pub mod en_colorful_sup;
 pub mod streaming;
 
-use rfc_graph::AttributedGraph;
+use rfc_graph::{AttributedGraph, VertexId};
 
 use crate::problem::FairCliqueParams;
 
@@ -133,14 +133,20 @@ pub fn apply_reductions(
     params: FairCliqueParams,
     config: &ReductionConfig,
 ) -> (AttributedGraph, ReductionStats) {
-    let (reduced, stats) = apply_reductions_controlled(g, params, config, None);
+    let (reduced, stats, _) = apply_reductions_controlled(g, params, config, None);
     (
         reduced.expect("uncontrolled reduction cannot be interrupted"),
         stats,
     )
 }
 
-/// [`apply_reductions`] with a cooperative stop check between pipeline stages.
+/// The vertices left with edges after each stage of a pipeline run, with their
+/// degrees, in stage order. A stage's [`StageStats`] counts follow from its list:
+/// its length, and half its degree sum.
+pub(crate) type StageSurvivors = Vec<Vec<(VertexId, u32)>>;
+
+/// [`apply_reductions`] with a cooperative stop check between pipeline stages, which
+/// also returns each completed stage's [`StageSurvivors`].
 ///
 /// When the control trips (deadline passed or cancel token fired) before a stage
 /// starts, the pipeline aborts: the graph comes back as `None` and the stats cover
@@ -152,63 +158,64 @@ pub(crate) fn apply_reductions_controlled(
     params: FairCliqueParams,
     config: &ReductionConfig,
     ctrl: Option<&crate::search::control::SearchControl>,
-) -> (Option<AttributedGraph>, ReductionStats) {
+) -> (Option<AttributedGraph>, ReductionStats, StageSurvivors) {
     let mut stats = ReductionStats {
         original_vertices: g.num_vertices(),
         original_edges: g.num_edges(),
         stages: Vec::new(),
     };
+    let mut survivors = StageSurvivors::new();
     let tripped =
         |c: Option<&crate::search::control::SearchControl>| c.is_some_and(|c| c.check_now());
     let mut current = g.clone();
 
     if config.en_colorful_core {
         if tripped(ctrl) {
-            return (None, stats);
+            return (None, stats, survivors);
         }
         current = run_stage(
             &current,
             "EnColorfulCore",
             "reduce/EnColorfulCore",
-            &mut stats,
+            (&mut stats, &mut survivors),
             |g| colorful_core::en_colorful_core_reduction(g, params.k),
         );
     }
     if config.colorful_sup {
         if tripped(ctrl) {
-            return (None, stats);
+            return (None, stats, survivors);
         }
         current = run_stage(
             &current,
             "ColorfulSup",
             "reduce/ColorfulSup",
-            &mut stats,
+            (&mut stats, &mut survivors),
             |g| colorful_sup::colorful_sup_reduction(g, params.k),
         );
     }
     if config.en_colorful_sup {
         if tripped(ctrl) {
-            return (None, stats);
+            return (None, stats, survivors);
         }
         current = run_stage(
             &current,
             "EnColorfulSup",
             "reduce/EnColorfulSup",
-            &mut stats,
+            (&mut stats, &mut survivors),
             |g| en_colorful_sup::en_colorful_sup_reduction(g, params.k),
         );
     }
 
-    (Some(current), stats)
+    (Some(current), stats, survivors)
 }
 
 /// Runs one reduction stage inside a trace span, recording its surviving graph size
-/// both as [`StageStats`] and as span counters.
+/// as [`StageStats`] and as span counters, and its survivors.
 fn run_stage(
     current: &AttributedGraph,
     stage: &'static str,
     span_name: &'static str,
-    stats: &mut ReductionStats,
+    (stats, survivors): (&mut ReductionStats, &mut StageSurvivors),
     reduce: impl FnOnce(&AttributedGraph) -> AttributedGraph,
 ) -> AttributedGraph {
     let mut span = rfc_obs::trace::span(span_name);
@@ -224,6 +231,8 @@ fn run_stage(
         edges,
         micros: t.elapsed().as_micros() as u64,
     });
+    let alive = next.vertices().filter(|&v| next.degree(v) > 0);
+    survivors.push(alive.map(|v| (v, next.degree(v) as u32)).collect());
     next
 }
 

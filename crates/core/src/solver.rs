@@ -45,15 +45,17 @@ use std::time::{Duration, Instant};
 use rfc_graph::coloring::greedy_coloring;
 use rfc_graph::components::components_of_subset;
 use rfc_graph::cores::degeneracy;
-use rfc_graph::subgraph::induced_subgraph;
-use rfc_graph::{AttributedGraph, VertexId};
+use rfc_graph::{AttributedGraph, GraphBuilder, VertexId};
 
+use crate::bounds::advanced::attribute_color_bound;
 use crate::enumerate::{
     run_enumeration, CliqueSink, EnumOutcome, EnumProblem, EnumQuery, EnumStats, EnumTermination,
 };
 use crate::heuristic::{heur_rfc, HeuristicOutcome};
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel, ParamError};
-use crate::reduction::{apply_reductions_controlled, ReductionConfig, ReductionStats};
+use crate::reduction::{
+    apply_reductions_controlled, ReductionConfig, ReductionStats, StageSurvivors,
+};
 use crate::search::control::{SearchControl, StopReason};
 use crate::search::parallel::SharedIncumbent;
 use crate::search::steal::run_pool;
@@ -413,12 +415,15 @@ impl std::error::Error for SolveError {
 
 /// A reduced graph plus the pipeline stats that produced it and its eligible
 /// components, shared across queries (and reused by
-/// [`DynamicRfcSolver`](crate::dynamic::DynamicRfcSolver), which keeps or splices
-/// these entries across graph updates).
+/// [`DynamicRfcSolver`](crate::dynamic::DynamicRfcSolver), which splices these
+/// entries across graph updates).
 #[derive(Debug)]
 pub(crate) struct ReducedEntry {
     pub(crate) graph: AttributedGraph,
     pub(crate) stats: ReductionStats,
+    /// Each stage's surviving vertices with their degrees, from which a splice
+    /// counts the stages of the components it leaves untouched.
+    pub(crate) stage_survivors: StageSurvivors,
     /// The components every search, enumeration and bound of the entry reads, in
     /// order of smallest vertex (see [`ReducedEntry::new`]).
     pub(crate) components: Vec<Arc<Component>>,
@@ -437,6 +442,7 @@ impl ReducedEntry {
     pub(crate) fn new(
         graph: AttributedGraph,
         stats: ReductionStats,
+        stage_survivors: StageSurvivors,
         k: usize,
         carried: Vec<Arc<Component>>,
     ) -> Self {
@@ -449,22 +455,41 @@ impl ReducedEntry {
             .vertices()
             .filter(|&v| !taken[v as usize] && graph.degree(v) + 1 >= min_size)
             .collect();
-        let found = components_of_subset(&graph, &active)
+        let found: Vec<Vec<VertexId>> = components_of_subset(&graph, &active)
             .into_iter()
             .filter(|vertices| vertices.len() >= min_size)
-            .map(|vertices| {
-                let sub = induced_subgraph(&graph, &vertices);
-                Arc::new(Component {
-                    vertices,
-                    graph: sub.graph,
-                    digest: OnceLock::new(),
-                })
-            });
+            .collect();
+        // One relabel array serves every component: a found vertex's rank in its
+        // own sorted list. A neighbour with a rank lies in the same component, since
+        // any other active neighbour would have joined it.
+        let mut rank = vec![u32::MAX; graph.num_vertices()];
+        for vertices in &found {
+            for (i, &v) in vertices.iter().enumerate() {
+                rank[v as usize] = i as u32;
+            }
+        }
+        let found = found.into_iter().map(|vertices| {
+            let attributes = vertices.iter().map(|&v| graph.attribute(v)).collect();
+            let mut builder = GraphBuilder::with_attributes(attributes);
+            // Ranks keep the id order, so the edges come out canonical and sorted.
+            for &v in &vertices {
+                let r = rank[v as usize];
+                let ranked = graph.neighbors(v).iter().map(|&u| rank[u as usize]);
+                let later = ranked.filter(|&s| s != u32::MAX && s > r);
+                builder.add_edges(later.map(|s| (r, s)));
+            }
+            Arc::new(Component {
+                vertices,
+                graph: builder.build().expect("component edges stay in range"),
+                digest: OnceLock::new(),
+            })
+        });
         let mut components: Vec<Arc<Component>> = carried.into_iter().chain(found).collect();
         components.sort_unstable_by_key(|c| c.vertices[0]);
         Self {
             graph,
             stats,
+            stage_survivors,
             components,
         }
     }
@@ -483,6 +508,10 @@ pub(crate) struct Component {
     pub(crate) digest: OnceLock<u64>,
 }
 
+/// Key of a cached reduced graph: `k` and the reduction config, everything the
+/// reduction pipeline depends on.
+pub(crate) type ReductionKey = (usize, ReductionConfig);
+
 /// A build-once / query-many maximum fair clique solver (see the [module
 /// docs](self) for the full tour).
 ///
@@ -498,10 +527,10 @@ pub struct RfcSolver {
     /// Degeneracy of the graph, computed lazily on first request (no solve path needs
     /// it, so throwaway solvers built by the one-shot wrappers never pay for it).
     degeneracy: OnceLock<u32>,
-    /// Reduced graphs keyed by `(k, reduction config)` — everything the reduction
-    /// pipeline depends on. Computed lazily on first use.
-    reductions: Mutex<HashMap<(usize, ReductionConfig), Arc<ReducedEntry>>>,
-    /// Number of reduction pipeline executions (cache misses) so far.
+    /// Reduced graphs, computed lazily on first use (or spliced in by the dynamic
+    /// solver after a commit).
+    reductions: Mutex<HashMap<ReductionKey, Arc<ReducedEntry>>>,
+    /// Number of reduced graphs offered to the cache (built or spliced) so far.
     preprocessing_runs: AtomicUsize,
 }
 
@@ -535,7 +564,8 @@ impl RfcSolver {
     }
 
     /// How many distinct reduction pipelines this solver has executed so far (cache
-    /// misses; queries sharing `(k, reductions)` don't add to this).
+    /// misses, and the splices a [`DynamicRfcSolver`](crate::dynamic::DynamicRfcSolver)
+    /// adds to its snapshot; queries sharing `(k, reductions)` don't add to this).
     pub fn preprocessing_runs(&self) -> usize {
         self.preprocessing_runs.load(Ordering::Relaxed)
     }
@@ -684,14 +714,13 @@ impl RfcSolver {
         )
     }
 
-    /// The library's reduce step, shared with the portfolio: fetches (or computes
-    /// and caches) the reduced graph for `(k, config)` under the `reduce` span,
-    /// honoring the query's budget/cancel control.
+    /// The library's reduce step, shared with the portfolio: fetches (or
+    /// [builds](Self::build) and caches) the reduced graph for `(k, config)` under
+    /// the `reduce` span, honoring the query's budget/cancel control.
     ///
     /// A tripped control stops the query at entry, before even a cached reduced
     /// graph is served. On a miss, a trip between pipeline stages returns `Err` with
-    /// the partial stage stats and caches **nothing** — a later query recomputes the
-    /// reduction from scratch, so the cache only ever holds complete pipelines.
+    /// the partial stage stats, and a later query recomputes the reduction.
     pub(crate) fn reduce(
         &self,
         k: usize,
@@ -701,31 +730,48 @@ impl RfcSolver {
         if ctrl.check_now() {
             return Err(ReductionStats::default());
         }
-        traced_reduce(|| {
-            let key = (k, *config);
-            if let Some(entry) = self
-                .reductions
-                .lock()
-                .expect("reduction cache poisoned")
-                .get(&key)
-            {
-                return Ok((Arc::clone(entry), true));
-            }
-            // Compute outside the lock so concurrent queries for *different* keys
-            // don't serialize; racing queries for the same key keep the first
-            // finished result.
-            let params = FairCliqueParams::new(k, 0).expect("k >= 1 was validated by the caller");
-            let (graph, stats) =
-                apply_reductions_controlled(&self.graph, params, config, Some(ctrl));
-            let Some(graph) = graph else {
-                return Err(stats);
-            };
-            let entry = Arc::new(ReducedEntry::new(graph, stats, k, Vec::new()));
-            self.preprocessing_runs.fetch_add(1, Ordering::Relaxed);
-            let mut cache = self.reductions.lock().expect("reduction cache poisoned");
-            let entry = Arc::clone(cache.entry(key).or_insert(entry));
-            Ok((entry, false))
+        let key = (k, *config);
+        traced_reduce(|| match self.cached(&key) {
+            Some(entry) => Ok((entry, true)),
+            None => self.build(key, ctrl).map(|entry| (entry, false)),
         })
+    }
+
+    /// The reduced graph cached for `key`, if any.
+    pub(crate) fn cached(&self, key: &ReductionKey) -> Option<Arc<ReducedEntry>> {
+        let cache = self.reductions.lock().expect("reduction cache poisoned");
+        cache.get(key).cloned()
+    }
+
+    /// Caches `entry`, the result of one pipeline run, under `key` and returns the
+    /// cached reduced graph: a racing query that cached one first keeps its own.
+    pub(crate) fn insert(&self, key: ReductionKey, entry: ReducedEntry) -> Arc<ReducedEntry> {
+        self.preprocessing_runs.fetch_add(1, Ordering::Relaxed);
+        let mut cache = self.reductions.lock().expect("reduction cache poisoned");
+        Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(entry)))
+    }
+
+    /// The one fresh build of a reduced graph: runs the pipeline for `key` under
+    /// `ctrl` and caches the result. The pipeline runs outside the cache's lock, so
+    /// queries for different keys don't serialize. A trip between stages returns
+    /// the partial stage stats and caches **nothing**, so the cache only ever holds
+    /// complete pipelines.
+    pub(crate) fn build(
+        &self,
+        key: ReductionKey,
+        ctrl: &SearchControl,
+    ) -> Result<Arc<ReducedEntry>, ReductionStats> {
+        let (k, config) = key;
+        let params = FairCliqueParams::new(k, 0).expect("k >= 1 was validated by the caller");
+        let (graph, stats, survivors) =
+            apply_reductions_controlled(&self.graph, params, &config, Some(ctrl));
+        let Some(graph) = graph else {
+            return Err(stats);
+        };
+        Ok(self.insert(
+            key,
+            ReducedEntry::new(graph, stats, survivors, k, Vec::new()),
+        ))
     }
 }
 
@@ -1105,14 +1151,12 @@ fn certify_bound(
 }
 
 /// A sound upper bound on the size of any fair clique of a reduced graph under
-/// `params`, from a fresh greedy coloring of each of its eligible `components`.
+/// `params`: `ubac` (Lemma 8, [`attribute_color_bound`]) on a fresh greedy coloring
+/// of each of its eligible `components`, capped at the component's size.
 ///
-/// Clique vertices carry pairwise-distinct colors, so within one connected component
-/// a fair clique holds at most "distinct colors among `a`-vertices" vertices of
-/// attribute `a` (likewise `b`); [`FairCliqueParams::best_fair_total`] converts those
-/// caps into a size cap. The result is the maximum over the components — `0` proves
-/// infeasibility. This is the bound behind [`Solution::upper_bound`] and the
-/// portfolio's reported optimality gap.
+/// A fair clique lies in one component, so the result is the maximum over the
+/// components — `0` proves infeasibility. This is the bound behind
+/// [`Solution::upper_bound`] and the portfolio's reported optimality gap.
 pub(crate) fn colorful_upper_bound(
     components: &[Arc<Component>],
     params: FairCliqueParams,
@@ -1123,21 +1167,8 @@ pub(crate) fn colorful_upper_bound(
         if g.num_vertices() <= best {
             continue;
         }
-        let coloring = greedy_coloring(g);
-        // Distinct colors seen per attribute within this component.
-        let mut seen = vec![[false; 2]; coloring.num_colors];
-        let mut caps = [0usize; 2];
-        for v in g.vertices() {
-            let color = coloring.color(v) as usize;
-            let attr = g.attribute(v).index();
-            if !seen[color][attr] {
-                seen[color][attr] = true;
-                caps[attr] += 1;
-            }
-        }
-        if let Some(total) = params.best_fair_total(caps[0], caps[1]) {
-            best = best.max(total.min(g.num_vertices()));
-        }
+        let bound = attribute_color_bound(g, &greedy_coloring(g), params);
+        best = best.max(bound.min(g.num_vertices()));
     }
     best
 }
@@ -1167,7 +1198,8 @@ fn flush_search_metrics(stats: &SearchStats) {
 mod tests {
     use super::*;
     use crate::verify;
-    use rfc_graph::fixtures;
+    use rfc_graph::subgraph::induced_subgraph;
+    use rfc_graph::{fixtures, Attribute};
 
     #[test]
     fn one_preprocessing_pass_serves_many_models() {
@@ -1366,6 +1398,47 @@ mod tests {
                 .map(|r| r.map(|s| s.best().map(|c| c.size())))
                 .collect();
             assert_eq!(batch_sizes, individual, "threads {threads:?}");
+        }
+    }
+
+    #[test]
+    fn components_equal_their_induced_subgraphs() {
+        // 60 disjoint blobs of 4 to 9 vertices, each a clique missing a few edges,
+        // with a pendant vertex below the degree cut and an isolated gap after it.
+        let (mut edges, mut attributes) = (Vec::new(), Vec::new());
+        let mut state = 7u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for blob in 0..60u64 {
+            let lo = attributes.len() as VertexId;
+            let size = 4 + blob % 6;
+            for _ in 0..size + 2 {
+                attributes.push([Attribute::A, Attribute::B][draw(2) as usize]);
+            }
+            for u in lo..lo + size as VertexId {
+                for v in u + 1..lo + size as VertexId {
+                    if draw(8) != 0 {
+                        edges.push((u, v));
+                    }
+                }
+            }
+            edges.push((lo, lo + size as VertexId));
+        }
+        let mut builder = GraphBuilder::with_attributes(attributes);
+        builder.add_edges(edges);
+        let graph = builder.build().unwrap();
+        let entry = ReducedEntry::new(graph.clone(), Default::default(), Vec::new(), 2, Vec::new());
+        assert!(entry.components.len() >= 30, "{}", entry.components.len());
+        let firsts: Vec<VertexId> = entry.components.iter().map(|c| c.vertices[0]).collect();
+        assert!(firsts.windows(2).all(|w| w[0] < w[1]));
+        for component in &entry.components {
+            let sub = induced_subgraph(&graph, &component.vertices);
+            assert_eq!(component.vertices, sub.original);
+            assert_eq!(component.graph, sub.graph);
         }
     }
 

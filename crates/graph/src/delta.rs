@@ -396,15 +396,13 @@ impl GraphDelta {
     }
 
     /// Whether the delta contains any edge insertions. Edge insertions are the one
-    /// update class that can *revive* reduced-away vertices, so they always invalidate
-    /// cached reduced graphs; pure removals and vertex-space changes cannot (see
-    /// `rfc_core::dynamic` for the soundness argument).
+    /// update class that can *revive* reduced-away vertices: their colorful degrees
+    /// and supports only grow.
     pub fn has_edge_insertions(&self) -> bool {
         !self.inserted.is_empty()
     }
 
-    /// Whether the delta changes any vertex attribute or grows the vertex space —
-    /// i.e. whether a kept reduced graph needs its attribute/vertex arrays refreshed.
+    /// Whether the delta changes any vertex attribute or grows the vertex space.
     pub fn changes_vertex_space(&self) -> bool {
         !self.appended.is_empty() || !self.overrides.is_empty()
     }

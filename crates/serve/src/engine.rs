@@ -18,7 +18,6 @@ use std::time::Duration;
 
 use rfc_core::enumerate::LimitSink;
 use rfc_core::portfolio::PortfolioConfig;
-use rfc_core::solver::RfcSolver;
 use rfc_core::{CancelToken, CliqueSink, DynamicRfcSolver, FairClique, SinkFlow};
 use rfc_graph::io::read_graph_from_path;
 use rfc_graph::json::JsonValue;
@@ -134,12 +133,13 @@ impl LocalEngine {
         let query = spec.to_query(token, self.config.default_time_limit);
         let mut solver = slot.solver.lock().expect("solver lock poisoned");
         let solution = if let Some(members) = spec.portfolio {
-            // The racing portfolio solves a snapshot of the committed graph; the
+            // The racing portfolio solves the committed graph's solver, reading
+            // the reduced graphs the dynamic solver's queries built or spliced; the
             // per-component dynamic cache is bypassed, so budget-bound answers
             // always carry a freshly certified upper bound. The slot lock is
             // released once the snapshot is taken so updates are not blocked for
             // the whole (potentially long) race.
-            let snapshot = RfcSolver::new(solver.graph().clone());
+            let snapshot = solver.snapshot();
             drop(solver);
             let config = PortfolioConfig::new(members).with_anytime(spec.anytime);
             snapshot
@@ -425,18 +425,25 @@ impl CliqueSink for EmitSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rfc_graph::fixtures;
+    use rfc_core::solver::{Budget, Query, RfcSolver};
+    use rfc_core::FairnessModel;
+    use rfc_graph::{fixtures, Attribute, AttributedGraph, GraphBuilder};
 
     fn engine_with_fig1() -> (LocalEngine, tempdir::TempPath) {
+        engine_with("fig1", &fixtures::fig1_graph())
+    }
+
+    /// An engine with `graph` loaded under `name`.
+    fn engine_with(name: &str, graph: &AttributedGraph) -> (LocalEngine, tempdir::TempPath) {
         let dir = tempdir::TempPath::new("rfc-serve-engine");
-        let path = dir.path().join("fig1.graph");
-        rfc_graph::io::write_graph_to_path(&fixtures::fig1_graph(), &path).unwrap();
+        let path = dir.path().join(format!("{name}.graph"));
+        rfc_graph::io::write_graph_to_path(graph, &path).unwrap();
         let engine = LocalEngine::new(EngineConfig::default(), Arc::new(Counters::default()));
         let mut lines = Vec::new();
         let flow = engine
             .handle(
                 &format!(
-                    "{{\"op\":\"load\",\"graph\":\"fig1\",\"path\":\"{}\"}}",
+                    "{{\"op\":\"load\",\"graph\":\"{name}\",\"path\":\"{}\"}}",
                     path.display()
                 ),
                 &mut |line| {
@@ -552,6 +559,89 @@ mod tests {
             Some("invalid_params"),
             "{bad}"
         );
+    }
+
+    /// Fig. 1 on ids 0..15 beside a seeded random blob of 40 vertices (edge
+    /// probability 0.6) on ids 15..55.
+    fn fig1_beside_a_random_blob() -> AttributedGraph {
+        let fig1 = fixtures::fig1_graph();
+        let mut state = 0x5eed_u64;
+        let mut draw = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut attributes = fig1.attributes().to_vec();
+        attributes.extend((0..40).map(|_| [Attribute::A, Attribute::B][draw(2) as usize]));
+        let mut builder = GraphBuilder::with_attributes(attributes);
+        builder.add_edges(fig1.edge_list().iter().copied());
+        for u in 15..55u32 {
+            builder.add_edges((u + 1..55).filter(|_| draw(5) < 3).map(|v| (u, v)));
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn portfolio_races_on_the_committed_graph_like_a_fresh_solver() {
+        let (engine, _dir) = engine_with("g", &fig1_beside_a_random_blob());
+        let solve = r#"{"op":"solve","graph":"g","k":3,"delta":1}"#;
+        let (lines, _) = run(&engine, solve);
+        assert_eq!(lines[0].get("ok").and_then(JsonValue::as_bool), Some(true));
+        // Edge (0, 1) lies outside the reduced graph at k = 3; (15, 16) is new.
+        let graph = fig1_beside_a_random_blob();
+        assert!(!graph.has_edge(15, 16));
+        let update = r#"{"op":"update","graph":"g","ops":[{"op":"remove_edge","u":0,"v":1},{"op":"insert_edge","u":15,"v":16}]}"#;
+        let (lines, _) = run(&engine, update);
+        assert_eq!(
+            lines[0]
+                .get("reductions_invalidated")
+                .and_then(JsonValue::as_u64),
+            Some(1)
+        );
+        let (lines, _) = run(&engine, solve);
+        let field = |line: &JsonValue, name: &str| line.get(name).and_then(JsonValue::as_u64);
+        let hit = lines[0].get("reduction_cache_hit");
+        assert_eq!(hit.and_then(JsonValue::as_bool), Some(false));
+
+        let committed = {
+            let slot = engine.slot("g").unwrap();
+            let solver = slot.solver.lock().unwrap();
+            solver.graph().clone()
+        };
+        let scratch = RfcSolver::new(committed);
+        for budget in ["", r#","node_limit":0"#] {
+            let line =
+                format!(r#"{{"op":"solve","graph":"g","k":3,"delta":1,"portfolio":2{budget}}}"#);
+            let (lines, _) = run(&engine, &line);
+            let served = &lines[0];
+            let mut query = Query::new(FairnessModel::Relative { k: 3, delta: 1 });
+            if !budget.is_empty() {
+                query = query.with_budget(Budget::unlimited().with_node_limit(0));
+            }
+            let raced = scratch
+                .solve_portfolio(&query, &PortfolioConfig::new(2))
+                .unwrap()
+                .solution;
+            let best = served
+                .get("cliques")
+                .and_then(JsonValue::as_array)
+                .and_then(|cliques| cliques.first())
+                .and_then(|clique| field(clique, "size"));
+            assert_eq!(
+                served.get("termination").and_then(JsonValue::as_str),
+                Some(crate::protocol::termination_str(raced.termination)),
+                "{line}"
+            );
+            assert_eq!(best, Some(raced.best_size() as u64), "{line}");
+            let bound = raced.upper_bound.map(|b| b as u64);
+            assert_eq!(field(served, "upper_bound"), bound, "{line}");
+            let gap = raced.optimality_gap().map(|g| g as u64);
+            assert_eq!(field(served, "optimality_gap"), gap, "{line}");
+            // The race read the reduced graph the plain solve spliced.
+            let hit = served.get("reduction_cache_hit");
+            assert_eq!(hit.and_then(JsonValue::as_bool), Some(true), "{line}");
+        }
     }
 
     #[test]

@@ -87,6 +87,21 @@ fn assert_matches_scratch(dynamic: &mut DynamicRfcSolver, threads: ThreadCount, 
             incremental.termination, reference.termination,
             "{label}: termination differs under {model}"
         );
+        // The reduced graph is the committed graph's from-scratch reduction, so
+        // its stats are too (timings aside).
+        let counts = |s: &Solution| {
+            let r = &s.stats.reduction;
+            let stages = r.stages.iter().map(|st| (st.stage, st.vertices, st.edges));
+            (
+                (r.original_vertices, r.original_edges),
+                stages.collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(
+            counts(&incremental),
+            counts(&reference),
+            "{label}: reduction stats differ under {model}"
+        );
         if let Some(best) = incremental.best() {
             assert!(
                 verify::is_fair_clique_under(dynamic.graph(), &best.vertices, model),
