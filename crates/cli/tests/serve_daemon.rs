@@ -263,7 +263,7 @@ fn tie_graph() -> AttributedGraph {
 /// input is one component, so the daemon's dynamic solver searches it as the
 /// library does. The `enumerate --threads 1 --format jsonl` binary and the daemon's
 /// `enumerate` stream emit the same cliques in the same order, also with a
-/// `min_size` above `2k` and a `limit`.
+/// `min_size` above `2k` and a `limit`, on a small graph and on the big component.
 #[test]
 fn library_cli_and_daemon_give_the_same_answer() {
     // The config of `rfc_bench::workloads::big_component_graph(800, 17)`.
@@ -373,43 +373,46 @@ fn library_cli_and_daemon_give_the_same_answer() {
         assert_eq!(served, library, "daemon against library, {case}");
     }
 
-    let (k, delta, min_size, limit) = (2, 1, 7, 5);
-    let path = daemon.dir.join("core.graph");
-    let output = Command::new(env!("CARGO_BIN_EXE_maxfairclique"))
-        .args(["enumerate", "--graph", &path.display().to_string()])
-        .args(["-k", &k.to_string(), "-d", &delta.to_string()])
-        .args([
-            "--min-size",
-            &min_size.to_string(),
-            "--limit",
-            &limit.to_string(),
-        ])
-        .args(["--threads", "1", "--format", "jsonl"])
-        .output()
-        .expect("run maxfairclique enumerate");
-    assert!(output.status.success(), "{output:?}");
-    let cli: Vec<JsonValue> = String::from_utf8(output.stdout)
-        .unwrap()
-        .lines()
-        .map(|line| JsonValue::parse(line).expect("one JSON object per line"))
-        .collect();
-    let request = Request::Enumerate {
-        graph: "core".to_string(),
-        spec: EnumSpec {
-            min_size,
-            limit: Some(limit),
-            ..EnumSpec::new(FairnessModel::Relative { k, delta })
-        },
-    };
-    let (streamed, done) = client.stream(&request.to_line());
-    assert_eq!(done.get("emitted").and_then(JsonValue::as_u64), Some(limit));
-    let served: Vec<JsonValue> = streamed
-        .iter()
-        .map(|line| line.get("clique").expect("a clique line").clone())
-        .collect();
-    assert_eq!(cli.len() as u64, limit);
-    assert_eq!(
-        served, cli,
-        "daemon against CLI, enumerate min size {min_size}"
-    );
+    // A `limit` bounds the daemon's work too: the `big` case does not answer at
+    // all when a component is listed in full before its first clique is sent.
+    for (name, k, delta, min_size, limit) in [("core", 2, 1, 7, 5), ("big", 3, 1, 8, 5)] {
+        let path = daemon.dir.join(format!("{name}.graph"));
+        let output = Command::new(env!("CARGO_BIN_EXE_maxfairclique"))
+            .args(["enumerate", "--graph", &path.display().to_string()])
+            .args(["-k", &k.to_string(), "-d", &delta.to_string()])
+            .args([
+                "--min-size",
+                &min_size.to_string(),
+                "--limit",
+                &limit.to_string(),
+            ])
+            .args(["--threads", "1", "--format", "jsonl"])
+            .output()
+            .expect("run maxfairclique enumerate");
+        assert!(output.status.success(), "{output:?}");
+        let cli: Vec<JsonValue> = String::from_utf8(output.stdout)
+            .unwrap()
+            .lines()
+            .map(|line| JsonValue::parse(line).expect("one JSON object per line"))
+            .collect();
+        let request = Request::Enumerate {
+            graph: name.to_string(),
+            spec: EnumSpec {
+                min_size,
+                limit: Some(limit),
+                ..EnumSpec::new(FairnessModel::Relative { k, delta })
+            },
+        };
+        let (streamed, done) = client.stream(&request.to_line());
+        assert_eq!(done.get("emitted").and_then(JsonValue::as_u64), Some(limit));
+        let served: Vec<JsonValue> = streamed
+            .iter()
+            .map(|line| line.get("clique").expect("a clique line").clone())
+            .collect();
+        assert_eq!(cli.len() as u64, limit);
+        assert_eq!(
+            served, cli,
+            "daemon against CLI, enumerate {name} min size {min_size}"
+        );
+    }
 }

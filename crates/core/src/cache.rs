@@ -1,10 +1,11 @@
 //! A small bounded LRU map for the dynamic solver's per-component result caches.
 //!
-//! A long-lived daemon serving a churny graph accumulates one cache entry per
-//! *distinct component content* it ever solved — unbounded by default, which is the
-//! right call for a CLI run but a slow leak for `maxfaircliqued`. [`LruCache`] bounds
-//! the entry count with least-recently-used eviction and counts hits, misses and
-//! evictions so a `stats` request can report cache health.
+//! The dynamic solver drops the results of components that left the reduced graph
+//! on the first query after a commit, so an unbounded cache holds one entry per live
+//! component and query shape (model, and pool capacity or minimum size). The shapes
+//! are the clients' to choose, so a long-lived `maxfaircliqued` should bound them.
+//! [`LruCache`] bounds the entry count with least-recently-used eviction and counts
+//! hits, misses and evictions so a `stats` request can report cache health.
 //!
 //! The implementation is deliberately simple: a `HashMap` of `(value, last-use tick)`
 //! with an `O(len)` scan on eviction. Capacities are small (hundreds to a few

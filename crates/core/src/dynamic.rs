@@ -20,10 +20,13 @@
 //! 2. **Per-component solve and enumeration results** are cached under the
 //!    component itself: each eligible component of a reduced graph is built once,
 //!    with the reduced graph, as its sorted vertex list and the compact graph those
-//!    vertices induce, and that graph is the key. After any update, components
-//!    whose graph is unchanged hit the cache and are never re-searched; only dirty
-//!    components run the branch-and-bound / re-enumeration, directly on their
-//!    stored graph. Because the key is the content itself, component merges,
+//!    vertices induce, and that graph is the key. A solve caches a component's
+//!    pool; an enumeration caches what it streamed, a prefix of the component's
+//!    deterministic order, complete once a run reached its end. After any update,
+//!    components whose graph is unchanged keep their results; only dirty ones, and
+//!    enumerations that need more than a prefix holds, run the branch-and-bound or
+//!    the enumerator, directly on the stored graph. Because the key is the content
+//!    itself, component merges,
 //!    splits and vertex-id-preserving churn all invalidate exactly the components
 //!    they touch — there is no separate dirty-tracking protocol to get out of sync.
 //!    A key hashes to a keyed digest of its graph, computed on first use with hash
@@ -88,7 +91,6 @@ use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 
 use rfc_graph::delta::{DeltaError, GraphDelta, UpdateOp};
@@ -97,7 +99,7 @@ use rfc_graph::{Attribute, AttributedGraph, GraphBuilder, VertexId};
 
 use crate::cache::{CacheStats, LruCache};
 use crate::enumerate::{
-    enumerate_one_component, CliqueSink, EnumOutcome, EnumProblem, EnumQuery, EnumStats, SinkFlow,
+    run_enumeration, CliqueSink, EnumOutcome, EnumProblem, EnumQuery, PrefixCache,
 };
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::{
@@ -179,8 +181,8 @@ impl Eq for Component {}
 /// Cache key of a per-component result: fairness model, then a solve's pool
 /// capacity (1 = maximum objective, n = top-n) or an enumeration's effective
 /// minimum size, then the component.
-type ComponentKey = (FairnessModel, usize, Arc<Component>);
-/// One component's cached cliques, in compact ids.
+pub(crate) type ComponentKey = (FairnessModel, usize, Arc<Component>);
+/// One component's cached solve pool, in compact ids.
 type ComponentCliques = Arc<Vec<Vec<u32>>>;
 
 /// The per-component result caches of one `(k, reduction config)`, and its reduced
@@ -195,9 +197,9 @@ struct DynEntry {
     /// empty = no fair clique in the component). LRU-bounded when the owner set a
     /// cache capacity.
     solve_cache: LruCache<ComponentKey, ComponentCliques>,
-    /// Per-component maximal fair cliques (compact ids, deterministic enumeration
-    /// order). Same bound.
-    enum_cache: LruCache<ComponentKey, ComponentCliques>,
+    /// Per-component prefixes of the deterministic enumeration order (compact
+    /// ids), complete or not. Same bound.
+    enum_cache: PrefixCache,
 }
 
 impl DynEntry {
@@ -280,9 +282,10 @@ impl DynamicRfcSolver {
 
     /// Bounds each per-component result cache to at most `capacity` entries with
     /// least-recently-used eviction (`None` = unbounded, the default). Shrinking the
-    /// bound evicts immediately. A long-lived daemon over a churny graph should set
-    /// this: every distinct component content ever solved otherwise stays resident
-    /// forever.
+    /// bound evicts immediately. The first query after a structural commit drops
+    /// the results of components that left its reduced graph, so an unbounded cache
+    /// holds one entry per live component and query shape (model, and pool
+    /// capacity or minimum size); the bound caps how many shapes stay resident.
     pub fn set_cache_capacity(&mut self, capacity: Option<usize>) {
         self.cache_capacity = capacity;
         for entry in self.entries.values_mut() {
@@ -476,15 +479,17 @@ impl DynamicRfcSolver {
         })
     }
 
-    /// Streams every maximal fair clique of the committed graph into `sink`,
-    /// re-enumerating only components whose content changed — everything else is
-    /// replayed from the per-component cache, so after an update only the cliques
-    /// intersecting the changed neighborhood cost fresh search work. Same contract
-    /// as [`RfcSolver::enumerate`](crate::solver::RfcSolver::enumerate); emission
-    /// order is components in discovery order with each component's deterministic
-    /// enumeration order, and [`EnumStats::components_searched`] counts only the
-    /// freshly enumerated components. The components to re-enumerate fan out over
-    /// `threads` with the rule [`solve`](Self::solve) documents.
+    /// Streams every maximal fair clique of the committed graph into `sink` through
+    /// the library's one enumeration loop and thread rule (see the
+    /// [`enumerate`](crate::enumerate) module docs), with this solver's cache: a
+    /// component replays the prefix of its order that earlier enumerations
+    /// streamed, and only one whose prefix is not complete, such as one an update
+    /// changed, runs the enumerator, which skips that prefix and streams the rest.
+    /// So a stopping sink ends the work as well as the output. Same contract and
+    /// emission order as [`RfcSolver::enumerate`](crate::solver::RfcSolver::enumerate);
+    /// [`EnumStats::components_searched`](crate::enumerate::EnumStats) counts only
+    /// the components enumerated afresh. As for [`solve`](Self::solve), replays
+    /// ignore budgets and cancellation, and fresh work stops when they trip.
     pub fn enumerate(
         &mut self,
         query: &EnumQuery,
@@ -496,8 +501,8 @@ impl DynamicRfcSolver {
         })
     }
 
-    /// The search of [`solve`](Self::solve): the reduce step, then every component
-    /// from cache or through the fan-out, merged in canonical order.
+    /// The search of [`solve`](Self::solve): the reduce step, then each component's
+    /// pool from the cache or through the fan-out, merged in canonical order.
     fn solve_components(&mut self, query: &Query, run: &QueryRun, capacity: usize) -> Searched {
         let key = (run.params.k, query.config.reductions);
         let (reduced, hit) = match traced_reduce(|| self.ensure_entry(&key, &run.ctrl)) {
@@ -505,20 +510,37 @@ impl DynamicRfcSolver {
             Err(partial) => return Searched::stopped(partial),
         };
         let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-        let components: Vec<&Arc<Component>> = reduced.components.iter().collect();
+        let cache = &mut entry.solve_cache;
+        let components = &reduced.components;
         let (params, ctrl, config) = (run.params, &run.ctrl, &query.config);
-        let (per_comp, mut stats) = component_results(
-            &mut entry.solve_cache,
-            "solve",
-            &components,
-            (query.fairness, capacity),
-            config.threads,
-            ctrl,
-            |component, pinned| {
-                let threads = pinned.unwrap_or(config.threads);
-                solve_component(component, params, config, threads, capacity, ctrl)
-            },
-        );
+        let component_key = |i: usize| (query.fairness, capacity, Arc::clone(&components[i]));
+        let before = cache.stats();
+        let mut per_comp: Vec<Option<ComponentCliques>> = (0..components.len())
+            .map(|i| cache.get(&component_key(i)).cloned())
+            .collect();
+        // The misses fan out largest first with `fan_out`'s rule. A search that ran
+        // to completion is cached; one the control skipped stays `None`.
+        let mut misses: Vec<usize> = (0..components.len())
+            .filter(|&i| per_comp[i].is_none())
+            .collect();
+        misses.sort_by_key(|&i| Reverse(components[i].vertices.len()));
+        let fresh = fan_out(&misses, config.threads, Some(ctrl), |&i, pinned| {
+            let threads = pinned.unwrap_or(config.threads);
+            solve_component(&components[i], params, config, threads, capacity, ctrl)
+        });
+        let mut stats = SearchStats::default();
+        for (&i, result) in misses.iter().zip(fresh) {
+            let Some((cliques, completed, component_stats)) = result else {
+                continue;
+            };
+            stats += &component_stats;
+            let cliques = Arc::new(cliques);
+            if completed {
+                cache.insert(component_key(i), Arc::clone(&cliques));
+            }
+            per_comp[i] = Some(cliques);
+        }
+        flush_cache_metrics("solve", &before, &cache.stats());
         stats.reduction = reduced.stats.clone();
 
         // Merge the per-component pools in the canonical order `RfcSolver` uses. A
@@ -550,9 +572,8 @@ impl DynamicRfcSolver {
         }
     }
 
-    /// The search of [`enumerate`](Self::enumerate): the reduce step, then every
-    /// eligible component from cache or through the fan-out, emitted in discovery
-    /// order.
+    /// The search of [`enumerate`](Self::enumerate): the reduce step, then the
+    /// library's enumeration loop with this entry's prefix cache.
     fn enumerate_components(
         &mut self,
         query: &EnumQuery,
@@ -561,55 +582,17 @@ impl DynamicRfcSolver {
         sink: &mut dyn CliqueSink,
     ) -> Enumerated {
         let key = (run.params.k, query.reductions);
-        let (reduced, hit) = match traced_reduce(|| self.ensure_entry(&key, &run.ctrl)) {
+        let reduced = match traced_reduce(|| self.ensure_entry(&key, &run.ctrl)) {
             Ok(pair) => pair,
             Err(partial) => return Enumerated::stopped(partial),
         };
         let entry = self.entries.get_mut(&key).expect("entry was just ensured");
-        let eligible: Vec<&Arc<Component>> = reduced
-            .components
-            .iter()
-            .filter(|c| c.vertices.len() >= problem.min_size)
-            .collect();
-        let ctrl = &run.ctrl;
-        let (per_comp, mut stats) = component_results(
-            &mut entry.enum_cache,
-            "enumerate",
-            &eligible,
-            (query.fairness, problem.min_size),
-            query.threads,
-            ctrl,
-            |component, _| enumerate_component(component, problem, ctrl),
-        );
-        stats.reduction = reduced.stats.clone();
-
-        // Emission: components in discovery order; cached components replay their
-        // stored order, fresh ones their deterministic enumeration order.
-        let mut emitted = 0u64;
-        let mut sink_stopped = false;
-        'emission: for (component, cliques) in eligible.iter().zip(&per_comp) {
-            let Some(cliques) = cliques else {
-                continue; // never reached before a budget/cancel stop
-            };
-            for ranks in cliques.iter() {
-                let ids = ranks.iter().map(|&r| component.vertices[r as usize]);
-                emitted += 1;
-                if sink.emit(FairClique::from_vertices(
-                    self.solver.graph(),
-                    ids.collect(),
-                )) == SinkFlow::Stop
-                {
-                    sink_stopped = true;
-                    break 'emission;
-                }
-            }
-        }
-        Enumerated {
-            emitted,
-            sink_stopped,
-            stats,
-            reduction_cache_hit: hit,
-        }
+        let before = entry.enum_cache.stats();
+        let (graph, threads, ctrl) = (self.solver.graph(), query.threads, &run.ctrl);
+        let cache = Some(&mut entry.enum_cache);
+        let enumerated = run_enumeration(graph, reduced, problem, threads, ctrl, cache, sink);
+        flush_cache_metrics("enumerate", &before, &entry.enum_cache.stats());
+        enumerated
     }
 
     /// The dynamic reduce step: returns the committed graph's reduced graph for
@@ -809,51 +792,6 @@ fn flush_cache_metrics(kind: &str, before: &CacheStats, after: &CacheStats) {
     }
 }
 
-/// Each component's cliques: from `cache` under `(model, size)` and the component,
-/// or computed by `work` on it. The misses fan out over `threads` largest first,
-/// with [`fan_out`]'s rule. A miss that ran to completion is cached; one the
-/// control skipped stays `None`. Returns the cliques in component order with the
-/// misses' merged counters, and publishes the cache activity as `kind`.
-fn component_results<S>(
-    cache: &mut LruCache<ComponentKey, ComponentCliques>,
-    kind: &str,
-    components: &[&Arc<Component>],
-    (model, size): (FairnessModel, usize),
-    threads: ThreadCount,
-    ctrl: &SearchControl,
-    work: impl Fn(&Arc<Component>, Option<ThreadCount>) -> (Vec<Vec<u32>>, bool, S) + Sync,
-) -> (Vec<Option<ComponentCliques>>, S)
-where
-    S: Default + Send + for<'a> std::ops::AddAssign<&'a S>,
-{
-    let key = |i: usize| (model, size, Arc::clone(components[i]));
-    let before = cache.stats();
-    let mut results: Vec<Option<ComponentCliques>> = (0..components.len())
-        .map(|i| cache.get(&key(i)).cloned())
-        .collect();
-    let mut misses: Vec<usize> = (0..components.len())
-        .filter(|&i| results[i].is_none())
-        .collect();
-    misses.sort_by_key(|&i| Reverse(components[i].vertices.len()));
-    let fresh = fan_out(&misses, threads, Some(ctrl), |&i, pinned| {
-        work(components[i], pinned)
-    });
-    let mut stats = S::default();
-    for (&i, result) in misses.iter().zip(fresh) {
-        let Some((cliques, completed, component_stats)) = result else {
-            continue;
-        };
-        stats += &component_stats;
-        let cliques = Arc::new(cliques);
-        if completed {
-            cache.insert(key(i), Arc::clone(&cliques));
-        }
-        results[i] = Some(cliques);
-    }
-    flush_cache_metrics(kind, &before, &cache.stats());
-    (results, stats)
-}
-
 /// Exact search of one component: the shared search phase over its stored graph,
 /// on `threads`. Returns the pool's cliques in compact ids, whether the search ran
 /// to completion, and its counters.
@@ -876,27 +814,10 @@ fn solve_component(
     (pool.into_cliques(), !ctrl.stopped(), stats)
 }
 
-/// Full maximal-fair-clique enumeration of one component, collected in compact ids
-/// (deterministic order), plus whether it ran to completion.
-fn enumerate_component(
-    component: &Component,
-    problem: EnumProblem,
-    ctrl: &SearchControl,
-) -> (Vec<Vec<u32>>, bool, EnumStats) {
-    let mut collected: Vec<Vec<u32>> = Vec::new();
-    let mut emit = |clique: Vec<VertexId>| {
-        collected.push(clique);
-        SinkFlow::Continue
-    };
-    let (ids, sink_stop) = (CliqueIds::Compact, AtomicBool::new(false));
-    let stats = enumerate_one_component(component, ids, problem, ctrl, &sink_stop, &mut emit);
-    (collected, !ctrl.stopped(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{CollectSink, EnumTermination};
+    use crate::enumerate::{CollectSink, EnumTermination, LimitSink};
     use crate::portfolio::PortfolioConfig;
     use crate::reduction::apply_reductions;
     use crate::solver::{Budget, CancelToken, Objective, Termination};
@@ -1573,6 +1494,108 @@ mod tests {
             (42, (136, 22, 136, 22)),
         ] {
             assert_eq!(check_splices(seed), counts, "seed {seed}");
+        }
+    }
+
+    /// The library's serial sequence of every maximal fair clique of `graph`.
+    fn library_sequence(graph: &AttributedGraph, query: &EnumQuery) -> Vec<FairClique> {
+        let mut sink = CollectSink::new();
+        RfcSolver::new(graph.clone())
+            .enumerate(query, &mut sink)
+            .unwrap();
+        sink.into_cliques()
+    }
+
+    #[test]
+    fn a_limited_enumeration_searches_what_it_streams_and_caches_the_prefix() {
+        let graph = four_blobs(17);
+        let model = FairnessModel::Relative { k: 3, delta: 1 };
+        let query = EnumQuery::new(model).with_threads(ThreadCount::Serial);
+        let library = library_sequence(&graph, &query);
+        assert!(library.len() > 5);
+        // The blob a clique lies in (blobs start at ids 0, 40, 90 and 150).
+        let blob =
+            |clique: &FairClique| [40, 90, 150].partition_point(|&lo| lo <= clique.vertices[0]);
+        let mut solver = DynamicRfcSolver::new(graph);
+        for (run, limit) in [Some(2), Some(5), None, None].into_iter().enumerate() {
+            let mut collect = CollectSink::new();
+            let outcome = match limit {
+                Some(n) => solver.enumerate(&query, &mut LimitSink::new(&mut collect, n)),
+                None => solver.enumerate(&query, &mut collect),
+            };
+            let searched = outcome.unwrap().stats.components_searched;
+            let n = limit.map_or(library.len(), |n| n as usize);
+            assert_eq!(collect.cliques(), &library[..n], "run {run}");
+            match run {
+                0 => {
+                    let mut blobs: Vec<usize> = library[..2].iter().map(blob).collect();
+                    blobs.dedup();
+                    assert_eq!(searched, blobs.len());
+                }
+                3 => assert_eq!(searched, 0),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_limited_enumeration_is_resumed_to_the_full_sequence() {
+        let graph = four_blobs(18);
+        let query = EnumQuery::new(FairnessModel::Relative { k: 3, delta: 1 })
+            .with_threads(ThreadCount::Serial);
+        let library = library_sequence(&graph, &query);
+        let mut cut_mid_sequence = 0;
+        for nodes in [10, 100, 1_000, 10_000] {
+            let mut solver = DynamicRfcSolver::new(graph.clone());
+            let limited = query
+                .clone()
+                .with_budget(Budget::unlimited().with_node_limit(nodes));
+            let mut first = CollectSink::new();
+            let outcome = solver.enumerate(&limited, &mut first).unwrap();
+            assert_eq!(first.cliques(), &library[..first.len()], "{nodes} nodes");
+            if outcome.termination == EnumTermination::BudgetExhausted && !first.is_empty() {
+                cut_mid_sequence += 1;
+            }
+            let mut rest = CollectSink::new();
+            solver.enumerate(&query, &mut rest).unwrap();
+            assert_eq!(rest.cliques(), &library[..], "{nodes} nodes");
+        }
+        assert!(
+            cut_mid_sequence > 0,
+            "no node limit stopped a run mid-sequence"
+        );
+    }
+
+    #[test]
+    fn prefixes_recorded_on_any_thread_count_resume_on_any_other() {
+        let graph = four_blobs(42);
+        let query = EnumQuery::new(FairnessModel::Relative { k: 3, delta: 1 });
+        let library = library_sequence(&graph, &query.clone().with_threads(ThreadCount::Serial));
+        let sets = |cliques: &[FairClique]| {
+            let mut sets: Vec<_> = cliques.iter().map(|c| c.vertices.clone()).collect();
+            sets.sort();
+            sets
+        };
+        let (serial, two) = (ThreadCount::Serial, ThreadCount::Fixed(2));
+        for (first, then) in [(two, serial), (serial, two), (two, two)] {
+            let mut solver = DynamicRfcSolver::new(graph.clone());
+            let limited = query.clone().with_threads(first);
+            let mut head = CollectSink::new();
+            let outcome = solver.enumerate(&limited, &mut LimitSink::new(&mut head, 3));
+            assert_eq!(outcome.unwrap().termination, EnumTermination::SinkStopped);
+            let mut all = CollectSink::new();
+            solver
+                .enumerate(&query.clone().with_threads(then), &mut all)
+                .unwrap();
+            if then == serial {
+                assert_eq!(all.cliques(), &library[..], "{first:?} then {then:?}");
+            } else {
+                assert_eq!(
+                    sets(all.cliques()),
+                    sets(&library),
+                    "{first:?} then {then:?}"
+                );
+            }
         }
     }
 

@@ -43,20 +43,32 @@
 //!
 //! ## Streaming, budgets, parallelism
 //!
-//! Results stream through a [`CliqueSink`] — million-clique runs never buffer the
-//! result set. The engine honors the solver's [`Budget`] / [`CancelToken`]
-//! machinery: a stopped run returns a
+//! Results stream through a [`CliqueSink`] as the recursion finds them —
+//! million-clique runs never buffer the result set. The engine honors the solver's
+//! [`Budget`] / [`CancelToken`] machinery: a stopped run returns a
 //! non-[`Complete`](EnumTermination::Complete) outcome, and every clique emitted
 //! before the stop is still a verified maximal fair clique (the emission test is
-//! local, so early termination only loses cliques, it never corrupts them). With
-//! [`ThreadCount::Serial`] the emission order is deterministic: components in
-//! discovery order, and within a component the depth-first order of the recursion
-//! over degeneracy-ranked candidates. The components are the reduced graph's
-//! eligible components for the model's `2k`, filtered by size for a larger
-//! `min_size`, so the library, the dynamic solver and the daemon all emit one
-//! sequence. Parallel runs fan components out to workers largest-first and funnel
-//! emissions through a channel to the calling thread, so the sink itself never needs
-//! locking; the emitted *set* is identical, the order is not.
+//! local, so early termination only loses cliques, it never corrupts them). A stop
+//! only ends emission, so a stopped component has emitted a prefix of its order.
+//!
+//! One loop walks the components for the library, the dynamic solver, the CLI and
+//! the daemon. Each component first replays the prefix of its order that the
+//! dynamic solver's cache holds (the library keeps none); then, unless that prefix
+//! is complete and while the budget allows, its enumerator runs, skips the cliques
+//! the prefix holds and streams the rest, which the dynamic solver caches. Replays
+//! ignore the budget.
+//!
+//! With one worker ([`ThreadCount::Serial`]) the emission order is deterministic:
+//! components in discovery order, each looked up when the loop reaches it, and
+//! within a component the depth-first order of the recursion over
+//! degeneracy-ranked candidates. The components are the reduced graph's eligible
+//! components for the model's `2k`, filtered by size for a larger `min_size`, so
+//! the library, the dynamic solver and the daemon all emit one sequence. With more
+//! workers every component is looked up first. When none needs fresh work, the
+//! calling thread replays them in that serial order; otherwise the components fan
+//! out to workers largest-first and emissions funnel through a channel to the
+//! calling thread, so the sink itself never needs locking. The emitted *set* is
+//! identical, the order is not.
 
 use std::cmp::Reverse;
 use std::io::{self, Write};
@@ -68,12 +80,14 @@ use rfc_graph::bitset::{BitMatrix, Bitset};
 use rfc_graph::coloring::greedy_coloring;
 use rfc_graph::{Attribute, AttributeCounts, AttributedGraph, VertexId};
 
+use crate::cache::LruCache;
+use crate::dynamic::ComponentKey;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::{ReductionConfig, ReductionStats};
 use crate::search::control::SearchControl;
 use crate::search::steal;
-use crate::search::{BranchOrder, CliqueIds, Ranked, ThreadCount};
-use crate::solver::{Budget, CancelToken, Component};
+use crate::search::{BranchOrder, Ranked, ThreadCount};
+use crate::solver::{Budget, CancelToken, Component, Enumerated, ReducedEntry};
 
 /// Tells the enumeration engine whether to keep going after an emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -535,6 +549,17 @@ pub(crate) struct EnumProblem {
     pub(crate) min_size: usize,
 }
 
+/// The start of one component's emission sequence, in compact ids: all of it when
+/// `complete`.
+#[derive(Debug)]
+pub(crate) struct EnumPrefix {
+    pub(crate) cliques: Vec<Vec<VertexId>>,
+    pub(crate) complete: bool,
+}
+
+/// The dynamic solver's per-component enumeration cache.
+pub(crate) type PrefixCache = LruCache<ComponentKey, Arc<EnumPrefix>>;
+
 /// The per-component enumerator: one `(R, P, X)` recursion over the component's
 /// bitset adjacency (see the [module docs](self) for the algorithm).
 struct ComponentEnum<'a> {
@@ -543,8 +568,8 @@ struct ComponentEnum<'a> {
     min_size: usize,
     /// Whether fairness is monotone on this component (classic pivoting is sound).
     pivoting: bool,
-    /// `original[rank]` is the published id of the vertex branched at that rank.
-    original: Vec<VertexId>,
+    /// `order[rank]` is the compact id of the vertex branched at that rank.
+    order: Vec<VertexId>,
     /// Adjacency over ranks.
     adj: BitMatrix,
     /// Ranks whose vertex has attribute `a`.
@@ -566,10 +591,10 @@ struct ComponentEnum<'a> {
 }
 
 impl<'a> ComponentEnum<'a> {
-    /// Builds the enumerator of one eligible component, emitting cliques in `ids`.
+    /// Builds the enumerator of one eligible component, emitting cliques in its
+    /// compact ids.
     fn new(
         component: &Component,
-        ids: CliqueIds,
         problem: EnumProblem,
         ctrl: &'a SearchControl,
         sink_stop: &'a AtomicBool,
@@ -587,10 +612,6 @@ impl<'a> ComponentEnum<'a> {
         let attrs = order.iter().map(|&v| graph.attribute(v)).collect();
         let coloring = greedy_coloring(graph);
         let colors = order.iter().map(|&v| coloring.color(v)).collect();
-        let original = match ids.table(component) {
-            Some(ids) => order.iter().map(|&v| ids[v as usize]).collect(),
-            None => order,
-        };
         // Fairness is monotone iff the imbalance constraint can never bind within
         // this component (the weak model resolves to δ ≥ |G| ≥ n).
         let pivoting = params.delta >= n;
@@ -599,7 +620,7 @@ impl<'a> ComponentEnum<'a> {
             params,
             min_size,
             pivoting,
-            original,
+            order,
             adj,
             attr_a,
             attrs,
@@ -708,8 +729,7 @@ impl<'a> ComponentEnum<'a> {
             if self.has_fair_extension(counts, &cand.union_with(excl.words())) {
                 self.stats.maximality_rejections += 1;
             } else {
-                let clique: Vec<VertexId> =
-                    self.r.iter().map(|&rank| self.original[rank]).collect();
+                let clique: Vec<VertexId> = self.r.iter().map(|&rank| self.order[rank]).collect();
                 if emit(clique) == SinkFlow::Stop {
                     self.sink_stop.store(true, Ordering::Relaxed);
                     return;
@@ -797,108 +817,140 @@ impl<'a> ComponentEnum<'a> {
     }
 }
 
-/// Enumerates the maximal fair cliques of **one** eligible component, handing each
-/// one (in `ids`) to `emit`, and returns the component's stats (with
-/// `components_searched = 1`). `sink_stop` is raised once `emit` asks to stop, and
-/// stops this component too when another one raised it.
-///
-/// Every enumeration runs its components through this: both paths of
-/// [`run_enumeration`] and the dynamic solver's per-component re-enumeration
-/// ([`DynamicRfcSolver::enumerate`](crate::dynamic::DynamicRfcSolver::enumerate)),
-/// which caches completed component results and only re-runs this on components an
-/// update actually changed.
-pub(crate) fn enumerate_one_component(
+/// Streams one component into `emit`, in the reduced graph's ids: its `cached`
+/// prefix, then, unless that is complete and while `ctrl` allows, a fresh run
+/// that skips the prefix and streams the rest (see the [module docs](self)).
+/// `sink_stop` is raised once `emit` asks to stop, and stops this component when
+/// another one raised it. Returns the fresh run's stats and, if `record` is set
+/// and the run added cliques or finished, the new prefix, `complete` only when
+/// neither the sink nor the control stopped the run.
+fn stream_component(
     component: &Component,
-    ids: CliqueIds,
+    cached: Option<&EnumPrefix>,
+    record: bool,
     problem: EnumProblem,
     ctrl: &SearchControl,
     sink_stop: &AtomicBool,
     emit: &mut dyn FnMut(Vec<VertexId>) -> SinkFlow,
-) -> EnumStats {
-    let mut ce = ComponentEnum::new(component, ids, problem, ctrl, sink_stop);
-    ce.run(emit);
-    EnumStats {
-        components_searched: 1,
-        ..ce.stats
+) -> (EnumStats, Option<EnumPrefix>) {
+    let vertices = &component.vertices;
+    let ids = |clique: &[VertexId]| clique.iter().map(|&v| vertices[v as usize]).collect();
+    let replayed = cached.map_or(&[][..], |prefix| &prefix.cliques);
+    for clique in replayed {
+        if sink_stop.load(Ordering::Relaxed) || emit(ids(clique)) == SinkFlow::Stop {
+            sink_stop.store(true, Ordering::Relaxed);
+            return (EnumStats::default(), None);
+        }
     }
+    let stopped = || ctrl.stopped() || sink_stop.load(Ordering::Relaxed);
+    if cached.is_some_and(|prefix| prefix.complete) || stopped() {
+        return (EnumStats::default(), None);
+    }
+    let (mut recorded, mut skip) = (replayed.to_vec(), replayed.iter());
+    let mut ce = ComponentEnum::new(component, problem, ctrl, sink_stop);
+    ce.run(&mut |clique| {
+        if let Some(skipped) = skip.next() {
+            debug_assert_eq!(&clique, skipped, "a resumed run re-finds its prefix");
+            return SinkFlow::Continue;
+        }
+        let flow = emit(ids(&clique));
+        if record {
+            recorded.push(clique);
+        }
+        flow
+    });
+    let complete = !stopped();
+    debug_assert!(!complete || skip.len() == 0, "prefix left unmatched");
+    let grew = recorded.len() > replayed.len();
+    let prefix = EnumPrefix {
+        cliques: recorded,
+        complete,
+    };
+    ce.stats.components_searched = 1;
+    (ce.stats, (record && (complete || grew)).then_some(prefix))
 }
 
-/// Runs the enumeration over the eligible `components` of a reduced graph that have
-/// at least `problem.min_size` vertices, streaming into `sink`. Returns the merged
-/// stats, the number of cliques delivered to the sink, and whether the sink stopped
-/// the run.
-///
-/// This is the engine below
-/// [`RfcSolver::enumerate`](crate::solver::RfcSolver::enumerate): the reduction has
-/// already happened, and with it each component's induced graph, built once for the
-/// model's `2k`; a larger `min_size` only filters them by size, as the dynamic
-/// solver does, so both emit one serial sequence. The caller owns termination
-/// classification and wall-clock accounting.
+/// The one loop of the [module docs](self), below the library's and the dynamic
+/// solver's `enumerate`: streams the eligible components of `reduced` that have
+/// at least `problem.min_size` vertices into `sink`, each through
+/// [`stream_component`] with its prefix from `cache` (the library passes none).
+/// The caller owns termination classification and wall-clock accounting.
 pub(crate) fn run_enumeration(
     original: &AttributedGraph,
-    components: &[Arc<Component>],
+    (reduced, hit): (Arc<ReducedEntry>, bool),
     problem: EnumProblem,
     threads: ThreadCount,
     ctrl: &SearchControl,
+    mut cache: Option<&mut PrefixCache>,
     sink: &mut dyn CliqueSink,
-) -> (EnumStats, u64, bool) {
+) -> Enumerated {
     let mut stats = EnumStats::default();
     // A clique of size ≥ min_size lives in a component of at least min_size
     // vertices; any fair extension that could disqualify an emitted clique is
     // itself larger, so it lies in the same component and maximality judgements
     // are unaffected.
-    let mut components: Vec<&Component> = components
-        .iter()
-        .map(|c| &**c)
+    let components: Vec<&Arc<Component>> = (reduced.components.iter())
         .filter(|c| c.vertices.len() >= problem.min_size)
         .collect();
-
+    let key = |c: &Arc<Component>| (problem.model, problem.min_size, Arc::clone(c));
     let workers = threads.resolve().min(components.len());
-    let sink_stop = AtomicBool::new(false);
+    // Several workers look every component up before dispatch.
+    let prefixes: Vec<Option<Arc<EnumPrefix>>> = match workers {
+        0 | 1 => Vec::new(),
+        _ => (components.iter())
+            .map(|c| cache.as_mut()?.get(&key(c)).cloned())
+            .collect(),
+    };
+    let (sink_stop, record) = (AtomicBool::new(false), cache.is_some());
+    let stream = |c: &Component, cached: Option<&EnumPrefix>, emit: &mut dyn FnMut(_) -> _| {
+        stream_component(c, cached, record, problem, ctrl, &sink_stop, emit)
+    };
     let mut emitted = 0u64;
 
-    if workers <= 1 {
-        // Deterministic serial path: components in discovery order, direct emission.
+    let complete = |p: &Option<Arc<EnumPrefix>>| p.as_ref().is_some_and(|p| p.complete);
+    if prefixes.iter().all(complete) {
+        // Deterministic serial path, also when several workers would only replay
+        // complete prefixes: components in discovery order, direct emission.
         let busy = Instant::now();
-        for component in &components {
-            if ctrl.stopped() || sink_stop.load(Ordering::Relaxed) {
+        for (i, &component) in components.iter().enumerate() {
+            if sink_stop.load(Ordering::Relaxed) {
                 break;
             }
+            let cached = (prefixes.get(i).cloned())
+                .unwrap_or_else(|| cache.as_mut()?.get(&key(component)).cloned());
             let mut emit = |vertices: Vec<VertexId>| {
                 emitted += 1;
                 sink.emit(FairClique::from_vertices(original, vertices))
             };
-            let ids = CliqueIds::Reduced;
-            stats += &enumerate_one_component(component, ids, problem, ctrl, &sink_stop, &mut emit);
+            let (component_stats, prefix) = stream(component, cached.as_deref(), &mut emit);
+            stats += &component_stats;
+            if let (Some(cache), Some(prefix)) = (cache.as_mut(), prefix) {
+                cache.insert(key(component), Arc::new(prefix));
+            }
         }
         stats.cpu_micros += busy.elapsed().as_micros() as u64;
     } else {
         // Largest components first so the most expensive enumerations start
         // immediately (ties broken by vertex ids to keep dispatch reproducible).
-        components.sort_unstable_by_key(|c| (Reverse(c.vertices.len()), c.vertices[0]));
+        let mut jobs: Vec<_> = components.into_iter().zip(prefixes).collect();
+        jobs.sort_unstable_by_key(|(c, _)| (Reverse(c.vertices.len()), c.vertices[0]));
         // Bounded channel: a sink slower than the workers applies backpressure
         // (workers block in `send`) instead of buffering an unbounded backlog —
         // million-clique runs stay constant-memory end to end.
         let (tx, rx) = mpsc::sync_channel::<Vec<VertexId>>(256);
-        let n_components = components.len();
-        std::thread::scope(|scope| {
-            let sink_stop = &sink_stop;
-            let components = &components;
+        let (merged, recorded) = std::thread::scope(|scope| {
+            let stream = &stream;
             // The work-stealing pool blocks until every component is done, so it runs
             // on a coordinator thread while this thread (the sink's owner) drains the
             // channel; no sink synchronization is ever needed.
             let coordinator = scope.spawn(move || {
-                let initial: Vec<usize> = (0..n_components).collect();
-                let states: Vec<(EnumStats, mpsc::SyncSender<Vec<VertexId>>)> = (0..workers)
-                    .map(|_| (EnumStats::default(), tx.clone()))
+                let states: Vec<_> = (0..workers)
+                    .map(|_| (EnumStats::default(), tx.clone(), Vec::new()))
                     .collect();
                 drop(tx);
-                let states = steal::run_pool(workers, initial, states, |state, _spawner, i| {
-                    if ctrl.stopped() || sink_stop.load(Ordering::Relaxed) {
-                        return;
-                    }
+                let states = steal::run_pool(workers, jobs, states, |state, _, (c, cached)| {
                     let busy = Instant::now();
-                    let (local, tx) = state;
+                    let (local, tx, recorded) = state;
                     let mut emit = |vertices: Vec<VertexId>| {
                         // A dropped receiver means the run is over.
                         if tx.send(vertices).is_ok() {
@@ -907,13 +959,15 @@ pub(crate) fn run_enumeration(
                             SinkFlow::Stop
                         }
                     };
-                    let (c, ids) = (components[i], CliqueIds::Reduced);
-                    *local += &enumerate_one_component(c, ids, problem, ctrl, sink_stop, &mut emit);
+                    let (component_stats, prefix) = stream(c, cached.as_deref(), &mut emit);
+                    *local += &component_stats;
                     local.cpu_micros += busy.elapsed().as_micros() as u64;
+                    recorded.extend(prefix.map(|prefix| (c, prefix)));
                 });
-                let mut merged = EnumStats::default();
-                for (local, _) in states {
-                    merged += &local;
+                let mut merged = (EnumStats::default(), Vec::new());
+                for (local, _, recorded) in states {
+                    merged.0 += &local;
+                    merged.1.extend(recorded);
                 }
                 merged
             });
@@ -926,13 +980,25 @@ pub(crate) fn run_enumeration(
                     sink_stop.store(true, Ordering::Relaxed);
                 }
             }
-            stats += &coordinator
+            coordinator
                 .join()
-                .expect("enumeration coordinator panicked");
+                .expect("enumeration coordinator panicked")
         });
+        stats += &merged;
+        if let Some(cache) = cache {
+            for (c, prefix) in recorded {
+                cache.insert(key(c), Arc::new(prefix));
+            }
+        }
     }
 
-    (stats, emitted, sink_stop.load(Ordering::Relaxed))
+    stats.reduction = reduced.stats.clone();
+    Enumerated {
+        emitted,
+        sink_stopped: sink_stop.load(Ordering::Relaxed),
+        stats,
+        reduction_cache_hit: hit,
+    }
 }
 
 #[cfg(test)]

@@ -624,27 +624,18 @@ impl RfcSolver {
         sink: &mut dyn CliqueSink,
     ) -> Result<EnumOutcome, SolveError> {
         let num_vertices = self.graph.num_vertices();
-        run_enumerate(query, num_vertices, self.num_colors, |run, problem| {
-            let (reduced, hit) = match self.reduce(run.params.k, &query.reductions, &run.ctrl) {
-                Ok(pair) => pair,
-                Err(partial) => return Enumerated::stopped(partial),
-            };
-            let (mut stats, emitted, sink_stopped) = run_enumeration(
-                &self.graph,
-                &reduced.components,
-                problem,
-                query.threads,
-                &run.ctrl,
-                sink,
-            );
-            stats.reduction = reduced.stats.clone();
-            Enumerated {
-                emitted,
-                sink_stopped,
-                stats,
-                reduction_cache_hit: hit,
-            }
-        })
+        run_enumerate(
+            query,
+            num_vertices,
+            self.num_colors,
+            |run, problem| match self.reduce(run.params.k, &query.reductions, &run.ctrl) {
+                Ok(reduced) => {
+                    let (threads, ctrl) = (query.threads, &run.ctrl);
+                    run_enumeration(&self.graph, reduced, problem, threads, ctrl, None, sink)
+                }
+                Err(partial) => Enumerated::stopped(partial),
+            },
+        )
     }
 
     /// Answers many independent queries, fanning them across worker threads while all

@@ -195,16 +195,22 @@ impl LocalEngine {
     fn handle_update(&self, graph: &str, ops: &[UpdateOp]) -> Result<String, ErrorResponse> {
         let slot = self.slot(graph)?;
         let mut solver = slot.solver.lock().expect("solver lock poisoned");
+        // The response counts the graph ops and sums every commit the request makes.
+        let (mut graph_ops, mut changed_vertices) = (0usize, 0);
         for (i, op) in ops.iter().enumerate() {
-            if let Err(e) = solver.apply_op(op) {
-                // A rejected request leaves the graph as it found it: the ops it
-                // buffered before the bad one must not ride along with the next
-                // `update`. An explicit `commit` op before the bad one stands.
-                solver.rollback();
-                return Err(ErrorResponse::new(
-                    ErrorCode::InvalidParams,
-                    format!("op {i} ({}) rejected: {e}", op.to_jsonl()),
-                ));
+            match solver.apply_op(op) {
+                Ok(None) => graph_ops += 1,
+                Ok(Some(commit)) => changed_vertices += commit.changed_vertices,
+                Err(e) => {
+                    // A rejected request leaves the graph as it found it: the ops it
+                    // buffered before the bad one must not ride along with the next
+                    // `update`. An explicit `commit` op before the bad one stands.
+                    solver.rollback();
+                    return Err(ErrorResponse::new(
+                        ErrorCode::InvalidParams,
+                        format!("op {i} ({}) rejected: {e}", op.to_jsonl()),
+                    ));
+                }
             }
         }
         // An implicit trailing commit: a request is a batch.
@@ -213,10 +219,10 @@ impl LocalEngine {
             ("ok", JsonValue::from(true)),
             ("op", JsonValue::string("update")),
             ("graph", JsonValue::string(graph)),
-            ("ops", JsonValue::from(ops.len())),
+            ("ops", JsonValue::from(graph_ops)),
             (
                 "changed_vertices",
-                JsonValue::from(outcome.changed_vertices),
+                JsonValue::from(changed_vertices + outcome.changed_vertices),
             ),
             ("reductions_kept", JsonValue::from(outcome.reductions_kept)),
             (
@@ -744,6 +750,25 @@ mod tests {
         assert!(best_after <= best_before);
         // The update really was committed.
         assert!(update[0].get("commits").and_then(JsonValue::as_u64) >= Some(1));
+    }
+
+    #[test]
+    fn update_reports_every_commit_of_its_request() {
+        let update = |ops: &str| {
+            let (engine, _dir) = engine_with_fig1();
+            let line = format!(r#"{{"op":"update","graph":"fig1","ops":[{ops}]}}"#);
+            let (lines, _) = run(&engine, &line);
+            let field = |name| lines[0].get(name).and_then(JsonValue::as_u64);
+            (field("ops"), field("changed_vertices"), field("m"))
+        };
+        let alone = update(r#"{"op":"remove_vertex","v":3}"#);
+        let fig1 = fixtures::fig1_graph();
+        let m = (fig1.num_edges() - fig1.degree(3)) as u64;
+        assert_eq!((alone.0, alone.2), (Some(1), Some(m)));
+        assert!(alone.1 > Some(0));
+        // A `commit` op is no graph op, and the commit it makes is reported.
+        let committed = update(r#"{"op":"remove_vertex","v":3},{"op":"commit"}"#);
+        assert_eq!(committed, alone);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! ```
 //!
 //! `model` is `"relative"` (default), `"weak"` or `"strong"`; `delta` applies to the
-//! relative model only (default 1). `top` switches solve to the top-k objective.
+//! relative model only (default 1). `top` switches solve to the top-k objective. An
+//! enumerate `limit` is at least 1.
 //! `threads` sets the per-query search parallelism (default serial: the daemon
 //! parallelizes across clients, not within queries). `threads` (solve and enumerate)
 //! and `portfolio` are at most [`MAX_QUERY_THREADS`]; a larger value is
@@ -175,7 +176,7 @@ pub struct EnumSpec {
     pub model: FairnessModel,
     /// Only emit cliques with at least this many vertices.
     pub min_size: usize,
-    /// Stop after emitting this many cliques.
+    /// Stop after emitting this many cliques (at least 1 on the wire).
     pub limit: Option<u64>,
     /// Per-request wall-clock budget, milliseconds.
     pub time_limit_ms: Option<u64>,
@@ -402,15 +403,7 @@ impl QuerySpec {
 
     fn from_json(value: &JsonValue) -> Result<QuerySpec, ErrorResponse> {
         let (time_limit_ms, node_limit, threads) = budget_from_json(value)?;
-        let portfolio = match opt_thread_count(value, "portfolio")? {
-            Some(0) => {
-                return Err(ErrorResponse::new(
-                    ErrorCode::InvalidParams,
-                    "\"portfolio\" must be >= 1",
-                ))
-            }
-            other => other,
-        };
+        let portfolio = at_least_one(opt_thread_count(value, "portfolio")?, "portfolio")?;
         let anytime = match value.get("anytime") {
             None => false,
             Some(v) => v.as_bool().ok_or_else(|| {
@@ -469,7 +462,7 @@ impl EnumSpec {
         Ok(EnumSpec {
             model: model_from_json(value)?,
             min_size: opt_usize(value, "min_size")?.unwrap_or(0),
-            limit: opt_u64(value, "limit")?,
+            limit: at_least_one(opt_u64(value, "limit")?, "limit")?,
             time_limit_ms,
             node_limit,
             threads,
@@ -595,6 +588,18 @@ fn opt_usize(value: &JsonValue, key: &str) -> Result<Option<usize>, ErrorRespons
             })
         })
         .transpose()
+}
+
+/// Rejects a `count` of 0 for the field `key`.
+fn at_least_one<T: PartialEq + From<u8>>(
+    count: Option<T>,
+    key: &str,
+) -> Result<Option<T>, ErrorResponse> {
+    if count == Some(T::from(0)) {
+        let message = format!("\"{key}\" must be >= 1");
+        return Err(ErrorResponse::new(ErrorCode::InvalidParams, message));
+    }
+    Ok(count)
 }
 
 /// An optional count of threads, at most [`MAX_QUERY_THREADS`].
@@ -804,6 +809,10 @@ mod tests {
                 ErrorCode::InvalidParams,
             ),
             ("{\"op\":\"solve\",\"k\":2}", ErrorCode::BadRequest), // no graph
+            (
+                "{\"op\":\"enumerate\",\"graph\":\"g\",\"k\":2,\"limit\":0}",
+                ErrorCode::InvalidParams,
+            ),
         ];
         let over = MAX_QUERY_THREADS + 1;
         let too_many_threads = [

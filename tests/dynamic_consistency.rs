@@ -648,3 +648,37 @@ fn serial_enumeration_emits_one_sequence_from_every_entry_point() {
         }
     }
 }
+
+/// A `limit` bounds the work, not just the output: on one big component, a
+/// limit-5 enumeration through the dynamic solver (the daemon's path) streams the
+/// library's first 5 cliques and stops, instead of listing the whole component
+/// before its first emission.
+#[test]
+fn a_limited_dynamic_enumeration_stops_after_the_librarys_first_cliques() {
+    // The config of `rfc_bench::workloads::big_component_graph(800, 17)`.
+    let big = BigComponentConfig {
+        n: 800,
+        edge_prob: 16.0 / 800.0,
+        community: 240,
+        community_prob: 0.55,
+        planted_half: 18,
+        prob_a: 0.5,
+    };
+    let (graph, _) = one_big_component(&big, 17);
+    let query = EnumQuery::new(FairnessModel::Relative { k: 3, delta: 1 })
+        .with_min_size(8)
+        .with_threads(ThreadCount::Serial)
+        .with_budget(Budget::unlimited().with_time_limit(std::time::Duration::from_secs(20)));
+    let first_five = |enumerate: &mut dyn FnMut(&mut dyn CliqueSink) -> EnumOutcome| {
+        let mut collect = CollectSink::new();
+        let outcome = enumerate(&mut LimitSink::new(&mut collect, 5));
+        (outcome.termination, collect.into_cliques())
+    };
+    let library = RfcSolver::new(graph.clone());
+    let library = first_five(&mut |sink| library.enumerate(&query, sink).unwrap());
+    let mut dynamic = DynamicRfcSolver::new(graph);
+    let dynamic = first_five(&mut |sink| dynamic.enumerate(&query, sink).unwrap());
+    assert_eq!(library.0, EnumTermination::SinkStopped);
+    assert_eq!(library.1.len(), 5);
+    assert_eq!(dynamic, library);
+}
