@@ -17,26 +17,17 @@
 //!    components of the new graph that contain a touched vertex, and the untouched
 //!    components keep their slice of the old reduced graph. The splice is the only
 //!    way a reduced graph follows a commit.
-//! 2. **Per-component solve and enumeration results** are cached under the
-//!    component itself: each eligible component of a reduced graph is built once,
-//!    with the reduced graph, as its sorted vertex list and the compact graph those
-//!    vertices induce, and that graph is the key. A solve caches a component's
-//!    pool; an enumeration caches what it streamed, a prefix of the component's
-//!    deterministic order, complete once a run reached its end. After any update,
-//!    components whose graph is unchanged keep their results; only dirty ones, and
-//!    enumerations that need more than a prefix holds, run the branch-and-bound or
-//!    the enumerator, directly on the stored graph. Because the key is the content
-//!    itself, component merges,
-//!    splits and vertex-id-preserving churn all invalidate exactly the components
-//!    they touch — there is no separate dirty-tracking protocol to get out of sync.
-//!    A key hashes to a keyed digest of its graph, computed on first use with hash
-//!    keys drawn once per process, so hashing a lookup key costs O(1) however large
-//!    the component. The random keys stop clients from crafting colliding graph
-//!    content. A splice carries every clean component over, so a hit on a clean
-//!    component compares pointers. Equality otherwise compares the digest, then the
-//!    graph's attributes and edges: a hit on a component a commit rebuilt costs one
-//!    content comparison, and a collision costs one comparison, never a wrong cached
-//!    answer.
+//! 2. **Per-component solve and enumeration results** are keyed by the query's
+//!    shape and the component's smallest vertex, which names it within one reduced
+//!    graph. Each eligible component is built once, with its reduced graph, as its
+//!    sorted vertex list and the compact graph those vertices induce. A solve caches
+//!    a component's pool; an enumeration caches what it streamed, a prefix of the
+//!    component's deterministic order, complete once a run reached its end. The
+//!    first query after a commit checks the results once: a component keeps them
+//!    only if the new reduced graph has a component with the same smallest vertex
+//!    and an equal compact graph (the `Arc` a splice carried compares by pointer).
+//!    Only dirty components, and enumerations that need more than a prefix holds,
+//!    run the branch-and-bound or the enumerator, directly on the stored graph.
 //!
 //! ## Soundness of the cache invalidation
 //!
@@ -51,11 +42,14 @@
 //! splice. Every reduced graph a query reads, built or spliced, is therefore a
 //! from-scratch reduction of the committed graph, stage counts included.
 //!
-//! *Per-component result caches.* The cache key **is** the component's content, so a
-//! hit replays the exact answer of an identical subproblem; maximum fair cliques and
-//! maximal-fair-clique sets of a component depend on nothing else. (For the weak
-//! model the resolved δ grows with the global vertex count, but any δ at least the
-//! component size is equivalent, so cached weak results survive vertex-space growth.)
+//! *Per-component result caches.* A commit keeps the reduced graph the caches were
+//! last checked against as the stale entry's base, even when a snapshot query (a
+//! racing portfolio) has since built another, so the one check compares the right
+//! graphs. A result survives only if its component's compact graph is unchanged:
+//! the same subproblem under an order-preserving relabel, and a component's maximum
+//! and maximal fair cliques depend on nothing else. (For the weak model the resolved
+//! δ grows with the global vertex count, but any δ at least the component size is
+//! equivalent, so cached weak results survive vertex-space growth.)
 //!
 //! ## What incremental buys
 //!
@@ -72,7 +66,7 @@
 //! it: a breadth-first search from the changed vertices finds the dirty components,
 //! the pipeline reduces them as one compact induced subgraph, and the result is
 //! merged with the old clean slice in one linear pass. Only the dirty components
-//! are induced and digested again; the clean ones are carried over, keys and all.
+//! are induced again; the clean ones are carried over as they are.
 //! A splice therefore costs the dirty components' reduction plus linear passes, not
 //! a whole-graph reduction.
 //!
@@ -88,10 +82,8 @@
 //! for a daemon `stats` endpoint.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rfc_graph::delta::{DeltaError, GraphDelta, UpdateOp};
 use rfc_graph::subgraph::induced_subgraph;
@@ -144,44 +136,11 @@ pub struct DynCacheStats {
     pub enumerate: CacheStats,
 }
 
-impl Component {
-    /// The keyed hash of the component graph's attributes and edges, computed on
-    /// first use. The hash keys are drawn once per process, so equal graphs always
-    /// digest the same.
-    fn digest(&self) -> u64 {
-        static KEYS: OnceLock<RandomState> = OnceLock::new();
-        let keys = KEYS.get_or_init(RandomState::new);
-        *self
-            .digest
-            .get_or_init(|| keys.hash_one((self.graph.attributes(), self.graph.edge_list())))
-    }
-}
-
-/// A component as a result-cache key: two components with equal graphs are the same
-/// subproblem, wherever their vertices lie. [`Hash`] writes only the digest, so
-/// hashing a key costs O(1) however large the component.
-impl Hash for Component {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.digest());
-    }
-}
-
-/// Compares the digests first: only a hit or a digest collision compares the
-/// graphs' attributes and edges.
-impl PartialEq for Component {
-    fn eq(&self, other: &Self) -> bool {
-        self.digest() == other.digest()
-            && self.graph.attributes() == other.graph.attributes()
-            && self.graph.edge_list() == other.graph.edge_list()
-    }
-}
-
-impl Eq for Component {}
-
 /// Cache key of a per-component result: fairness model, then a solve's pool
 /// capacity (1 = maximum objective, n = top-n) or an enumeration's effective
-/// minimum size, then the component.
-pub(crate) type ComponentKey = (FairnessModel, usize, Arc<Component>);
+/// minimum size, then the component's smallest vertex, which names it within the
+/// reduced graph the cache was last checked against.
+pub(crate) type ComponentKey = (FairnessModel, usize, VertexId);
 /// One component's cached solve pool, in compact ids.
 type ComponentCliques = Arc<Vec<Vec<u32>>>;
 
@@ -189,9 +148,9 @@ type ComponentCliques = Arc<Vec<Vec<u32>>>;
 /// graph while that is stale.
 #[derive(Debug)]
 struct DynEntry {
-    /// After a structural commit, the entry's last reduced graph and every vertex
-    /// changed since. The next query splices it into the committed graph's solver,
-    /// carrying the clean components over, and clears it.
+    /// After a structural commit, the reduced graph the result caches were last
+    /// checked against and every vertex changed since. The next query splices it
+    /// into the committed graph's solver, checks the caches and clears it.
     stale: Option<(Arc<ReducedEntry>, BTreeSet<VertexId>)>,
     /// Per-component top-`capacity` fair cliques (compact ids, largest first;
     /// empty = no fair clique in the component). LRU-bounded when the owner set a
@@ -429,8 +388,9 @@ impl DynamicRfcSolver {
         } else {
             let next = RfcSolver::new(delta.apply(self.solver.graph()));
             for (key, entry) in self.entries.iter_mut() {
-                if let Some(current) = self.solver.cached(key) {
-                    entry.stale = Some((current, BTreeSet::new()));
+                // A stale entry keeps the base its caches were checked against.
+                if entry.stale.is_none() {
+                    entry.stale = self.solver.cached(key).map(|r| (r, BTreeSet::new()));
                 }
                 if let Some((_, acc)) = &mut entry.stale {
                     acc.extend(changed.iter().copied());
@@ -513,7 +473,7 @@ impl DynamicRfcSolver {
         let cache = &mut entry.solve_cache;
         let components = &reduced.components;
         let (params, ctrl, config) = (run.params, &run.ctrl, &query.config);
-        let component_key = |i: usize| (query.fairness, capacity, Arc::clone(&components[i]));
+        let component_key = |i: usize| (query.fairness, capacity, components[i].vertices[0]);
         let before = cache.stats();
         let mut per_comp: Vec<Option<ComponentCliques>> = (0..components.len())
             .map(|i| cache.get(&component_key(i)).cloned())
@@ -628,18 +588,20 @@ impl DynamicRfcSolver {
             (None, None) => (self.solver.build(*key, ctrl)?, false),
         };
         self.preprocessing_runs += usize::from(!hit);
-        if entry.stale.take().is_some() {
-            // Drop results for components that no longer exist; identical
-            // components (the clean majority of a splice) keep their entries and
-            // will hit. A clean component is the `Arc` the cache already holds, so
-            // it matches by pointer without comparing content. Should two different
-            // live components share a digest, one of them loses its results, which
-            // only costs a recomputation.
-            let live: HashMap<u64, &Arc<Component>> =
-                reduced.components.iter().map(|c| (c.digest(), c)).collect();
-            let is_live = |k: &ComponentKey| live.get(&k.2.digest()).is_some_and(|c| **c == k.2);
-            entry.solve_cache.retain(is_live);
-            entry.enum_cache.retain(is_live);
+        if let Some((old, _)) = entry.stale.take() {
+            // The one check of the cached results (see the module docs). Both
+            // component lists are sorted by smallest vertex.
+            let new = &reduced.components;
+            let kept: Vec<VertexId> = (old.components.iter())
+                .filter(|before| {
+                    let at = new.binary_search_by_key(&before.vertices[0], |c| c.vertices[0]);
+                    at.is_ok_and(|i| Arc::ptr_eq(before, &new[i]) || before.graph == new[i].graph)
+                })
+                .map(|c| c.vertices[0])
+                .collect();
+            let is_kept = |k: &ComponentKey| kept.binary_search(&k.2).is_ok();
+            entry.solve_cache.retain(is_kept);
+            entry.enum_cache.retain(is_kept);
         }
         Ok((reduced, hit))
     }
@@ -1262,35 +1224,70 @@ mod tests {
     }
 
     #[test]
-    fn equal_digests_with_different_content_never_share_a_cache_entry() {
-        let keys = RandomState::new();
-        let component = |vertices: Vec<VertexId>, edges: &[(u32, u32)], digest| {
-            let mut b =
-                GraphBuilder::with_attributes(vec![Attribute::A, Attribute::B, Attribute::A]);
-            b.add_edges(edges.iter().copied());
-            let graph = b.build().unwrap();
-            Component {
-                vertices,
-                graph,
-                digest,
-            }
-        };
-        let triangle = [(0, 1), (0, 2), (1, 2)];
-        let real = component(vec![0, 1, 2], &triangle, OnceLock::new());
-        // Same digest and attributes, one edge short: a forced collision.
-        let forged = component(vec![0, 1, 2], &triangle[..2], OnceLock::from(real.digest()));
-        assert_eq!(keys.hash_one(&real), keys.hash_one(&forged));
-        assert_ne!(real, forged);
-        // The same graph elsewhere in the vertex space is the same key.
-        let rebuilt = component(vec![5, 7, 9], &triangle, OnceLock::new());
-        assert_eq!(real, rebuilt);
+    fn identical_components_at_different_vertices_keep_their_own_results() {
+        // Two balanced 6-cliques with equal compact graphs, on ids 0..6 and 6..12.
+        let mut b = GraphBuilder::new(12);
+        for u in 0..12u32 {
+            b.set_attribute(u, [Attribute::A, Attribute::B][(u % 2) as usize]);
+            b.add_edges((u + 1..(u / 6 + 1) * 6).map(|v| (u, v)));
+        }
+        let mut solver = DynamicRfcSolver::new(b.build().unwrap());
+        let query = serial_query(FairnessModel::Relative { k: 2, delta: 1 });
+        let first = solver.solve(&query).unwrap();
+        assert_eq!(first.stats.components_searched, 2);
+        assert_eq!(solver.cache_stats().solve.len, 2);
+        let repeat = solver.solve(&query).unwrap();
+        assert_eq!(repeat.stats.components_searched, 0);
+        assert_eq!(repeat.cliques, first.cliques);
+        assert_eq!(first.best().unwrap().vertices, (0..6).collect::<Vec<_>>());
+    }
 
-        let model = FairnessModel::Relative { k: 1, delta: 0 };
-        let mut cache: LruCache<ComponentKey, ComponentCliques> = LruCache::new(None);
-        cache.insert((model, 1, Arc::new(real)), Arc::new(vec![vec![0, 1, 2]]));
-        assert!(cache.get(&(model, 1, Arc::new(forged))).is_none());
-        assert!(cache.get(&(model, 1, Arc::new(rebuilt))).is_some());
-        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+    #[test]
+    fn a_reduced_graph_a_snapshot_query_built_keeps_the_clean_results() {
+        // A portfolio on the snapshot builds the committed graph's reduced graph
+        // without the splice: its clean components are new `Arc`s holding the old
+        // graphs, and their cached results still serve the next plain query.
+        let query = serial_query(FairnessModel::Relative { k: 3, delta: 1 });
+        for seed in [17, 18, 42] {
+            let mut solver = DynamicRfcSolver::new(four_blobs(seed));
+            let first = solver.solve(&query).unwrap();
+            assert_eq!(first.stats.components_searched, 4, "seed {seed}");
+            // Edge (0, 1) lies in the first blob's planted 8-clique.
+            solver.remove_edge(0, 1).unwrap();
+            solver.commit();
+            let portfolio = PortfolioConfig::new(2);
+            let raced = solver.snapshot().solve_portfolio(&query, &portfolio);
+            assert!(!raced.unwrap().solution.reduction_cache_hit);
+            let solved = solver.solve(&query).unwrap();
+            assert!(solved.reduction_cache_hit);
+            assert_eq!(solved.stats.components_searched, 1, "seed {seed}");
+            let scratch = RfcSolver::new(solver.graph().clone()).solve(&query);
+            let size = |s: &Solution| s.best().map(|c| c.size());
+            assert_eq!(size(&solved), size(&scratch.unwrap()), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_commit_keeps_the_reduced_graph_the_caches_were_checked_against() {
+        // A portfolio builds the reduced graph of a commit no plain query has read,
+        // and a second commit follows. The caches still hold the 8-clique's pool,
+        // checked against the graph before both commits, so the next query must
+        // check them against that graph, not the portfolio's.
+        let mut solver = DynamicRfcSolver::new(two_balanced_cliques());
+        let query = serial_query(FairnessModel::Relative { k: 2, delta: 1 });
+        assert_eq!(solver.solve(&query).unwrap().best().unwrap().size(), 8);
+        solver.remove_edge(6, 7).unwrap();
+        solver.commit();
+        let portfolio = PortfolioConfig::new(2);
+        let raced = solver.snapshot().solve_portfolio(&query, &portfolio);
+        assert_eq!(raced.unwrap().solution.best().unwrap().size(), 7);
+        solver.remove_edge(0, 1).unwrap();
+        solver.commit();
+        let solved = solver.solve(&query).unwrap();
+        assert_eq!(solved.best().unwrap().size(), 7);
+        let scratch = RfcSolver::new(solver.graph().clone());
+        assert_eq!(solved.cliques, scratch.solve(&query).unwrap().cliques);
+        assert_eq!(solved.stats.components_searched, 2);
     }
 
     /// One SplitMix64 step, for seeded inputs without a dev-dependency.

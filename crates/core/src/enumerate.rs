@@ -254,7 +254,12 @@ impl std::fmt::Debug for LimitSink<'_> {
 
 impl<'a> LimitSink<'a> {
     /// Wraps `inner`, forwarding at most `limit` cliques.
+    ///
+    /// # Panics
+    /// Panics if `limit` is 0, which the engine could not report truly: it counts a
+    /// clique as emitted before the sink can refuse it.
     pub fn new(inner: &'a mut dyn CliqueSink, limit: u64) -> Self {
+        assert!(limit >= 1, "a LimitSink forwards at least one clique");
         Self {
             inner,
             remaining: limit,
@@ -892,7 +897,7 @@ pub(crate) fn run_enumeration(
     let components: Vec<&Arc<Component>> = (reduced.components.iter())
         .filter(|c| c.vertices.len() >= problem.min_size)
         .collect();
-    let key = |c: &Arc<Component>| (problem.model, problem.min_size, Arc::clone(c));
+    let key = |c: &Component| (problem.model, problem.min_size, c.vertices[0]);
     let workers = threads.resolve().min(components.len());
     // Several workers look every component up before dispatch.
     let prefixes: Vec<Option<Arc<EnumPrefix>>> = match workers {
@@ -1183,6 +1188,13 @@ mod tests {
                 model
             ));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "forwards at least one clique")]
+    fn a_limit_sink_of_zero_is_rejected() {
+        let mut collect = CollectSink::new();
+        LimitSink::new(&mut collect, 0);
     }
 
     #[test]

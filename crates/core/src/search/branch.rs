@@ -10,6 +10,8 @@
 //! `R ∪ C` goes to the bound kernel as a rank bitset together with the incumbent's
 //! target, and the kernel's buffers live next to the pool in the worker's [`Scratch`].
 //!
+//! [`BitMatrix`]: rfc_graph::bitset::BitMatrix
+//!
 //! The per-component state is split in two so one component can be searched by many
 //! workers:
 //!

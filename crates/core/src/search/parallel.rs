@@ -31,7 +31,7 @@
 //!
 //! With [`ThreadCount::Serial`] the search is exactly the classic sequential
 //! algorithm: components in discovery order, no subtree splitting, and repeated runs
-//! produce identical cliques *and* identical [`SearchStats`](super::SearchStats).
+//! produce identical cliques *and* identical [`SearchStats`].
 //! With two or more workers the *size* of the returned clique is still always the
 //! exact optimum and a top-k pool returns exactly the canonical top-k set (ties
 //! broken lexicographically — see [`SharedIncumbent::offer`]), but which of several
@@ -225,8 +225,8 @@ impl SharedIncumbent {
     }
 
     /// The smallest completed-clique size still worth [offering](Self::offer): one
-    /// more than [`size`](Self::size) for a single incumbent or a pool with free
-    /// slots, exactly `size` for a full top-k pool (a tie can displace a
+    /// more than the pruning bound for a single incumbent or a pool with free
+    /// slots, exactly the bound for a full top-k pool (a tie can displace a
     /// lexicographically larger member). Branches that cannot reach this size are
     /// useless to the pool.
     #[inline]

@@ -437,8 +437,8 @@ impl ReducedEntry {
     /// lives here alone.
     ///
     /// The components in `carried`, which must be eligible components of `graph`,
-    /// are taken over as they are (a splice's clean components keep their cache
-    /// keys); every other one is found and induced once.
+    /// are taken over as they are (a splice's clean components, which keep their
+    /// cached results); every other one is found and induced once.
     pub(crate) fn new(
         graph: AttributedGraph,
         stats: ReductionStats,
@@ -481,7 +481,6 @@ impl ReducedEntry {
             Arc::new(Component {
                 vertices,
                 graph: builder.build().expect("component edges stay in range"),
-                digest: OnceLock::new(),
             })
         });
         let mut components: Vec<Arc<Component>> = carried.into_iter().chain(found).collect();
@@ -503,9 +502,6 @@ pub(crate) struct Component {
     pub(crate) vertices: Vec<VertexId>,
     /// The subgraph `vertices` induce, relabeled to `0..vertices.len()` in id order.
     pub(crate) graph: AttributedGraph,
-    /// A keyed hash of `graph`, computed on first use by the dynamic solver's result
-    /// caches, which key on the component.
-    pub(crate) digest: OnceLock<u64>,
 }
 
 /// Key of a cached reduced graph: `k` and the reduction config, everything the

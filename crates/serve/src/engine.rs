@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, TryLockError};
 use std::time::Duration;
 
 use rfc_core::enumerate::LimitSink;
@@ -254,8 +254,19 @@ impl LocalEngine {
         names.sort();
         let mut entries = Vec::with_capacity(names.len());
         for name in names {
-            let slot = &graphs[name];
-            let solver = slot.solver.lock().expect("solver lock poisoned");
+            // A graph whose query or update holds its lock is reported busy, so
+            // `stats` never waits behind one.
+            let solver = match graphs[name].solver.try_lock() {
+                Ok(solver) => solver,
+                Err(TryLockError::WouldBlock) => {
+                    entries.push(JsonValue::object(vec![
+                        ("name", JsonValue::string(name.as_str())),
+                        ("busy", JsonValue::from(true)),
+                    ]));
+                    continue;
+                }
+                Err(TryLockError::Poisoned(_)) => panic!("solver lock poisoned"),
+            };
             let cache = solver.cache_stats();
             let cache_json = |s: rfc_core::CacheStats| {
                 JsonValue::object(vec![
@@ -830,6 +841,52 @@ mod tests {
             .and_then(|c| c.get("requests"))
             .and_then(JsonValue::as_u64)
             .is_some());
+    }
+
+    #[test]
+    fn stats_reports_a_graph_busy_instead_of_waiting_for_its_lock() {
+        let (engine, _dir) = engine_with_fig1();
+        let engine = &engine;
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let busy = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut first = true;
+                let request = r#"{"op":"enumerate","graph":"fig1","k":3,"delta":1}"#;
+                let mut emit = |_: &str| {
+                    if std::mem::take(&mut first) {
+                        // Park on the first clique, holding the graph's lock, until
+                        // `stats` has answered (or 5 s have passed).
+                        entered_tx.send(()).unwrap();
+                        let _ = release_rx.recv_timeout(Duration::from_secs(5));
+                    }
+                    Ok(())
+                };
+                engine.handle(request, &mut emit).unwrap();
+            });
+            entered_rx.recv().unwrap();
+            let (lines, _) = run(engine, r#"{"op":"stats"}"#);
+            let _ = release_tx.send(());
+            lines
+        });
+        let graphs = busy[0].get("graphs").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(
+            graphs[0].get("name").and_then(JsonValue::as_str),
+            Some("fig1")
+        );
+        assert_eq!(
+            graphs[0].get("busy").and_then(JsonValue::as_bool),
+            Some(true)
+        );
+        assert!(graphs[0].get("n").is_none());
+        // Once the query is done, the graph reports in full again.
+        let (lines, _) = run(engine, r#"{"op":"stats"}"#);
+        let graphs = lines[0]
+            .get("graphs")
+            .and_then(JsonValue::as_array)
+            .unwrap();
+        assert!(graphs[0].get("busy").is_none());
+        assert_eq!(graphs[0].get("n").and_then(JsonValue::as_u64), Some(15));
     }
 
     #[test]

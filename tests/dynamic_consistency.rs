@@ -8,7 +8,10 @@
 //!   sets),
 //!
 //! plus an independent shadow replay of the stream that pins `GraphDelta::apply`
-//! itself against a naive rebuild. Deterministic edge-case tests cover the
+//! itself against a naive rebuild. The stream also races a portfolio on the
+//! committed graph's snapshot, as the daemon does, before some of its checks and
+//! on extra commits that no dynamic query reads, so the dynamic solver meets
+//! reduced graphs built outside it. Deterministic edge-case tests cover the
 //! adversarial corners: deleting a vertex of the current incumbent clique, updates
 //! that merge/split connected components, a stream that empties the graph, and
 //! re-inserting a previously deleted vertex id.
@@ -78,15 +81,7 @@ fn assert_matches_scratch(dynamic: &mut DynamicRfcSolver, threads: ThreadCount, 
         let q = query(model, threads);
         let incremental = dynamic.solve(&q).expect("valid query");
         let reference = scratch.solve(&q).expect("valid query");
-        assert_eq!(
-            incremental.best().map(|c| c.size()),
-            reference.best().map(|c| c.size()),
-            "{label}: optimum differs under {model}"
-        );
-        assert_eq!(
-            incremental.termination, reference.termination,
-            "{label}: termination differs under {model}"
-        );
+        assert_same_answer(&incremental, &reference, &format!("{label} under {model}"));
         // The reduced graph is the committed graph's from-scratch reduction, so
         // its stats are too (timings aside).
         let counts = |s: &Solution| {
@@ -122,6 +117,32 @@ fn assert_matches_scratch(dynamic: &mut DynamicRfcSolver, threads: ThreadCount, 
             incremental_sets, reference_sets,
             "{label}: maximal set differs under {model}"
         );
+    }
+}
+
+fn assert_same_answer(got: &Solution, want: &Solution, label: &str) {
+    assert_eq!(
+        got.best().map(|c| c.size()),
+        want.best().map(|c| c.size()),
+        "{label}: optimum differs"
+    );
+    assert_eq!(
+        got.termination, want.termination,
+        "{label}: termination differs"
+    );
+}
+
+/// Races a 2-member portfolio on the committed graph's snapshot for every model,
+/// as the daemon does, and checks its answers against a from-scratch solver. The
+/// reduced graphs it builds are the ones the dynamic solver's next queries read.
+fn race_portfolio(dynamic: &DynamicRfcSolver, threads: ThreadCount, label: &str) {
+    let (snapshot, scratch) = (dynamic.snapshot(), RfcSolver::new(dynamic.graph().clone()));
+    for model in MODELS {
+        let q = query(model, threads);
+        let raced = snapshot.solve_portfolio(&q, &PortfolioConfig::new(2));
+        let reference = scratch.solve(&q).expect("valid query");
+        let label = format!("{label}: portfolio under {model}");
+        assert_same_answer(&raced.expect("valid query").solution, &reference, &label);
     }
 }
 
@@ -313,6 +334,12 @@ proptest! {
                 .apply_op(&op)
                 .unwrap_or_else(|e| panic!("shadow-validated op {op:?} rejected: {e}"));
             since_commit += 1;
+            if since_commit == plan.commit_every / 2 && commits % 2 == 1 {
+                // An extra commit that only a portfolio reads: the next commit
+                // finds reduced graphs built outside the dynamic solver.
+                dynamic.commit();
+                race_portfolio(&dynamic, threads, &format!("before commit #{}", commits + 1));
+            }
             if since_commit == plan.commit_every {
                 since_commit = 0;
                 commits += 1;
@@ -322,6 +349,10 @@ proptest! {
                     &shadow.build(),
                     "committed graph diverged from the shadow rebuild"
                 );
+                if commits % 3 == 0 {
+                    // The queries below read the reduced graphs the race built.
+                    race_portfolio(&dynamic, threads, &format!("commit #{commits}"));
+                }
                 assert_matches_scratch(&mut dynamic, threads, &format!("commit #{commits}"));
             }
         }
