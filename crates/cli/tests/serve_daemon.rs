@@ -9,6 +9,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use rfc_bench::workloads::multi_component_graph;
 use rfc_core::prelude::*;
 use rfc_datasets::synthetic::{one_big_component, BigComponentConfig};
 use rfc_graph::json::JsonValue;
@@ -259,9 +260,9 @@ fn tie_graph() -> AttributedGraph {
 
 /// Library (`Serial`), the `solve --threads 1 --format json` binary and the
 /// daemon's `solve` (serial by default) give one answer: termination, cliques in
-/// order, bound and gap, on unbudgeted and budget-bound queries. The budget-bound
-/// input is one component, so the daemon's dynamic solver searches it as the
-/// library does. The `enumerate --threads 1 --format jsonl` binary and the daemon's
+/// order, bound and gap, on unbudgeted and budget-bound queries, also where
+/// maximum cliques tie across components and where a node budget spans several
+/// components. The `enumerate --threads 1 --format jsonl` binary and the daemon's
 /// `enumerate` stream emit the same cliques in the same order, also with a
 /// `min_size` above `2k` and a `limit`, on a small graph and on the big component.
 #[test]
@@ -290,6 +291,8 @@ fn library_cli_and_daemon_give_the_same_answer() {
         ("ties", tie_graph()),
         ("big", one_big_component(&big, 17).0),
         ("core", one_big_component(&core, 2).0),
+        ("multi", multi_component_graph(4, 120, 17)),
+        ("blobs", fixtures::four_blobs(17)),
     ];
     let relative = |k, delta| FairnessModel::Relative { k, delta };
     let cases = [
@@ -299,6 +302,8 @@ fn library_cli_and_daemon_give_the_same_answer() {
         ("ties", relative(2, 0), Some(2), None),
         ("big", relative(3, 1), None, Some(0)),
         ("big", relative(3, 1), Some(3), Some(50)),
+        ("multi", relative(3, 1), None, Some(5)),
+        ("blobs", relative(3, 1), None, None),
     ];
 
     let daemon = Daemon::spawn();

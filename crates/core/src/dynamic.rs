@@ -21,13 +21,23 @@
 //!    shape and the component's smallest vertex, which names it within one reduced
 //!    graph. Each eligible component is built once, with its reduced graph, as its
 //!    sorted vertex list and the compact graph those vertices induce. A solve caches
-//!    a component's pool; an enumeration caches what it streamed, a prefix of the
-//!    component's deterministic order, complete once a run reached its end. The
-//!    first query after a commit checks the results once: a component keeps them
-//!    only if the new reduced graph has a component with the same smallest vertex
-//!    and an equal compact graph (the `Arc` a splice carried compares by pointer).
-//!    Only dirty components, and enumerations that need more than a prefix holds,
-//!    run the branch-and-bound or the enumerator, directly on the stored graph.
+//!    a *certificate* for each component it searched: the component's cliques among
+//!    the query's final pool, and the pool's last clique (its cut-off) when the pool
+//!    was full, in reduced-graph ids. An enumeration caches what it streamed, a
+//!    prefix of the component's deterministic order, complete once a run reached its
+//!    end. The first query after a commit checks the results once: a component keeps
+//!    them only if the new reduced graph has a component with the same smallest
+//!    vertex, the same vertex list and an equal compact graph (the `Arc` a splice
+//!    carried compares by pointer).
+//! 3. **One search phase.** A solve offers the cliques of every cached certificate
+//!    into one pool. Only if some component then has no certificate, or one the pool
+//!    does not settle, does it run the library's search phase on the reduced graph:
+//!    one `HeurRFC` warm start, then the branch-and-bound over the components the
+//!    pool still does not settle, in the library's order and with one incumbent
+//!    (Algorithm 2). An empty cache settles nothing, so a fresh dynamic solver does
+//!    exactly [`RfcSolver::solve`]'s work, budgets and ties included. Only
+//!    enumerations that need more than a prefix holds run the enumerator, directly
+//!    on the stored graph.
 //!
 //! ## Soundness of the cache invalidation
 //!
@@ -47,17 +57,32 @@
 //! racing portfolio) has since built another, so the one check compares the right
 //! graphs. A result survives only if its component's compact graph is unchanged:
 //! the same subproblem under an order-preserving relabel, and a component's maximum
-//! and maximal fair cliques depend on nothing else. (For the weak model the resolved
-//! δ grows with the global vertex count, but any δ at least the component size is
+//! and maximal fair cliques depend on nothing else. Cached cliques are reduced-graph
+//! ids, so the vertex list must match too. (For the weak model the resolved δ grows
+//! with the global vertex count, but any δ at least the component size is
 //! equivalent, so cached weak results survive vertex-space growth.)
+//!
+//! *Certificates.* A branch-and-bound that runs to its end over a component offers
+//! every fair clique of it that could enter the pool: it prunes only branches that
+//! cannot reach the pool's useful size, which never exceeds its final value. A top-k
+//! pool keeps the canonical best of everything offered, so the component's cliques
+//! among the final pool hold every fair clique of it that canonically precedes the
+//! cut-off, and all of them when the pool kept a free slot; a single incumbent ends
+//! at least as large as any of the component's cliques. A later query that has
+//! offered those cliques and holds a full pool whose last clique is at or before the
+//! cut-off (by size for a single incumbent, which takes only strict improvements,
+//! and by canonical order for a top-k pool) can gain nothing from the component and
+//! skips it; otherwise it searches the component again and writes a new
+//! certificate. A search its control stopped writes none.
 //!
 //! ## What incremental buys
 //!
-//! A commit touching one component re-reduces and re-searches only that component,
-//! and induces its graph once, with the spliced reduced graph; everything else is
-//! spliced and replayed from cache. A batch that touches every component (uniform
-//! high churn) leaves nothing clean to splice or replay, so it costs about what a
-//! full [`RfcSolver::new`] rebuild does.
+//! A commit touching one component re-reduces only that component, and induces its
+//! graph once, with the spliced reduced graph. The next solve runs one warm start
+//! and searches that component, plus any clean one whose certificate the new pool
+//! no longer settles; everything else is spliced and replayed from cache. A batch
+//! that touches every component (uniform high churn) leaves nothing clean to splice
+//! or replay, so it costs about what a full [`RfcSolver::new`] rebuild does.
 //!
 //! A commit itself is linear work over the graph and no sort: the batch is
 //! applied by copying the old edge list in spans around the changed edges into a
@@ -81,7 +106,6 @@
 //! [`cache_stats`](DynamicRfcSolver::cache_stats) reports hit/miss/eviction counters
 //! for a daemon `stats` endpoint.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -98,11 +122,11 @@ use crate::reduction::{
     apply_reductions_controlled, ReductionConfig, ReductionStats, StageSurvivors,
 };
 use crate::search::control::SearchControl;
-use crate::search::parallel::{canonical_order, SharedIncumbent};
-use crate::search::{CliqueIds, SearchConfig, SearchStats, ThreadCount};
+use crate::search::parallel::SharedIncumbent;
+use crate::search::SearchStats;
 use crate::solver::{
-    fan_out, run_enumerate, run_solve, search_phase, traced_reduce, Component, Enumerated, Query,
-    QueryRun, ReducedEntry, ReductionKey, RfcSolver, Searched, Solution, SolveError,
+    run_enumerate, run_solve, search_phase, traced_reduce, Component, Enumerated, Query, QueryRun,
+    ReducedEntry, ReductionKey, RfcSolver, Searched, Solution, SolveError,
 };
 
 /// What one [`DynamicRfcSolver::commit`] did.
@@ -141,8 +165,18 @@ pub struct DynCacheStats {
 /// minimum size, then the component's smallest vertex, which names it within the
 /// reduced graph the cache was last checked against.
 pub(crate) type ComponentKey = (FairnessModel, usize, VertexId);
-/// One component's cached solve pool, in compact ids.
-type ComponentCliques = Arc<Vec<Vec<u32>>>;
+
+/// One component's cached solve answer, written after a search of it that ran to
+/// its end, in reduced-graph ids: the component's fair cliques among the final
+/// pool, and the cut-off that bounds the rest (see [`SharedIncumbent::settles`],
+/// which reads it).
+#[derive(Debug)]
+struct Certificate {
+    /// The pool's cliques that lie in the component, in canonical order.
+    cliques: Vec<Vec<VertexId>>,
+    /// The pool's last clique, when the pool was full.
+    cutoff: Option<Vec<VertexId>>,
+}
 
 /// The per-component result caches of one `(k, reduction config)`, and its reduced
 /// graph while that is stale.
@@ -152,10 +186,9 @@ struct DynEntry {
     /// checked against and every vertex changed since. The next query splices it
     /// into the committed graph's solver, checks the caches and clears it.
     stale: Option<(Arc<ReducedEntry>, BTreeSet<VertexId>)>,
-    /// Per-component top-`capacity` fair cliques (compact ids, largest first;
-    /// empty = no fair clique in the component). LRU-bounded when the owner set a
-    /// cache capacity.
-    solve_cache: LruCache<ComponentKey, ComponentCliques>,
+    /// Per-component solve certificates. LRU-bounded when the owner set a cache
+    /// capacity.
+    solve_cache: LruCache<ComponentKey, Arc<Certificate>>,
     /// Per-component prefixes of the deterministic enumeration order (compact
     /// ids), complete or not. Same bound.
     enum_cache: PrefixCache,
@@ -411,27 +444,30 @@ impl DynamicRfcSolver {
         outcome
     }
 
-    /// Answers one query against the committed graph, re-searching only components
-    /// whose content changed since they were last solved. Accepts exactly the same
-    /// [`Query`] shapes as [`RfcSolver::solve`] (all fairness models, maximum and
-    /// top-k objectives, budgets, cancellation);
+    /// Answers one query against the committed graph through the library's search
+    /// phase, seeded by this solver's certificates (see the [module docs](self)).
+    /// Accepts exactly the same [`Query`] shapes as [`RfcSolver::solve`] (all
+    /// fairness models, maximum and top-k objectives, budgets, cancellation);
     /// [`Solution::reduction_cache_hit`] is `true` iff the reduced graph was reused
     /// without any recomputation or splicing, so it is `false` on the first query
     /// after any structural commit.
     ///
+    /// The cliques of every cached certificate go into one pool first. If some
+    /// component then has no certificate, or one the pool does not settle, the
+    /// query runs the library's search phase on the reduced graph: the `HeurRFC`
+    /// warm start, then the branch-and-bound over the components the pool still
+    /// does not settle, in the library's order and on the query's thread count.
+    /// With an empty cache that is exactly [`RfcSolver::solve`]'s work, so the
+    /// answer, budgets and ties included, is the library's; a warm cache only adds
+    /// cliques to the pool and skips components it settles.
+    /// [`SearchStats::components_searched`](crate::search::SearchStats) counts the
+    /// components searched afresh.
+    ///
     /// Budgets and cancellation only gate *fresh* search work: a query whose
-    /// components are all answered from cache reports
+    /// components are all settled from cache reports
     /// [`Termination::Optimal`](crate::solver::Termination::Optimal) even under an
     /// exhausted budget or a pre-cancelled token, because the cached result is exact
-    /// and no budgeted work ran. Components whose search was cut short are never
-    /// cached.
-    ///
-    /// Components missing from the cache are searched largest first, with the rule
-    /// of [`RfcSolver::solve_batch`](crate::solver::RfcSolver::solve_batch): a lone
-    /// miss, or any misses when `config.threads` resolves to 1, run one after another
-    /// on the query's own thread count, so a single dirty component gets the
-    /// work-stealing search; otherwise the misses fan out over the threads and each
-    /// is searched serially.
+    /// and no budgeted work ran. A search cut short writes no certificate.
     pub fn solve(&mut self, query: &Query) -> Result<Solution, SolveError> {
         let (num_vertices, num_colors) = (self.graph().num_vertices(), self.num_colors());
         run_solve("solve", query, num_vertices, num_colors, |run, capacity| {
@@ -461,8 +497,10 @@ impl DynamicRfcSolver {
         })
     }
 
-    /// The search of [`solve`](Self::solve): the reduce step, then each component's
-    /// pool from the cache or through the fan-out, merged in canonical order.
+    /// The search of [`solve`](Self::solve): the reduce step, then every cached
+    /// certificate offered into one pool and, if that leaves a component missing or
+    /// unsettled, the library's search phase on the reduced graph, which writes a
+    /// certificate for each component it searched when its control did not stop.
     fn solve_components(&mut self, query: &Query, run: &QueryRun, capacity: usize) -> Searched {
         let key = (run.params.k, query.config.reductions);
         let (reduced, hit) = match traced_reduce(|| self.ensure_entry(&key, &run.ctrl)) {
@@ -472,59 +510,48 @@ impl DynamicRfcSolver {
         let entry = self.entries.get_mut(&key).expect("entry was just ensured");
         let cache = &mut entry.solve_cache;
         let components = &reduced.components;
-        let (params, ctrl, config) = (run.params, &run.ctrl, &query.config);
         let component_key = |i: usize| (query.fairness, capacity, components[i].vertices[0]);
         let before = cache.stats();
-        let mut per_comp: Vec<Option<ComponentCliques>> = (0..components.len())
+        let cached: Vec<Option<Arc<Certificate>>> = (0..components.len())
             .map(|i| cache.get(&component_key(i)).cloned())
             .collect();
-        // The misses fan out largest first with `fan_out`'s rule. A search that ran
-        // to completion is cached; one the control skipped stays `None`.
-        let mut misses: Vec<usize> = (0..components.len())
-            .filter(|&i| per_comp[i].is_none())
-            .collect();
-        misses.sort_by_key(|&i| Reverse(components[i].vertices.len()));
-        let fresh = fan_out(&misses, config.threads, Some(ctrl), |&i, pinned| {
-            let threads = pinned.unwrap_or(config.threads);
-            solve_component(&components[i], params, config, threads, capacity, ctrl)
-        });
-        let mut stats = SearchStats::default();
-        for (&i, result) in misses.iter().zip(fresh) {
-            let Some((cliques, completed, component_stats)) = result else {
-                continue;
-            };
-            stats += &component_stats;
-            let cliques = Arc::new(cliques);
-            if completed {
-                cache.insert(component_key(i), Arc::clone(&cliques));
+        let pool = SharedIncumbent::with_capacity(capacity);
+        for clique in cached.iter().flatten().flat_map(|c| &c.cliques) {
+            pool.offer(clique.clone());
+        }
+        let settled = |i: usize| {
+            let certificate = cached[i].as_ref();
+            certificate.is_some_and(|c| pool.settles(c.cutoff.as_deref()))
+        };
+        let (mut stats, mut searched) = (SearchStats::default(), Vec::new());
+        if !(0..components.len()).all(settled) {
+            let (params, ctrl) = (run.params, &run.ctrl);
+            (stats, searched) = search_phase(&reduced, params, &query.config, &pool, ctrl, settled);
+        }
+        stats.reduction = reduced.stats.clone();
+        let cliques = pool.into_cliques();
+        if !run.ctrl.stopped() {
+            // The search went through every component it was given. A clique lies
+            // in the component that holds its first vertex.
+            let cutoff = cliques.last().filter(|_| cliques.len() == capacity);
+            for i in searched {
+                let vertices = &components[i].vertices;
+                let inside = cliques
+                    .iter()
+                    .filter(|c| vertices.binary_search(&c[0]).is_ok());
+                let certificate = Certificate {
+                    cliques: inside.cloned().collect(),
+                    cutoff: cutoff.cloned(),
+                };
+                cache.insert(component_key(i), Arc::new(certificate));
             }
-            per_comp[i] = Some(cliques);
         }
         flush_cache_metrics("solve", &before, &cache.stats());
-        stats.reduction = reduced.stats.clone();
-
-        // Merge the per-component pools in the canonical order `RfcSolver` uses. A
-        // pool holds ascending compact ids, which follow the component's sorted
-        // vertex list, so mapping a pool clique yields ascending vertex ids.
-        let mut ranked: Vec<(usize, usize)> = Vec::new();
-        for (ci, cell) in per_comp.iter().enumerate() {
-            if let Some(cliques) = cell {
-                ranked.extend((0..cliques.len()).map(|qi| (ci, qi)));
-            }
-        }
-        let original = |&(ci, qi): &(usize, usize)| {
-            let vertices = &components[ci].vertices;
-            let ranks = &per_comp[ci].as_ref().expect("ranked entries exist")[qi];
-            ranks.iter().map(move |&r| vertices[r as usize])
-        };
-        ranked.sort_by(|a, b| canonical_order(original(a), original(b)));
-        ranked.truncate(capacity);
-        let cliques = ranked
-            .iter()
-            .map(|entry| FairClique::from_vertices(self.solver.graph(), original(entry).collect()))
-            .collect();
+        let graph = self.solver.graph();
         Searched {
-            cliques,
+            cliques: (cliques.into_iter())
+                .map(|vertices| FairClique::from_vertices(graph, vertices))
+                .collect(),
             stats,
             reduction_cache_hit: hit,
             reduced: vec![reduced],
@@ -592,10 +619,12 @@ impl DynamicRfcSolver {
             // The one check of the cached results (see the module docs). Both
             // component lists are sorted by smallest vertex.
             let new = &reduced.components;
+            let same =
+                |a: &Component, b: &Component| a.vertices == b.vertices && a.graph == b.graph;
             let kept: Vec<VertexId> = (old.components.iter())
                 .filter(|before| {
                     let at = new.binary_search_by_key(&before.vertices[0], |c| c.vertices[0]);
-                    at.is_ok_and(|i| Arc::ptr_eq(before, &new[i]) || before.graph == new[i].graph)
+                    at.is_ok_and(|i| Arc::ptr_eq(before, &new[i]) || same(before, &new[i]))
                 })
                 .map(|c| c.vertices[0])
                 .collect();
@@ -754,37 +783,16 @@ fn flush_cache_metrics(kind: &str, before: &CacheStats, after: &CacheStats) {
     }
 }
 
-/// Exact search of one component: the shared search phase over its stored graph,
-/// on `threads`. Returns the pool's cliques in compact ids, whether the search ran
-/// to completion, and its counters.
-fn solve_component(
-    component: &Arc<Component>,
-    params: FairCliqueParams,
-    config: &SearchConfig,
-    threads: ThreadCount,
-    capacity: usize,
-    ctrl: &SearchControl,
-) -> (Vec<Vec<u32>>, bool, SearchStats) {
-    let pool = SharedIncumbent::with_capacity(capacity);
-    let config = SearchConfig {
-        threads,
-        ..config.clone()
-    };
-    let (graph, ids) = (&component.graph, CliqueIds::Compact);
-    let one = std::slice::from_ref(component);
-    let stats = search_phase(graph, one, ids, params, &config, &pool, ctrl);
-    (pool.into_cliques(), !ctrl.stopped(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate::{CollectSink, EnumTermination, LimitSink};
     use crate::portfolio::PortfolioConfig;
     use crate::reduction::apply_reductions;
+    use crate::search::{SearchConfig, ThreadCount};
     use crate::solver::{Budget, CancelToken, Objective, Termination};
     use crate::verify;
-    use rfc_graph::fixtures;
+    use rfc_graph::fixtures::{self, four_blobs};
 
     fn serial_query(fairness: FairnessModel) -> Query {
         Query::new(fairness).with_config(SearchConfig::default().with_threads(ThreadCount::Serial))
@@ -1297,42 +1305,6 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
         z ^ (z >> 31)
-    }
-
-    /// Four disjoint blobs on consecutive ids (40, 50, 60 and 70 vertices). A path
-    /// keeps each connected, random edges fill it, its first 20 ids form a dense
-    /// community, and a balanced 8-clique on its first 8 ids survives every
-    /// reduction at k = 3.
-    fn four_blobs(seed: u64) -> AttributedGraph {
-        let mut state = seed;
-        let mut b = GraphBuilder::new(220);
-        let mut lo = 0u32;
-        for size in [40u32, 50, 60, 70] {
-            let mut draw = |bound: u32| (splitmix(&mut state) % u64::from(bound)) as u32;
-            for v in lo..lo + size {
-                let attr = [Attribute::A, Attribute::B][draw(2) as usize];
-                b.set_attribute(v, attr);
-            }
-            for v in lo + 1..lo + size {
-                b.add_edge(v - 1, v);
-            }
-            for _ in 0..3 * size {
-                b.add_edge(lo + draw(size), lo + draw(size));
-            }
-            for u in lo..lo + 20 {
-                for v in u + 1..lo + 20 {
-                    if draw(4) != 0 {
-                        b.add_edge(u, v);
-                    }
-                }
-            }
-            for u in lo..lo + 8 {
-                b.set_attribute(u, [Attribute::A, Attribute::B][(u % 2) as usize]);
-                b.add_edges((u + 1..lo + 8).map(|v| (u, v)));
-            }
-            lo += size;
-        }
-        b.build().unwrap()
     }
 
     /// The current reduced entry for `key`.

@@ -60,7 +60,7 @@ use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::ReductionConfig;
 use crate::search::control::SearchControl;
 use crate::search::parallel::SharedIncumbent;
-use crate::search::{BranchOrder, CliqueIds, SearchConfig, SearchStats, ThreadCount};
+use crate::search::{BranchOrder, SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{
     run_solve, search_phase, search_termination, CancelToken, Query, ReducedEntry, RfcSolver,
     Searched, Solution, SolveError, Termination,
@@ -448,9 +448,7 @@ fn run_member(
 ) -> (Termination, SearchStats, bool, Option<Arc<ReducedEntry>>) {
     let (stats, hit, reduced) = match solver.reduce(params.k, &cfg.reductions, ctrl) {
         Ok((reduced, hit)) => {
-            let (graph, components) = (&reduced.graph, &reduced.components);
-            let ids = CliqueIds::Reduced;
-            let mut stats = search_phase(graph, components, ids, params, cfg, pool, ctrl);
+            let (mut stats, _) = search_phase(&reduced, params, cfg, pool, ctrl, |_| false);
             stats.reduction = reduced.stats.clone();
             (stats, hit, Some(reduced))
         }

@@ -31,11 +31,12 @@
 //! one node visit.
 
 use rfc_graph::bitset::{Bitset, BitsetPool};
-use rfc_graph::{AttributeCounts, AttributedGraph, VertexId};
+use rfc_graph::{AttributeCounts, VertexId};
 
 use crate::bounds::bitset_kernel::{rank_upper_bound, BoundScratch};
 use crate::bounds::ExtraBound;
 use crate::problem::FairCliqueParams;
+use crate::solver::Component;
 
 use super::control::SearchControl;
 use super::ordering::Ranked;
@@ -44,11 +45,9 @@ use super::{SearchConfig, SearchStats};
 
 /// The immutable per-component search state, shareable across workers.
 pub(super) struct ComponentContext<'a> {
-    /// The component graph, with compact vertex ids.
-    graph: &'a AttributedGraph,
-    /// `ids[v]` is the id clique member `v` is published under; `None` publishes
-    /// the compact ids themselves.
-    ids: Option<&'a [VertexId]>,
+    /// The component: its graph in compact ids, and its vertex list, which takes
+    /// them to the reduced graph's ids that cliques are published in.
+    component: &'a Component,
     /// The component in branching order. Candidate attribute counts come from one
     /// AND + popcount against its `attr_a` mask.
     ranked: Ranked,
@@ -59,17 +58,12 @@ pub(super) struct ComponentContext<'a> {
 }
 
 impl<'a> ComponentContext<'a> {
-    /// Builds the context for one component `graph`, publishing cliques through
-    /// `ids` (see [`CliqueIds`](super::CliqueIds)).
-    pub(super) fn new(
-        graph: &'a AttributedGraph,
-        ids: Option<&'a [VertexId]>,
-        config: &SearchConfig,
-    ) -> Self {
+    /// Builds the context for one component, publishing cliques in the reduced
+    /// graph's ids.
+    pub(super) fn new(component: &'a Component, config: &SearchConfig) -> Self {
         Self {
-            graph,
-            ids,
-            ranked: Ranked::new(graph, config.branch_order),
+            component,
+            ranked: Ranked::new(&component.graph, config.branch_order),
             split_depth: 0,
         }
     }
@@ -83,15 +77,14 @@ impl<'a> ComponentContext<'a> {
 
     /// Number of vertices of the component (the capacity of all its bitsets).
     pub(super) fn num_vertices(&self) -> usize {
-        self.graph.num_vertices()
+        self.component.graph.num_vertices()
     }
 
     /// The clique `r` of compact ids, in published ids.
     fn publish(&self, r: &[VertexId]) -> Vec<VertexId> {
-        match self.ids {
-            Some(ids) => r.iter().map(|&v| ids[v as usize]).collect(),
-            None => r.to_vec(),
-        }
+        r.iter()
+            .map(|&v| self.component.vertices[v as usize])
+            .collect()
     }
 }
 
@@ -217,7 +210,7 @@ impl<'a> ComponentSearch<'a> {
             return;
         }
         self.stats.branches += 1;
-        let cg = self.ctx.graph;
+        let cg = &self.ctx.component.graph;
         let params = self.params;
 
         // Record the current clique if it is fair and useful to the shared pool
@@ -358,15 +351,29 @@ mod tests {
     use super::*;
     use rfc_graph::{fixtures, AttributedGraph};
 
+    /// `g` as one component of itself.
+    fn whole(g: &AttributedGraph) -> Component {
+        Component {
+            vertices: g.vertices().collect(),
+            graph: g.clone(),
+        }
+    }
+
+    /// Searches `g` as one component into a pool that already holds a witness
+    /// clique of `incumbent_size` vertices (ids past the graph's, none for 0).
+    /// Returns the clique the search published over the witness, if any.
     fn search_component(
         g: &AttributedGraph,
         params: FairCliqueParams,
         config: &SearchConfig,
         incumbent_size: usize,
     ) -> (Option<Vec<VertexId>>, SearchStats) {
-        let ctx = ComponentContext::new(g, None, config);
+        let component = whole(g);
+        let ctx = ComponentContext::new(&component, config);
         let mut stats = SearchStats::default();
-        let incumbent = SharedIncumbent::with_floor(incumbent_size);
+        let n = g.num_vertices() as VertexId;
+        let witness = (incumbent_size > 0).then(|| (n..n + incumbent_size as VertexId).collect());
+        let incumbent = SharedIncumbent::new(witness.clone());
         let ctrl = SearchControl::unlimited();
         let mut scratch = Scratch::default();
         scratch.reset(ctx.num_vertices());
@@ -381,7 +388,10 @@ mod tests {
             &mut scratch,
         )
         .run();
-        (incumbent.into_best(), stats)
+        let best = incumbent
+            .into_best()
+            .filter(|best| Some(best) != witness.as_ref());
+        (best, stats)
     }
 
     #[test]
@@ -428,16 +438,16 @@ mod tests {
 
     #[test]
     fn bitset_adjacency_matches_graph_adjacency() {
-        let g = fixtures::fig1_graph();
+        let g = whole(&fixtures::fig1_graph());
         let config = SearchConfig::default();
-        let ctx = ComponentContext::new(&g, None, &config);
+        let ctx = ComponentContext::new(&g, &config);
         let n = ctx.num_vertices();
         for qr in 0..n {
             for rr in 0..n {
                 let (u, v) = (ctx.ranked.order[qr], ctx.ranked.order[rr]);
                 assert_eq!(
                     ctx.ranked.adj.contains(qr, rr),
-                    ctx.graph.has_edge(u, v),
+                    g.graph.has_edge(u, v),
                     "ranks ({qr}, {rr}) ↔ vertices ({u}, {v})"
                 );
             }
@@ -452,7 +462,8 @@ mod tests {
         let g = fixtures::fig1_graph();
         let params = FairCliqueParams::new(3, 1).unwrap();
         let config = SearchConfig::basic();
-        let ctx = ComponentContext::new(&g, None, &config).with_split_depth(1);
+        let component = whole(&g);
+        let ctx = ComponentContext::new(&component, &config).with_split_depth(1);
         let incumbent = SharedIncumbent::new(None);
         let ctrl = SearchControl::unlimited();
         let mut stats = SearchStats::default();

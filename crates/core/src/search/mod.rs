@@ -41,9 +41,8 @@ pub use ordering::{ordering_positions, ordering_sequence, BranchOrder};
 pub use parallel::ThreadCount;
 
 use std::cmp::Reverse;
-use std::sync::Arc;
 
-use rfc_graph::{AttributedGraph, VertexId};
+use rfc_graph::AttributedGraph;
 
 use crate::bounds::BoundConfig;
 use crate::heuristic::HeuristicConfig;
@@ -342,36 +341,15 @@ fn solve_one_shot(
     }
 }
 
-/// The ids a component search publishes its cliques in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CliqueIds {
-    /// Each component's `vertices`: ids of the reduced graph, which are the input
-    /// graph's (the library's shared pool).
-    Reduced,
-    /// The component graph's own compact ids: a dynamic miss, whose pool holds them
-    /// as the dynamic solver's caches do.
-    Compact,
-}
-
-impl CliqueIds {
-    /// The table taking `component`'s compact ids to these ids (`None`: the identity).
-    pub(crate) fn table(self, component: &Component) -> Option<&[VertexId]> {
-        match self {
-            CliqueIds::Reduced => Some(&component.vertices),
-            CliqueIds::Compact => None,
-        }
-    }
-}
-
-/// Runs the branch-and-bound phase over the eligible `components` of a reduced
-/// graph, publishing improvements in `ids` into `incumbent` and honoring `ctrl`.
+/// Runs the branch-and-bound phase over eligible `components` of a reduced graph,
+/// in their order, publishing improvements in the reduced graph's ids into
+/// `incumbent` and honoring `ctrl`.
 ///
 /// This is the engine below [`RfcSolver::solve`]: reduction and the heuristic warm
 /// start have already happened by the time it runs. Returns the search-phase counters
 /// (the caller owns reduction stats and wall-clock time).
 pub(crate) fn branch_and_bound(
-    components: &[Arc<Component>],
-    ids: CliqueIds,
+    components: &[&Component],
     params: FairCliqueParams,
     config: &SearchConfig,
     incumbent: &parallel::SharedIncumbent,
@@ -391,7 +369,7 @@ pub(crate) fn branch_and_bound(
         // classic sequential algorithm (improvements still flow through `incumbent`).
         let busy = std::time::Instant::now();
         let mut scratch = branch::Scratch::default();
-        for component in components {
+        for &component in components {
             if ctrl.stopped() {
                 break;
             }
@@ -399,7 +377,7 @@ pub(crate) fn branch_and_bound(
             let mut span = rfc_obs::trace::span("component");
             span.counter("vertices", component.vertices.len() as u64);
             let branches_before = stats.branches;
-            let ctx = branch::ComponentContext::new(&component.graph, ids.table(component), config);
+            let ctx = branch::ComponentContext::new(component, config);
             scratch.reset(ctx.num_vertices());
             branch::ComponentSearch::new(
                 &ctx,
@@ -419,17 +397,10 @@ pub(crate) fn branch_and_bound(
         // Largest components first so the most expensive searches start immediately
         // and a straggler can't serialize the tail (ties broken by vertex ids to keep
         // the dispatch order itself reproducible).
-        let mut largest_first: Vec<&Component> = components.iter().map(|c| &**c).collect();
+        let mut largest_first = components.to_vec();
         largest_first.sort_unstable_by_key(|c| (Reverse(c.vertices.len()), c.vertices[0]));
-        stats += &parallel::search_components(
-            &largest_first,
-            ids,
-            params,
-            config,
-            workers,
-            incumbent,
-            ctrl,
-        );
+        stats +=
+            &parallel::search_components(&largest_first, params, config, workers, incumbent, ctrl);
     }
     stats
 }

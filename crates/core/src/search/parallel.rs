@@ -50,7 +50,7 @@ use crate::solver::Component;
 use super::branch::{ComponentContext, ComponentSearch, Scratch, SubtreeTask};
 use super::control::SearchControl;
 use super::steal;
-use super::{CliqueIds, SearchConfig, SearchStats};
+use super::{SearchConfig, SearchStats};
 
 /// How many worker threads the search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,12 +102,12 @@ impl From<usize> for ThreadCount {
 /// the size of the pool's cut-off clique — lives in an [`AtomicUsize`] so the
 /// branch-and-bound can read it with a single relaxed load on every node; the cliques
 /// themselves sit behind a [`Mutex`] that is only touched on improvements. While the
-/// pool has free slots the bound stays at the initial floor, so nothing that could
-/// belong to the top k is pruned; once full it is the size of the pool's smallest
-/// clique. Both the bound and the derived [`useful_size`](Self::useful_size) are
-/// monotonically non-decreasing, so pruning against a possibly-stale read is always
-/// sound — staleness can only mean pruning *less*, never cutting a clique that
-/// belongs in the pool.
+/// pool has free slots the bound stays at 0, so nothing that could belong to the top
+/// k is pruned; once full it is the size of the pool's smallest clique. Both the
+/// bound and the derived [`useful_size`](Self::useful_size) are monotonically
+/// non-decreasing, so pruning against a possibly-stale read is always sound —
+/// staleness can only mean pruning *less*, never cutting a clique that belongs in
+/// the pool.
 ///
 /// ### Canonical membership
 ///
@@ -128,8 +128,6 @@ pub(crate) struct SharedIncumbent {
 
 #[derive(Debug)]
 struct PoolState {
-    /// Initial size floor: only cliques strictly larger than it are recorded.
-    floor: usize,
     /// Maximum number of cliques kept.
     capacity: usize,
     /// Recorded cliques in original (parent-graph) vertex ids with sorted contents,
@@ -138,14 +136,16 @@ struct PoolState {
 }
 
 impl PoolState {
-    /// The current cut-off size (the k-th best, or the floor while slots are free).
+    /// The pool's last clique once it is full: the cut-off a newcomer must beat.
+    fn cutoff(&self) -> Option<&Vec<VertexId>> {
+        self.cliques
+            .last()
+            .filter(|_| self.cliques.len() == self.capacity)
+    }
+
+    /// The current cut-off size (the k-th best, or 0 while slots are free).
     fn bound(&self) -> usize {
-        if self.cliques.len() < self.capacity {
-            self.floor
-        } else {
-            let smallest = self.cliques.last().map_or(0, Vec::len);
-            self.floor.max(smallest)
-        }
+        self.cutoff().map_or(0, Vec::len)
     }
 
     /// The smallest clique size that could still enter the pool. A single incumbent
@@ -162,7 +162,7 @@ impl PoolState {
 
 /// The canonical pool order of two cliques given as ascending vertex ids: size
 /// descending, then lexicographically ascending. Every top-k result is ranked by it.
-pub(crate) fn canonical_order<I>(a: I, b: I) -> std::cmp::Ordering
+fn canonical_order<I>(a: I, b: I) -> std::cmp::Ordering
 where
     I: ExactSizeIterator<Item = VertexId>,
 {
@@ -186,25 +186,7 @@ impl SharedIncumbent {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         debug_assert!(capacity >= 1, "the pool needs room for at least one clique");
         let state = PoolState {
-            floor: 0,
             capacity: capacity.max(1),
-            cliques: Vec::new(),
-        };
-        Self {
-            bound: AtomicUsize::new(state.bound()),
-            useful: AtomicUsize::new(state.useful()),
-            state: Mutex::new(state),
-        }
-    }
-
-    /// Starts from a size floor without a witness clique: only strictly larger cliques
-    /// will be recorded. Used by per-component searches that must report improvements
-    /// over an externally-known incumbent.
-    #[cfg(test)]
-    pub(crate) fn with_floor(size: usize) -> Self {
-        let state = PoolState {
-            floor: size,
-            capacity: 1,
             cliques: Vec::new(),
         };
         Self {
@@ -253,7 +235,7 @@ impl SharedIncumbent {
         }
         clique.sort_unstable();
         let mut state = self.state.lock().expect("incumbent lock poisoned");
-        if clique.len() < state.useful() || clique.len() <= state.floor {
+        if clique.len() < state.useful() {
             return false;
         }
         let at = state.cliques.partition_point(|c| {
@@ -275,7 +257,7 @@ impl SharedIncumbent {
     }
 
     /// Consumes the pool, returning the best clique found (in original vertex ids),
-    /// if any improved on the initial floor.
+    /// if any.
     #[cfg(test)]
     pub(crate) fn into_best(self) -> Option<Vec<VertexId>> {
         self.into_cliques().into_iter().next()
@@ -292,6 +274,28 @@ impl SharedIncumbent {
             .cliques
             .first()
             .cloned()
+    }
+
+    /// Whether a component's certificate settles it: whether, once the caller has
+    /// offered the certificate's cliques, searching the component could no longer
+    /// change the pool. A certificate ending at `cutoff` lists every fair clique of
+    /// the component that could enter a pool whose last clique is the cut-off: for
+    /// a single incumbent, which takes only strict improvements, every one larger
+    /// than it; for a top-k pool, every one canonically before it. Without a
+    /// cut-off it lists them all. So the pool settles the component when there is
+    /// no cut-off, or when the pool is full and its last clique is at or before the
+    /// cut-off, by size for a single incumbent and in canonical order for a top-k
+    /// pool.
+    pub(crate) fn settles(&self, cutoff: Option<&[VertexId]>) -> bool {
+        let Some(cutoff) = cutoff else {
+            return true;
+        };
+        let state = self.state.lock().expect("incumbent lock poisoned");
+        match state.cutoff() {
+            None => false,
+            Some(last) if state.capacity == 1 => last.len() >= cutoff.len(),
+            Some(last) => canonical_order(last.iter().copied(), cutoff.iter().copied()).is_le(),
+        }
     }
 
     /// Consumes the pool, returning every recorded clique in canonical order
@@ -337,8 +341,7 @@ struct WorkerState {
 }
 
 /// Searches `components` on a work-stealing pool of `workers` threads sharing
-/// `incumbent`, which takes cliques in `ids`, and returns the merged per-worker
-/// [`SearchStats`].
+/// `incumbent`, and returns the merged per-worker [`SearchStats`].
 ///
 /// `components` should be sorted largest-first by the caller: they seed the pool's
 /// FIFO injector in order, so the ordering is exactly the dispatch priority. The
@@ -347,7 +350,6 @@ struct WorkerState {
 /// any worker can then run any subtree against the shared context.
 pub(super) fn search_components(
     components: &[&Component],
-    ids: CliqueIds,
     params: FairCliqueParams,
     config: &SearchConfig,
     workers: usize,
@@ -376,9 +378,11 @@ pub(super) fn search_components(
                 stats.components_searched += 1;
                 let ctx = contexts[i].get_or_init(|| {
                     let c = components[i];
-                    ComponentContext::new(&c.graph, ids.table(c), config).with_split_depth(
-                        split_depth_for(c.vertices.len(), workers, components.len()),
-                    )
+                    ComponentContext::new(c, config).with_split_depth(split_depth_for(
+                        c.vertices.len(),
+                        workers,
+                        components.len(),
+                    ))
                 });
                 (ctx, i, None)
             }
@@ -453,19 +457,9 @@ mod tests {
     }
 
     #[test]
-    fn incumbent_floor_without_witness() {
-        let inc = SharedIncumbent::with_floor(5);
-        assert_eq!(inc.size(), 5);
-        assert!(!inc.offer(vec![0, 1, 2, 3, 4]));
-        let inc2 = SharedIncumbent::with_floor(2);
-        assert!(inc2.offer(vec![0, 1, 2]));
-        assert_eq!(inc2.into_best(), Some(vec![0, 1, 2]));
-    }
-
-    #[test]
     fn top_k_pool_keeps_the_largest_cliques() {
         let pool = SharedIncumbent::with_capacity(3);
-        // While slots are free the pruning bound stays at the floor…
+        // While slots are free the pruning bound stays at 0…
         assert_eq!(pool.size(), 0);
         assert!(pool.offer(vec![0, 1, 2]));
         assert!(pool.offer(vec![3, 4]));
@@ -531,6 +525,31 @@ mod tests {
             pool.into_cliques(),
             vec![vec![1, 2, 3], vec![5, 6]] // the size-1 clique was evicted
         );
+    }
+
+    #[test]
+    fn a_component_is_settled_by_size_or_by_canonical_order() {
+        // No cut-off: the certificate lists all of the component's fair cliques.
+        let empty = SharedIncumbent::with_capacity(1);
+        assert!(empty.settles(None));
+        assert!(!empty.settles(Some(&[1, 2, 3])));
+        // A single incumbent takes only strict improvements, so sizes decide.
+        let single = SharedIncumbent::new(Some(vec![7, 8, 9]));
+        assert!(single.settles(Some(&[1, 2, 3])));
+        assert!(single.settles(Some(&[1, 2])));
+        assert!(!single.settles(Some(&[1, 2, 3, 4])));
+        // A top-k pool with a free slot settles nothing that has a cut-off.
+        let top = SharedIncumbent::with_capacity(2);
+        assert!(top.offer(vec![1, 2, 3, 4]));
+        assert!(!top.settles(Some(&[1, 2])));
+        // Full, its last clique [7, 8, 9] follows the cut-off [1, 2, 3]: a tie of
+        // the component between them would still enter.
+        assert!(top.offer(vec![7, 8, 9]));
+        assert!(!top.settles(Some(&[1, 2, 3])));
+        assert!(top.settles(Some(&[7, 8, 9])));
+        assert!(top.settles(Some(&[8, 9, 10])));
+        assert!(top.settles(Some(&[1, 2])));
+        assert!(!top.settles(Some(&[5, 6, 7, 8])));
     }
 
     #[test]

@@ -59,7 +59,7 @@ use crate::reduction::{
 use crate::search::control::{SearchControl, StopReason};
 use crate::search::parallel::SharedIncumbent;
 use crate::search::steal::run_pool;
-use crate::search::{branch_and_bound, CliqueIds, SearchConfig, SearchStats, ThreadCount};
+use crate::search::{branch_and_bound, SearchConfig, SearchStats, ThreadCount};
 
 /// What a [`Query`] asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -650,12 +650,22 @@ impl RfcSolver {
         queries: &[Query],
         threads: ThreadCount,
     ) -> Vec<Result<Solution, SolveError>> {
-        fan_out(queries, threads, None, |query, pinned| {
-            self.solve_with_threads(query, pinned.unwrap_or(query.config.threads))
-        })
-        .into_iter()
-        .map(|result| result.expect("a batch without a control runs every query"))
-        .collect()
+        // Resolving `Auto` reads the cgroup limits: a lone query never pays for it.
+        let workers = if queries.len() <= 1 {
+            1
+        } else {
+            threads.resolve().min(queries.len())
+        };
+        if workers <= 1 {
+            return queries.iter().map(|query| self.solve(query)).collect();
+        }
+        let (tasks, states) = ((0..queries.len()).collect(), vec![Vec::new(); workers]);
+        let done = run_pool(workers, tasks, states, |done, _, i| {
+            done.push((i, self.solve_with_threads(&queries[i], ThreadCount::Serial)));
+        });
+        let mut done: Vec<_> = done.into_iter().flatten().collect();
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, solution)| solution).collect()
     }
 
     /// The solve pipeline, with the search-phase thread count pinned by the caller
@@ -682,9 +692,9 @@ impl RfcSolver {
                     threads,
                     ..query.config.clone()
                 };
-                let (graph, components) = (&reduced.graph, &reduced.components);
-                let (ids, params, ctrl) = (CliqueIds::Reduced, run.params, &run.ctrl);
-                let mut stats = search_phase(graph, components, ids, params, &config, &pool, ctrl);
+                let (params, ctrl) = (run.params, &run.ctrl);
+                let (mut stats, _) =
+                    search_phase(&reduced, params, &config, &pool, ctrl, |_| false);
                 stats.reduction = reduced.stats.clone();
                 Searched {
                     cliques: pool
@@ -1004,39 +1014,46 @@ pub(crate) fn run_enumerate(
     Ok(run.finish_enumerate(enumerated))
 }
 
-/// The search phase of every solve: the `HeurRFC` warm start on `graph` offered
-/// into `pool`, then the branch-and-bound over `components`, under the `heuristic`
-/// and `search` spans. `graph` is a reduced graph with its eligible components, and
-/// `pool` holds its ids ([`CliqueIds::Reduced`]), or one component's own graph,
-/// whose pool holds compact ids ([`CliqueIds::Compact`]). The warm start is skipped
-/// once the control has tripped.
+/// The search phase of every solve (Algorithm 2 after its reductions): the
+/// `HeurRFC` warm start on the reduced graph offered into `pool`, then the
+/// branch-and-bound over its eligible components, in their order, under the
+/// `heuristic` and `search` spans. The warm start is skipped once the control has
+/// tripped. `pool` holds the reduced graph's ids, which are the input graph's.
+///
+/// A component is searched unless `settled` says, once the warm start's clique is
+/// in the pool, that it cannot change the pool: the library settles none, and the
+/// [dynamic solver](crate::dynamic) those its cached certificates settle. Returns
+/// the counters and the indices of the components the branch-and-bound was given.
 pub(crate) fn search_phase(
-    graph: &AttributedGraph,
-    components: &[Arc<Component>],
-    ids: CliqueIds,
+    reduced: &ReducedEntry,
     params: FairCliqueParams,
     config: &SearchConfig,
     pool: &SharedIncumbent,
     ctrl: &SearchControl,
-) -> SearchStats {
+    settled: impl Fn(usize) -> bool,
+) -> (SearchStats, Vec<usize>) {
     let mut stats = SearchStats::default();
     if config.use_heuristic && !ctrl.check_now() {
         let mut span = rfc_obs::trace::span("heuristic");
-        let outcome = heur_rfc(graph, params, &config.heuristic);
+        let outcome = heur_rfc(&reduced.graph, params, &config.heuristic);
         stats.heuristic_size = outcome.best.as_ref().map(FairClique::size);
         span.counter("size", stats.heuristic_size.unwrap_or(0) as u64);
         if let Some(clique) = outcome.best {
             pool.offer(clique.vertices);
         }
     }
+    let searched: Vec<usize> = (0..reduced.components.len())
+        .filter(|&i| !settled(i))
+        .collect();
+    let components: Vec<&Component> = searched.iter().map(|&i| &*reduced.components[i]).collect();
     let mut span = rfc_obs::trace::span("search");
-    stats += &branch_and_bound(components, ids, params, config, pool, ctrl);
+    stats += &branch_and_bound(&components, params, config, pool, ctrl);
     span.counter("branches", stats.branches);
     span.counter("components", stats.components_searched as u64);
     span.counter("bound_prunes", stats.bound_prunes);
     span.counter("feasibility_prunes", stats.feasibility_prunes);
     span.counter("incumbent_updates", stats.incumbent_updates);
-    stats
+    (stats, searched)
 }
 
 /// Runs a query's reduce step under the `reduce` span. `reduce` returns the reduced
@@ -1053,47 +1070,6 @@ pub(crate) fn traced_reduce(
         span.counter("edges", reduced.stats.final_edges() as u64);
     }
     result
-}
-
-/// The one fan-out of independent items (batch queries, dynamic cache misses) over
-/// worker threads. Returns each item's result in item order.
-///
-/// With at most one item, or `threads` resolving to 1, the items run one after
-/// another and `work` gets `None`: each keeps its own thread count. Otherwise they
-/// are dispatched in the given order onto the [work-stealing
-/// pool](crate::search::steal) and `work` gets `Some(ThreadCount::Serial)`, so the
-/// machine is never oversubscribed. An item that would start after `ctrl` has
-/// tripped is skipped and yields `None`.
-pub(crate) fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    threads: ThreadCount,
-    ctrl: Option<&SearchControl>,
-    work: impl Fn(&T, Option<ThreadCount>) -> R + Sync,
-) -> Vec<Option<R>> {
-    let stopped = || ctrl.is_some_and(SearchControl::stopped);
-    // Resolving `Auto` reads the cgroup limits: a lone item never pays for it.
-    let workers = if items.len() <= 1 {
-        1
-    } else {
-        threads.resolve().min(items.len())
-    };
-    if workers <= 1 {
-        return items
-            .iter()
-            .map(|item| (!stopped()).then(|| work(item, None)))
-            .collect();
-    }
-    let states = (0..workers).map(|_| Vec::new()).collect();
-    let done = run_pool(workers, (0..items.len()).collect(), states, |done, _, i| {
-        if !stopped() {
-            done.push((i, work(&items[i], Some(ThreadCount::Serial))));
-        }
-    });
-    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    for (i, result) in done.into_iter().flatten() {
-        results[i] = Some(result);
-    }
-    results
 }
 
 /// How a search ended, read off its control: the stop reason when it tripped,

@@ -160,6 +160,53 @@ pub fn fig2_graph() -> AttributedGraph {
     b.build().expect("fig2 fixture must build")
 }
 
+/// Four disjoint blobs on consecutive ids (40, 50, 60 and 70 vertices), drawn from
+/// one SplitMix64 stream seeded with `seed`. A path keeps each connected, random
+/// edges fill it, its first 20 ids form a dense community, and a balanced 8-clique
+/// on its first 8 ids survives every reduction at k = 3. Every blob is an eligible
+/// component at k = 3, and seeds differ in which blob holds the largest fair
+/// cliques and how many of them tie.
+pub fn four_blobs(seed: u64) -> AttributedGraph {
+    let mut state = seed;
+    let mut b = GraphBuilder::new(220);
+    let mut lo = 0u32;
+    for size in [40u32, 50, 60, 70] {
+        let mut draw = |bound: u32| (splitmix(&mut state) % u64::from(bound)) as u32;
+        for v in lo..lo + size {
+            let attr = [Attribute::A, Attribute::B][draw(2) as usize];
+            b.set_attribute(v, attr);
+        }
+        for v in lo + 1..lo + size {
+            b.add_edge(v - 1, v);
+        }
+        for _ in 0..3 * size {
+            b.add_edge(lo + draw(size), lo + draw(size));
+        }
+        for u in lo..lo + 20 {
+            for v in u + 1..lo + 20 {
+                if draw(4) != 0 {
+                    b.add_edge(u, v);
+                }
+            }
+        }
+        for u in lo..lo + 8 {
+            b.set_attribute(u, [Attribute::A, Attribute::B][(u % 2) as usize]);
+            b.add_edges((u + 1..lo + 8).map(|v| (u, v)));
+        }
+        lo += size;
+    }
+    b.build().expect("four-blob fixture must build")
+}
+
+/// One SplitMix64 step: advances `state` and returns the next 64 bits.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e3779b97f4a7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
 /// Seeded random inputs for the crate's oracle tests. The crate has no
 /// dev-dependencies, so the generator is a bare SplitMix64 stream.
 #[cfg(test)]
@@ -173,11 +220,7 @@ pub(crate) mod seeded {
     impl SplitMix64 {
         /// The next 64 pseudo-random bits.
         pub(crate) fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
+            splitmix(&mut self.0)
         }
 
         /// A value in `0..bound`; `bound` must be positive.

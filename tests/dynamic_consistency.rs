@@ -23,11 +23,12 @@
 
 use proptest::prelude::*;
 
+use rfc_bench::workloads::multi_component_graph;
 use rfc_core::dynamic::DynamicRfcSolver;
 use rfc_core::prelude::*;
 use rfc_core::verify;
 use rfc_datasets::synthetic::{one_big_component, BigComponentConfig};
-use rfc_datasets::updates::delete_incumbent_stream;
+use rfc_datasets::updates::{churn_stream, delete_incumbent_stream};
 use rfc_graph::delta::UpdateOp;
 use rfc_graph::fixtures;
 
@@ -549,11 +550,10 @@ fn top_k_ties_across_components_are_canonical() {
     }
 }
 
-/// A one-component graph is a lone cache miss, so the dynamic solver searches it on
-/// the query's own threads, with the library's work-stealing search inside the
-/// component. At `Fixed(2)` the top-k vertex sets, the termination and the bound
-/// must equal the library's, and a `Maximum` solve must agree on everything but
-/// which of several maximum cliques it returns.
+/// On a one-component graph at `Fixed(2)`, a fresh dynamic solver runs the
+/// library's work-stealing search inside the component. The top-k vertex sets,
+/// the termination and the bound must equal the library's, and a `Maximum` solve
+/// must agree on everything but which of several maximum cliques it returns.
 #[test]
 fn a_lone_miss_on_two_threads_matches_the_library() {
     let config = BigComponentConfig {
@@ -587,6 +587,119 @@ fn a_lone_miss_on_two_threads_matches_the_library() {
         assert_eq!(dynamic.upper_bound, library.upper_bound, "{objective:?}");
         assert!(library.best_size() >= 8, "the planted clique is found");
     }
+}
+
+/// A fresh dynamic solver's answer to `q` on `graph` against the library's: the
+/// termination and the bound are equal, and so are the cliques at `Serial`. On
+/// more threads, which of several tied maximum cliques a search reports depends on
+/// timing, so the best size stands in for them.
+fn assert_fresh_dynamic_matches_the_library(graph: &AttributedGraph, q: &Query, label: &str) {
+    let library = RfcSolver::new(graph.clone()).solve(q).unwrap();
+    let dynamic = DynamicRfcSolver::new(graph.clone()).solve(q).unwrap();
+    if q.config.threads == ThreadCount::Serial {
+        assert_eq!(dynamic.cliques, library.cliques, "{label}: cliques differ");
+    } else {
+        assert_eq!(dynamic.best_size(), library.best_size(), "{label}: size");
+    }
+    assert_eq!(
+        dynamic.termination, library.termination,
+        "{label}: termination"
+    );
+    assert_eq!(dynamic.upper_bound, library.upper_bound, "{label}: bound");
+}
+
+/// Ties across components: a fresh dynamic solver runs the library's search phase
+/// (one warm start, then one pool over the components in the library's order), so
+/// where several blobs hold maximum cliques of one size it reports the library's.
+#[test]
+fn a_fresh_dynamic_solver_breaks_ties_as_the_library_does() {
+    let models = [
+        FairnessModel::Relative { k: 3, delta: 1 },
+        FairnessModel::Weak { k: 3 },
+        FairnessModel::Relative { k: 2, delta: 0 },
+    ];
+    for seed in [17, 18, 42, 81, 201] {
+        let graph = fixtures::four_blobs(seed);
+        for model in models {
+            for threads in [ThreadCount::Serial, ThreadCount::Fixed(2)] {
+                let label = format!("seed {seed}, {model}, {threads:?}");
+                assert_fresh_dynamic_matches_the_library(&graph, &query(model, threads), &label);
+            }
+        }
+    }
+}
+
+/// Budgets across components: the node budget of a fresh dynamic solver is spent
+/// as the library spends it, on one warm start and then the components in order
+/// with one incumbent, so a budget that lets the library prove its answer lets the
+/// dynamic solver prove the same one.
+#[test]
+fn a_fresh_dynamic_solver_spends_a_node_budget_as_the_library_does() {
+    let model = FairnessModel::Relative { k: 3, delta: 1 };
+    for seed in [17, 18, 42] {
+        let graph = multi_component_graph(4, 120, seed);
+        for nodes in [0, 5, 50] {
+            let q = query(model, ThreadCount::Serial)
+                .with_budget(Budget::unlimited().with_node_limit(nodes));
+            let label = format!("seed {seed}, node limit {nodes}");
+            assert_fresh_dynamic_matches_the_library(&graph, &q, &label);
+        }
+    }
+}
+
+/// A warm dynamic solver starts its search from its certificates and the library's
+/// warm start, so after every commit of a churn stream over the whole graph its
+/// node-limited answers are at least the library's from scratch: a best clique as
+/// large, `optimal` whenever the library's is, and a bound no larger. Unlimited
+/// solves after each commit's checks write the certificates the next commit's
+/// clean components keep.
+#[test]
+fn a_warm_dynamic_solver_answers_at_least_as_well_as_the_library_under_a_budget() {
+    let graph = multi_component_graph(4, 120, 17);
+    let everything: Vec<VertexId> = graph.vertices().collect();
+    let stream = churn_stream(&graph, &everything, 160, 4, 17);
+    let model = FairnessModel::Relative { k: 3, delta: 1 };
+    let objectives = [Objective::Maximum, Objective::TopK(3)];
+    let unlimited =
+        objectives.map(|objective| query(model, ThreadCount::Serial).with_objective(objective));
+    let queries: Vec<Query> = unlimited
+        .iter()
+        .flat_map(|q| {
+            [0, 5, 50].map(|nodes| {
+                q.clone()
+                    .with_budget(Budget::unlimited().with_node_limit(nodes))
+            })
+        })
+        .collect();
+    let mut dynamic = DynamicRfcSolver::new(graph);
+    let warm_up = |dynamic: &mut DynamicRfcSolver| {
+        for q in &unlimited {
+            assert_eq!(dynamic.solve(q).unwrap().termination, Termination::Optimal);
+        }
+    };
+    warm_up(&mut dynamic);
+    let mut commits = 0;
+    for op in &stream {
+        if dynamic.apply_op(op).unwrap().is_none() {
+            continue;
+        }
+        commits += 1;
+        let library = RfcSolver::new(dynamic.graph().clone());
+        for q in &queries {
+            let (warm, scratch) = (dynamic.solve(q).unwrap(), library.solve(q).unwrap());
+            let label = format!("commit {commits}, {:?}, {:?}", q.objective, q.budget);
+            assert!(warm.best_size() >= scratch.best_size(), "{label}: size");
+            if scratch.termination.is_complete() {
+                assert_eq!(warm.termination, scratch.termination, "{label}");
+            }
+            assert!(
+                warm.upper_bound.unwrap() <= scratch.upper_bound.unwrap(),
+                "{label}"
+            );
+        }
+        warm_up(&mut dynamic);
+    }
+    assert_eq!(commits, 40);
 }
 
 /// Bound certification follows one rule on every entry point: a budget-stopped
