@@ -6,7 +6,7 @@ use rfc_core::bounds::ExtraBound;
 use rfc_core::problem::FairnessModel;
 use rfc_core::search::ThreadCount;
 use rfc_core::solver::Budget;
-use rfc_serve::protocol::{EnumSpec, QuerySpec, Request};
+use rfc_serve::protocol::{EnumSpec, QuerySpec, Request, MAX_QUERY_THREADS};
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -68,17 +68,18 @@ OPTIONS:
   --weak              weak fairness (no imbalance constraint; ignores --delta)
   --strong            strong fairness (exactly equal counts; ignores --delta)
   --threads N         worker threads for the search (default / 0: all cores;
-                      1: deterministic serial; parallel runs may return a
-                      different maximum clique of the same optimal size)
+                      1: deterministic serial; at most 256; parallel runs may
+                      return a different maximum clique of the same optimal size)
   --time-limit SECS   wall-clock budget for the search phase (fractional ok);
                       on exhaustion the verified best-so-far clique is printed
   --node-limit N      branch-and-bound node budget for the search phase
   --top N             report the N largest fair cliques instead of just one
-  --portfolio N       race N diversified solver configurations in parallel on
-                      a shared incumbent; the first member to prove optimality
-                      cancels the rest (useful with --time-limit/--node-limit:
-                      the budget-bound answer carries a certified optimality
-                      gap). Per-member reports are printed with --verbose
+  --portfolio N       race N (at most 256) diversified solver configurations in
+                      parallel on a shared incumbent; the first member to
+                      prove optimality cancels the rest (useful with
+                      --time-limit/--node-limit: the budget-bound answer
+                      carries a certified optimality gap). Per-member reports
+                      are printed with --verbose
   --anytime           with --portfolio: also run a fairness-preserving local
                       search improver that keeps tightening the incumbent
                       until the budget runs out or a member proves optimality
@@ -439,14 +440,17 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
     };
     // The CLI's own default is all cores; the meaning of a given count is
-    // `ThreadCount`'s.
+    // `ThreadCount`'s. A count starts that many threads, so it is bounded as the
+    // daemon bounds its `threads` and `portfolio` fields.
     let threads = || -> Result<ThreadCount, String> {
         match get("--threads") {
             None => Ok(ThreadCount::Auto),
-            Some(v) => v
-                .parse::<usize>()
-                .map(ThreadCount::from)
-                .map_err(|_| format!("invalid value for `--threads`: `{v}`")),
+            Some(v) => match v.parse::<usize>() {
+                Ok(n) if n <= MAX_QUERY_THREADS => Ok(ThreadCount::from(n)),
+                _ => Err(format!(
+                    "invalid value for `--threads`: `{v}` (need N <= {MAX_QUERY_THREADS})"
+                )),
+            },
         }
     };
     let time_limit = || -> Result<Option<Duration>, String> {
@@ -496,6 +500,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 }
             };
             let portfolio = positive("--portfolio")?;
+            if portfolio.is_some_and(|n| n > MAX_QUERY_THREADS) {
+                return Err(format!(
+                    "invalid value for `--portfolio` (need N <= {MAX_QUERY_THREADS})"
+                ));
+            }
             if has("--anytime") && portfolio.is_none() {
                 return Err("`--anytime` requires `--portfolio N`".to_string());
             }
@@ -1162,6 +1171,21 @@ mod tests {
             "client --connect h:1 --enumerate g --time-limit 1e19"
         ))
         .is_err());
+    }
+
+    #[test]
+    fn thread_counts_are_bounded_as_the_daemon_bounds_them() {
+        let parses = |args: String| parse(&argv(&args)).map(|_| ());
+        for sub in ["solve", "enumerate", "update --stream s.jsonl"] {
+            let threads = |n: usize| format!("{sub} --graph g --threads {n}");
+            assert_eq!(parses(threads(MAX_QUERY_THREADS)), Ok(()), "{sub}");
+            let err = parses(threads(MAX_QUERY_THREADS + 1)).unwrap_err();
+            assert!(err.contains("--threads"), "{sub}: {err}");
+        }
+        let portfolio = |n: usize| format!("solve --graph g --portfolio {n}");
+        assert_eq!(parses(portfolio(MAX_QUERY_THREADS)), Ok(()));
+        let err = parses(portfolio(MAX_QUERY_THREADS + 1)).unwrap_err();
+        assert!(err.contains("--portfolio"), "{err}");
     }
 
     #[test]

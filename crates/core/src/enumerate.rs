@@ -66,11 +66,13 @@
 //! the library, the dynamic solver and the daemon all emit one sequence. With more
 //! workers every component is looked up first. When none needs fresh work, the
 //! calling thread replays them in that serial order; otherwise the components fan
-//! out to workers largest-first and emissions funnel through a channel to the
-//! calling thread, so the sink itself never needs locking. The emitted *set* is
-//! identical, the order is not.
+//! out largest-first, the branch-and-bound's dispatch order, to a work-stealing
+//! pool whose worker 0 is a coordinator thread, and emissions funnel through a
+//! bounded channel to the calling thread, so the sink itself never needs locking.
+//! The coordinator exists because the calling thread owns the sink and must drain
+//! that channel while workers block on it. The emitted *set* is identical, the
+//! order is not.
 
-use std::cmp::Reverse;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -85,6 +87,7 @@ use crate::dynamic::ComponentKey;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::{ReductionConfig, ReductionStats};
 use crate::search::control::SearchControl;
+use crate::search::parallel::{canonical_order, largest_first};
 use crate::search::steal;
 use crate::search::{BranchOrder, Ranked, ThreadCount};
 use crate::solver::{Budget, CancelToken, Component, Enumerated, ReducedEntry};
@@ -190,10 +193,10 @@ impl CliqueSink for CountSink {
     }
 }
 
-/// Keeps only the `n` largest cliques seen so far, in `O(n)` memory.
-///
-/// Ties at the cut-off size keep the earlier emission, which is deterministic under
-/// [`ThreadCount::Serial`].
+/// Keeps only the `n` canonically first cliques seen so far, in `O(n)` memory:
+/// size descending, then the lexicographically smallest sorted vertex ids, the
+/// order a top-k solve ranks its pool by. The kept set does not depend on emission
+/// order, so a parallel enumeration keeps the same cliques as a serial one.
 #[derive(Debug)]
 pub struct TopNSink {
     capacity: usize,
@@ -222,17 +225,14 @@ impl TopNSink {
 
 impl CliqueSink for TopNSink {
     fn emit(&mut self, clique: FairClique) -> SinkFlow {
-        if self.cliques.len() == self.capacity
-            && self
-                .cliques
-                .last()
-                .is_some_and(|c| c.size() >= clique.size())
-        {
-            return SinkFlow::Continue;
+        let at = self.cliques.partition_point(|c| {
+            let (kept, new) = (c.vertices.iter().copied(), clique.vertices.iter().copied());
+            canonical_order(kept, new).is_lt()
+        });
+        if at < self.capacity {
+            self.cliques.insert(at, clique);
+            self.cliques.truncate(self.capacity);
         }
-        let at = self.cliques.partition_point(|c| c.size() >= clique.size());
-        self.cliques.insert(at, clique);
-        self.cliques.truncate(self.capacity);
         SinkFlow::Continue
     }
 }
@@ -936,9 +936,9 @@ pub(crate) fn run_enumeration(
         stats.cpu_micros += busy.elapsed().as_micros() as u64;
     } else {
         // Largest components first so the most expensive enumerations start
-        // immediately (ties broken by vertex ids to keep dispatch reproducible).
+        // immediately.
         let mut jobs: Vec<_> = components.into_iter().zip(prefixes).collect();
-        jobs.sort_unstable_by_key(|(c, _)| (Reverse(c.vertices.len()), c.vertices[0]));
+        jobs.sort_unstable_by_key(|(c, _)| largest_first(c));
         // Bounded channel: a sink slower than the workers applies backpressure
         // (workers block in `send`) instead of buffering an unbounded backlog —
         // million-clique runs stay constant-memory end to end.
@@ -946,8 +946,9 @@ pub(crate) fn run_enumeration(
         let (merged, recorded) = std::thread::scope(|scope| {
             let stream = &stream;
             // The work-stealing pool blocks until every component is done, so it runs
-            // on a coordinator thread while this thread (the sink's owner) drains the
-            // channel; no sink synchronization is ever needed.
+            // on a coordinator thread, the pool's worker 0, while this thread (the
+            // sink's owner) drains the channel; no sink synchronization is ever
+            // needed.
             let coordinator = scope.spawn(move || {
                 let states: Vec<_> = (0..workers)
                     .map(|_| (EnumStats::default(), tx.clone(), Vec::new()))
@@ -1304,6 +1305,23 @@ mod tests {
         tiny.emit(FairClique::from_vertices(&g, vec![0]));
         assert_eq!(tiny.cliques().len(), 1);
         assert_eq!(tiny.cliques()[0].size(), 2);
+    }
+
+    #[test]
+    fn top_n_sink_keeps_the_canonically_first_ties_in_any_emission_order() {
+        let g = fixtures::balanced_clique(8);
+        let cliques = [vec![4, 5, 6], vec![0, 1], vec![1, 2, 3], vec![2, 5, 7]];
+        let top = |order: &[usize]| {
+            let mut sink = TopNSink::new(2);
+            for &i in order {
+                sink.emit(FairClique::from_vertices(&g, cliques[i].clone()));
+            }
+            let kept = sink.into_cliques().into_iter().map(|c| c.vertices);
+            kept.collect::<Vec<_>>()
+        };
+        let expected = vec![vec![1, 2, 3], vec![2, 5, 7]];
+        assert_eq!(top(&[0, 1, 2, 3]), expected);
+        assert_eq!(top(&[3, 2, 1, 0]), expected);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   to run to completion has *proved* the pool's best clique optimal (its own search
 //!   was exact and the shared pool only ever holds verified cliques), so it cancels
 //!   all of its siblings and the whole portfolio returns early.
+//! * The members, and the anytime improver below, are the tasks of one
+//!   work-stealing pool, the crate's one fan-out, with one worker per slot and the
+//!   calling thread among them, so every slot runs at once. The last exact member
+//!   to finish cancels the improver, which otherwise stops only at the deadline.
 //! * With [`PortfolioConfig::anytime`], an extra **anytime improver** member runs a
 //!   fairness-aware local search (greedy growth, (1,2)-swaps and plateau
 //!   (1,1)-swaps over the reduced graph) that keeps tightening the shared incumbent
@@ -60,6 +64,7 @@ use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::ReductionConfig;
 use crate::search::control::SearchControl;
 use crate::search::parallel::SharedIncumbent;
+use crate::search::steal::run_pool;
 use crate::search::{BranchOrder, SearchConfig, SearchStats, ThreadCount};
 use crate::solver::{
     run_solve, search_phase, search_termination, CancelToken, Query, ReducedEntry, RfcSolver,
@@ -203,6 +208,15 @@ fn solve_portfolio(
     })
 }
 
+/// What one slot of a race hands back, besides its wall time.
+enum Raced {
+    /// An exact member: its termination, counters, whether its reduced graph came
+    /// from cache, and that reduced graph, if its reduction finished.
+    Member(Termination, SearchStats, bool, Option<Arc<ReducedEntry>>),
+    /// The anytime improver: moves evaluated and improvements accepted.
+    Improver(u64, u64),
+}
+
 /// Races the members of one portfolio call over a shared pool. Returns what the
 /// query's finish step needs, one report per member, and the anytime improver's
 /// accepted improvements.
@@ -230,126 +244,99 @@ fn race(
     let configs = member_configs(&query.config, members);
     let pool = SharedIncumbent::with_capacity(capacity);
     let winner = AtomicUsize::new(usize::MAX);
+    let running = AtomicUsize::new(members);
 
-    type MemberResult = (
-        Termination,
-        SearchStats,
-        bool,
-        Option<Arc<ReducedEntry>>,
-        u64,
-    );
-    let mut exact_results: Vec<MemberResult> = Vec::with_capacity(members);
-    let mut improver_result: Option<(u64, u64, u64)> = None;
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = configs
-            .iter()
-            .enumerate()
-            .map(|(i, (_, cfg))| {
-                let ctrl = &ctrls[i];
-                let tokens = &tokens;
-                let winner = &winner;
-                let pool = &pool;
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    let mut member_span = rfc_obs::trace::span("portfolio/member");
-                    let (termination, stats, hit, entry) =
-                        run_member(solver, params, cfg, ctrl, pool);
-                    if termination.is_complete()
-                        && winner
-                            .compare_exchange(usize::MAX, i, Ordering::Relaxed, Ordering::Relaxed)
-                            .is_ok()
-                    {
-                        // First finished proof wins: everything the siblings could
-                        // still find is already bounded by the pool.
-                        for (j, token) in tokens.iter().enumerate() {
-                            if j != i {
-                                token.cancel();
-                            }
-                        }
-                        rfc_obs::metrics::global()
-                            .counter("rfc_portfolio_winner_cancels_total")
-                            .inc();
-                    }
-                    member_span.counter("member", i as u64);
-                    member_span.counter("branches", stats.branches);
-                    (
-                        termination,
-                        stats,
-                        hit,
-                        entry,
-                        t0.elapsed().as_micros() as u64,
-                    )
-                })
-            })
-            .collect();
-
-        let improver_handle = portfolio.anytime.then(|| {
-            let ctrl = &ctrls[members];
-            let pool = &pool;
-            let seed = portfolio.seed;
-            let base = &query.config;
-            let model = query.fairness;
-            scope.spawn(move || {
-                let t0 = Instant::now();
-                let mut improver_span = rfc_obs::trace::span("portfolio/anytime");
-                let (moves, improvements) =
-                    run_improver(solver, model, params, base, ctrl, pool, seed);
-                improver_span.counter("moves", moves);
-                improver_span.counter("improvements", improvements);
-                (moves, improvements, t0.elapsed().as_micros() as u64)
-            })
-        });
-
-        for handle in handles {
-            exact_results.push(handle.join().expect("portfolio member panicked"));
+    // One pool worker per slot, so every member and the improver run at once.
+    let states = (0..slots).map(|_| Vec::new()).collect();
+    let raced = run_pool(slots, (0..slots).collect(), states, |done, _, i| {
+        let t0 = Instant::now();
+        if i == members {
+            let mut improver_span = rfc_obs::trace::span("portfolio/anytime");
+            let (model, seed) = (query.fairness, portfolio.seed);
+            let (moves, improvements) =
+                run_improver(solver, model, params, &query.config, &ctrls[i], &pool, seed);
+            improver_span.counter("moves", moves);
+            improver_span.counter("improvements", improvements);
+            let raced = Raced::Improver(moves, improvements);
+            done.push((i, raced, t0.elapsed().as_micros() as u64));
+            return;
         }
-        // The improver can only stop via cancellation or the wall-clock deadline;
-        // once every exact member has returned there is nothing left to prove, so
-        // make sure it stops even under a pure node-limit budget.
-        if let Some(token) = tokens.get(members) {
-            token.cancel();
+        let mut member_span = rfc_obs::trace::span("portfolio/member");
+        let (termination, stats, hit, entry) =
+            run_member(solver, params, &configs[i].1, &ctrls[i], &pool);
+        if termination.is_complete()
+            && winner
+                .compare_exchange(usize::MAX, i, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        {
+            // First finished proof wins: everything the siblings could still find is
+            // already bounded by the pool.
+            for (j, token) in tokens.iter().enumerate() {
+                if j != i {
+                    token.cancel();
+                }
+            }
+            rfc_obs::metrics::global()
+                .counter("rfc_portfolio_winner_cancels_total")
+                .inc();
         }
-        if let Some(handle) = improver_handle {
-            improver_result = Some(handle.join().expect("portfolio improver panicked"));
+        // The improver stops only on cancellation or the wall-clock deadline: once
+        // the last exact member is done there is nothing left to prove, so it is
+        // stopped even under a pure node-limit budget.
+        if running.fetch_sub(1, Ordering::AcqRel) == 1 {
+            if let Some(token) = tokens.get(members) {
+                token.cancel();
+            }
         }
+        member_span.counter("member", i as u64);
+        member_span.counter("branches", stats.branches);
+        let raced = Raced::Member(termination, stats, hit, entry);
+        done.push((i, raced, t0.elapsed().as_micros() as u64));
     });
+    let mut raced: Vec<_> = raced.into_iter().flatten().collect();
+    raced.sort_unstable_by_key(|&(i, ..)| i);
 
     // Merge member stats (member 0 first, so its reduction stats win) and collect
     // the distinct reduced graphs for the bound computation.
     let mut stats = SearchStats::default();
     let mut entries: Vec<Arc<ReducedEntry>> = Vec::new();
     let mut reports: Vec<MemberReport> = Vec::with_capacity(slots);
+    let (mut reduction_cache_hit, mut anytime_improvements) = (false, 0u64);
     let won = winner.load(Ordering::Relaxed);
-    for (i, (termination, member_stats, _hit, entry, elapsed)) in exact_results.iter().enumerate() {
-        stats += member_stats;
-        if let Some(entry) = entry {
-            if !entries.iter().any(|e| Arc::ptr_eq(e, entry)) {
-                entries.push(Arc::clone(entry));
+    for (i, raced, elapsed_micros) in raced {
+        let report = match raced {
+            Raced::Member(termination, member_stats, hit, entry) => {
+                stats += &member_stats;
+                reduction_cache_hit |= i == 0 && hit;
+                if let Some(entry) = entry {
+                    if !entries.iter().any(|e| Arc::ptr_eq(e, &entry)) {
+                        entries.push(entry);
+                    }
+                }
+                MemberReport {
+                    label: configs[i].0.clone(),
+                    termination,
+                    branches: member_stats.branches,
+                    elapsed_micros,
+                    winner: won == i,
+                }
             }
-        }
-        reports.push(MemberReport {
-            label: configs[i].0.clone(),
-            termination: *termination,
-            branches: member_stats.branches,
-            elapsed_micros: *elapsed,
-            winner: won == i,
-        });
-    }
-    let reduction_cache_hit = exact_results.first().is_some_and(|r| r.2);
-    let mut anytime_improvements = 0u64;
-    if let Some((moves, improvements, elapsed)) = improver_result {
-        anytime_improvements = improvements;
-        // Force the trip state so the report reflects why the improver stopped
-        // (cancelled by the winner / the join, or an earlier deadline).
-        let _ = ctrls[members].check_now();
-        reports.push(MemberReport {
-            label: "anytime".to_string(),
-            termination: search_termination(&ctrls[members], false),
-            branches: moves,
-            elapsed_micros: elapsed,
-            winner: false,
-        });
+            Raced::Improver(moves, improvements) => {
+                anytime_improvements = improvements;
+                // Force the trip state so the report reflects why the improver
+                // stopped (cancelled by the winner or the last member, or an earlier
+                // deadline).
+                let _ = ctrls[i].check_now();
+                MemberReport {
+                    label: "anytime".to_string(),
+                    termination: search_termination(&ctrls[i], false),
+                    branches: moves,
+                    elapsed_micros,
+                    winner: false,
+                }
+            }
+        };
+        reports.push(report);
     }
 
     let cliques: Vec<FairClique> = pool

@@ -17,18 +17,22 @@
 //!
 //! * [`ComponentContext`] — the immutable, shareable part (the component graph and its
 //!   id table, branching order, bitset adjacency, attribute mask). Built once per
-//!   search of a component, read by every worker that runs one of its subtrees.
+//!   search of a component and shared through an `Arc` by every task that runs one
+//!   of its subtrees, so it is freed when the component's last task ends.
 //! * [`ComponentSearch`] — one worker's view of a search in progress: its stats,
 //!   scratch pool, current partial clique and the subtree tasks it has split off.
 //!
 //! When `split_depth > 0` the search does not recurse through the top levels of the
 //! tree: each branch node shallower than `split_depth` is packaged as a
-//! [`SubtreeTask`] — an owned `(clique, counts, candidates)` snapshot — and collected
-//! for the caller to scatter across the work-stealing pool. A subtree task re-enters
+//! [`SubtreeTask`] — an owned `(clique, counts, candidates)` snapshot with its
+//! component's context — and collected for the caller to scatter across the
+//! work-stealing pool. A subtree task re-enters
 //! [`branch`](ComponentSearch::run_task) at its recorded depth and from there on runs
 //! the ordinary recursion, re-checking every bound against the *current* shared
 //! incumbent first, so work that was already pruned-out by the time it is stolen costs
 //! one node visit.
+
+use std::sync::Arc;
 
 use rfc_graph::bitset::{Bitset, BitsetPool};
 use rfc_graph::{AttributeCounts, VertexId};
@@ -106,10 +110,10 @@ impl Scratch {
 }
 
 /// A stealable piece of one component's search tree: a branch node snapshot that any
-/// worker can resume given the component's [`ComponentContext`].
-pub(super) struct SubtreeTask {
-    /// Index of the owning component (into the caller's context table).
-    pub(super) comp: usize,
+/// worker can resume.
+pub(super) struct SubtreeTask<'a> {
+    /// The owning component's context.
+    pub(super) ctx: Arc<ComponentContext<'a>>,
     /// The partial clique at the subtree root, in component-local ids.
     pub(super) r: Vec<VertexId>,
     /// Attribute counts of `r`.
@@ -126,10 +130,9 @@ pub(super) struct SubtreeTask {
 /// as soon as they are found, and the size/bound prunes always test against the current
 /// global [`useful_size`](SharedIncumbent::useful_size) — whether it came from this
 /// component, the heuristic warm start, or (in parallel mode) another worker.
-pub(super) struct ComponentSearch<'a> {
-    ctx: &'a ComponentContext<'a>,
-    /// Index of `ctx`'s component in the caller's table, stamped onto spawned tasks.
-    comp: usize,
+pub(super) struct ComponentSearch<'a, 'c> {
+    /// The component's context, stamped onto spawned tasks.
+    ctx: &'a Arc<ComponentContext<'c>>,
     params: FairCliqueParams,
     config: &'a SearchConfig,
     stats: &'a mut SearchStats,
@@ -142,14 +145,12 @@ pub(super) struct ComponentSearch<'a> {
     /// Current partial clique, in component-local ids.
     r: Vec<VertexId>,
     /// Subtree tasks split off at shallow depths, for the caller to scatter.
-    spawned: Vec<SubtreeTask>,
+    spawned: Vec<SubtreeTask<'c>>,
 }
 
-impl<'a> ComponentSearch<'a> {
-    #[allow(clippy::too_many_arguments)]
+impl<'a, 'c> ComponentSearch<'a, 'c> {
     pub(super) fn new(
-        ctx: &'a ComponentContext<'a>,
-        comp: usize,
+        ctx: &'a Arc<ComponentContext<'c>>,
         params: FairCliqueParams,
         config: &'a SearchConfig,
         stats: &'a mut SearchStats,
@@ -164,7 +165,6 @@ impl<'a> ComponentSearch<'a> {
         );
         Self {
             ctx,
-            comp,
             params,
             config,
             stats,
@@ -186,8 +186,11 @@ impl<'a> ComponentSearch<'a> {
     }
 
     /// Resumes the search at a [`SubtreeTask`]'s recorded branch node.
-    pub(super) fn run_task(&mut self, task: SubtreeTask) {
-        debug_assert_eq!(task.comp, self.comp, "task routed to the wrong component");
+    pub(super) fn run_task(&mut self, task: SubtreeTask<'c>) {
+        debug_assert!(
+            Arc::ptr_eq(&task.ctx, self.ctx),
+            "task routed to the wrong component"
+        );
         self.r = task.r;
         let total = task.candidates.count();
         self.branch(task.counts, &task.candidates, total, task.depth);
@@ -195,7 +198,7 @@ impl<'a> ComponentSearch<'a> {
 
     /// Takes the subtree tasks split off so far (empty unless
     /// [`split_depth`](ComponentContext::split_depth) is positive).
-    pub(super) fn take_spawned(&mut self) -> Vec<SubtreeTask> {
+    pub(super) fn take_spawned(&mut self) -> Vec<SubtreeTask<'c>> {
         std::mem::take(&mut self.spawned)
     }
 
@@ -328,7 +331,7 @@ impl<'a> ComponentSearch<'a> {
                 // The bitset moves into the task (it crosses workers); the pool mints
                 // a replacement on the next iteration.
                 self.spawned.push(SubtreeTask {
-                    comp: self.comp,
+                    ctx: Arc::clone(self.ctx),
                     r,
                     counts: next_counts,
                     candidates: next_candidates,
@@ -369,7 +372,7 @@ mod tests {
         incumbent_size: usize,
     ) -> (Option<Vec<VertexId>>, SearchStats) {
         let component = whole(g);
-        let ctx = ComponentContext::new(&component, config);
+        let ctx = Arc::new(ComponentContext::new(&component, config));
         let mut stats = SearchStats::default();
         let n = g.num_vertices() as VertexId;
         let witness = (incumbent_size > 0).then(|| (n..n + incumbent_size as VertexId).collect());
@@ -379,7 +382,6 @@ mod tests {
         scratch.reset(ctx.num_vertices());
         ComponentSearch::new(
             &ctx,
-            0,
             params,
             config,
             &mut stats,
@@ -463,7 +465,7 @@ mod tests {
         let params = FairCliqueParams::new(3, 1).unwrap();
         let config = SearchConfig::basic();
         let component = whole(&g);
-        let ctx = ComponentContext::new(&component, &config).with_split_depth(1);
+        let ctx = Arc::new(ComponentContext::new(&component, &config).with_split_depth(1));
         let incumbent = SharedIncumbent::new(None);
         let ctrl = SearchControl::unlimited();
         let mut stats = SearchStats::default();
@@ -472,7 +474,6 @@ mod tests {
         let tasks = {
             let mut search = ComponentSearch::new(
                 &ctx,
-                0,
                 params,
                 &config,
                 &mut stats,
@@ -490,7 +491,6 @@ mod tests {
         for task in tasks {
             let mut search = ComponentSearch::new(
                 &ctx,
-                0,
                 params,
                 &config,
                 &mut stats,

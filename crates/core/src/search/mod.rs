@@ -38,9 +38,8 @@ pub(crate) mod steal;
 
 pub(crate) use ordering::Ranked;
 pub use ordering::{ordering_positions, ordering_sequence, BranchOrder};
+pub(crate) use parallel::branch_and_bound;
 pub use parallel::ThreadCount;
-
-use std::cmp::Reverse;
 
 use rfc_graph::AttributedGraph;
 
@@ -48,7 +47,7 @@ use crate::bounds::BoundConfig;
 use crate::heuristic::HeuristicConfig;
 use crate::problem::{FairClique, FairCliqueParams, FairnessModel};
 use crate::reduction::{ReductionConfig, ReductionStats};
-use crate::solver::{Component, Query, RfcSolver};
+use crate::solver::{Query, RfcSolver};
 
 /// Full configuration of the `MaxRFC` search.
 ///
@@ -339,70 +338,6 @@ fn solve_one_shot(
             stats: SearchStats::default(),
         },
     }
-}
-
-/// Runs the branch-and-bound phase over eligible `components` of a reduced graph,
-/// in their order, publishing improvements in the reduced graph's ids into
-/// `incumbent` and honoring `ctrl`.
-///
-/// This is the engine below [`RfcSolver::solve`]: reduction and the heuristic warm
-/// start have already happened by the time it runs. Returns the search-phase counters
-/// (the caller owns reduction stats and wall-clock time).
-pub(crate) fn branch_and_bound(
-    components: &[&Component],
-    params: FairCliqueParams,
-    config: &SearchConfig,
-    incumbent: &parallel::SharedIncumbent,
-    ctrl: &control::SearchControl,
-) -> SearchStats {
-    let mut stats = SearchStats::default();
-
-    // A single giant component still uses every worker (its subtrees are stealable),
-    // so the worker count is *not* capped at the component count.
-    let workers = if components.is_empty() {
-        1
-    } else {
-        config.threads.resolve()
-    };
-    if workers <= 1 {
-        // Deterministic serial path: components in discovery order, exactly the
-        // classic sequential algorithm (improvements still flow through `incumbent`).
-        let busy = std::time::Instant::now();
-        let mut scratch = branch::Scratch::default();
-        for &component in components {
-            if ctrl.stopped() {
-                break;
-            }
-            stats.components_searched += 1;
-            let mut span = rfc_obs::trace::span("component");
-            span.counter("vertices", component.vertices.len() as u64);
-            let branches_before = stats.branches;
-            let ctx = branch::ComponentContext::new(component, config);
-            scratch.reset(ctx.num_vertices());
-            branch::ComponentSearch::new(
-                &ctx,
-                0,
-                params,
-                config,
-                &mut stats,
-                incumbent,
-                ctrl,
-                &mut scratch,
-            )
-            .run();
-            span.counter("branches", stats.branches - branches_before);
-        }
-        stats.cpu_micros += busy.elapsed().as_micros() as u64;
-    } else {
-        // Largest components first so the most expensive searches start immediately
-        // and a straggler can't serialize the tail (ties broken by vertex ids to keep
-        // the dispatch order itself reproducible).
-        let mut largest_first = components.to_vec();
-        largest_first.sort_unstable_by_key(|c| (Reverse(c.vertices.len()), c.vertices[0]));
-        stats +=
-            &parallel::search_components(&largest_first, params, config, workers, incumbent, ctrl);
-    }
-    stats
 }
 
 #[cfg(test)]

@@ -1,15 +1,19 @@
-//! Parallel search with a shared incumbent: components fanned out largest-first,
-//! subtrees work-stolen *within* a component.
+//! The branch-and-bound's one loop: components on a work-stealing pool with a
+//! shared incumbent, subtrees work-stolen *within* a component.
 //!
 //! The `MaxRFC` branch-and-bound runs one exact search per connected component of the
 //! reduced graph, and every pruning rule it applies — the trivial size bound, the
 //! attribute bound, and the whole colorful bound family — is *incumbent-driven*: the
-//! larger the best fair clique known so far, the more of the tree gets cut. The
-//! parallel search therefore scales along two axes:
+//! larger the best fair clique known so far, the more of the tree gets cut.
+//! [`branch_and_bound`] runs the components as the initial tasks of a
+//! [work-stealing pool](super::steal) at every thread count. With one worker, the
+//! calling thread, it takes them in discovery order and never splits one: exactly
+//! the classic sequential search of Algorithm 2. With more workers it scales along
+//! two axes:
 //!
-//! * **Across components** — component indices are the initial tasks of a
-//!   [work-stealing pool](super::steal), seeded **largest first** so the most
-//!   expensive component starts immediately and stragglers don't serialize the tail.
+//! * **Across components** — the components seed the pool's FIFO injector
+//!   **largest first**, so the most expensive component starts immediately and
+//!   stragglers don't serialize the tail.
 //! * **Within a component** — the worker that claims a component splits the top
 //!   level(s) of its branch tree into [`SubtreeTask`]s (owned `(clique, candidates)`
 //!   snapshots) published onto its own deque in *reverse* branching order. The owner
@@ -19,6 +23,10 @@
 //!   vertices (and any strong incumbent). A single giant component, the common shape
 //!   of real social graphs, therefore no longer pins the whole solve to one worker,
 //!   and a thief lands on the incumbent-bearing region almost immediately.
+//!
+//! Each subtree task holds its component's [`ComponentContext`] (the bitset
+//! adjacency in branching order) through an `Arc`, so a context lives exactly as
+//! long as the tasks that read it.
 //!
 //! The incumbent is shared through [`SharedIncumbent`]: a lock-free `AtomicUsize`
 //! size bound read on the search hot path, plus a mutex-protected clique pool updated
@@ -38,8 +46,9 @@
 //! tied *maximum* cliques is reported, and all pruning counters, depend on incumbent
 //! timing and may differ between runs.
 
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rfc_graph::VertexId;
@@ -55,11 +64,12 @@ use super::{SearchConfig, SearchStats};
 /// How many worker threads the search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadCount {
-    /// Classic deterministic single-threaded search: components in discovery order,
-    /// reproducible cliques and stats.
+    /// Classic deterministic single-threaded search: one worker, the calling thread,
+    /// taking the components in discovery order, with reproducible cliques and stats.
     Serial,
-    /// One worker per available CPU ([`std::thread::available_parallelism`]); falls
-    /// back to serial when parallelism cannot be determined.
+    /// One worker per available CPU ([`std::thread::available_parallelism`]), the
+    /// calling thread among them; falls back to serial when parallelism cannot be
+    /// determined.
     #[default]
     Auto,
     /// Exactly this many workers. `Fixed(0)` and `Fixed(1)` behave like `Serial`.
@@ -68,7 +78,7 @@ pub enum ThreadCount {
 
 impl ThreadCount {
     /// The number of workers this setting resolves to on the current machine. A result
-    /// of `1` selects the deterministic serial path.
+    /// of `1` selects the deterministic serial search on the calling thread.
     pub fn resolve(self) -> usize {
         match self {
             ThreadCount::Serial => 1,
@@ -161,8 +171,9 @@ impl PoolState {
 }
 
 /// The canonical pool order of two cliques given as ascending vertex ids: size
-/// descending, then lexicographically ascending. Every top-k result is ranked by it.
-fn canonical_order<I>(a: I, b: I) -> std::cmp::Ordering
+/// descending, then lexicographically ascending. Every top-k result, and the
+/// enumeration's [`TopNSink`](crate::enumerate::TopNSink), is ranked by it.
+pub(crate) fn canonical_order<I>(a: I, b: I) -> std::cmp::Ordering
 where
     I: ExactSizeIterator<Item = VertexId>,
 {
@@ -310,9 +321,16 @@ impl SharedIncumbent {
 
 /// A unit of work on the shared pool: claim a whole component, or resume one of its
 /// split-off subtrees.
-enum SearchTask {
-    Component(usize),
-    Subtree(SubtreeTask),
+enum SearchTask<'a> {
+    Component(&'a Component),
+    Subtree(SubtreeTask<'a>),
+}
+
+/// The dispatch key of a multi-worker fan-out over components: largest first, ties
+/// broken by smallest vertex so the dispatch order itself is reproducible. The
+/// branch-and-bound and the enumeration both sort by it.
+pub(crate) fn largest_first(component: &Component) -> (Reverse<usize>, VertexId) {
+    (Reverse(component.vertices.len()), component.vertices[0])
 }
 
 /// How many levels of a component's branch tree to split into stealable tasks.
@@ -335,37 +353,44 @@ fn split_depth_for(n: usize, workers: usize, num_components: usize) -> usize {
 }
 
 /// One worker's private accumulation: its stats and its reusable scratch buffers.
+#[derive(Default)]
 struct WorkerState {
     stats: SearchStats,
     scratch: Scratch,
 }
 
-/// Searches `components` on a work-stealing pool of `workers` threads sharing
-/// `incumbent`, and returns the merged per-worker [`SearchStats`].
+/// Runs the branch-and-bound phase over eligible `components` of a reduced graph,
+/// publishing improvements in the reduced graph's ids into `incumbent` and honoring
+/// `ctrl`, on the pool of `config.threads` workers (see the [module docs](self)).
+/// One worker takes the components in their given order; more take them
+/// [largest first](largest_first).
 ///
-/// `components` should be sorted largest-first by the caller: they seed the pool's
-/// FIFO injector in order, so the ordering is exactly the dispatch priority. The
-/// worker that claims a component builds its [`ComponentContext`] once (published via
-/// [`OnceLock`] for thieves) and splits the top of its tree into [`SubtreeTask`]s;
-/// any worker can then run any subtree against the shared context.
-pub(super) fn search_components(
+/// This is the engine below [`RfcSolver::solve`](crate::solver::RfcSolver::solve):
+/// reduction and the heuristic warm start have already happened by the time it runs.
+/// Each component task opens a `component` span with its `vertices` and `branches`
+/// counters; in a parallel run the span covers the claiming task, not the subtrees
+/// other workers steal. Returns the search-phase counters (the caller owns reduction
+/// stats and wall-clock time).
+pub(crate) fn branch_and_bound(
     components: &[&Component],
     params: FairCliqueParams,
     config: &SearchConfig,
-    workers: usize,
     incumbent: &SharedIncumbent,
     ctrl: &SearchControl,
 ) -> SearchStats {
-    let contexts: Vec<OnceLock<ComponentContext>> =
-        (0..components.len()).map(|_| OnceLock::new()).collect();
-    let contexts = &contexts;
-    let initial: Vec<SearchTask> = (0..components.len()).map(SearchTask::Component).collect();
-    let states = (0..workers)
-        .map(|_| WorkerState {
-            stats: SearchStats::default(),
-            scratch: Scratch::default(),
-        })
-        .collect();
+    // A single giant component still uses every worker (its subtrees are stealable),
+    // so the worker count is *not* capped at the component count.
+    let workers = if components.is_empty() {
+        1
+    } else {
+        config.threads.resolve()
+    };
+    let mut order = components.to_vec();
+    if workers > 1 {
+        order.sort_unstable_by_key(|c| largest_first(c));
+    }
+    let initial = order.into_iter().map(SearchTask::Component).collect();
+    let states = (0..workers).map(|_| WorkerState::default()).collect();
 
     let states = steal::run_pool(workers, initial, states, |state, spawner, task| {
         if ctrl.stopped() {
@@ -373,29 +398,21 @@ pub(super) fn search_components(
         }
         let busy = Instant::now();
         let WorkerState { stats, scratch } = state;
-        let (ctx, comp, subtree) = match task {
-            SearchTask::Component(i) => {
+        let branches = stats.branches;
+        let (mut span, ctx, subtree) = match task {
+            SearchTask::Component(c) => {
                 stats.components_searched += 1;
-                let ctx = contexts[i].get_or_init(|| {
-                    let c = components[i];
-                    ComponentContext::new(c, config).with_split_depth(split_depth_for(
-                        c.vertices.len(),
-                        workers,
-                        components.len(),
-                    ))
-                });
-                (ctx, i, None)
+                let mut span = rfc_obs::trace::span("component");
+                span.counter("vertices", c.vertices.len() as u64);
+                let depth = split_depth_for(c.vertices.len(), workers, components.len());
+                let ctx = ComponentContext::new(c, config).with_split_depth(depth);
+                (Some(span), Arc::new(ctx), None)
             }
-            SearchTask::Subtree(task) => {
-                let ctx = contexts[task.comp]
-                    .get()
-                    .expect("a subtree task spawns only after its component context is built");
-                (ctx, task.comp, Some(task))
-            }
+            SearchTask::Subtree(task) => (None, Arc::clone(&task.ctx), Some(task)),
         };
         scratch.reset(ctx.num_vertices());
         let mut search =
-            ComponentSearch::new(ctx, comp, params, config, stats, incumbent, ctrl, scratch);
+            ComponentSearch::new(&ctx, params, config, stats, incumbent, ctrl, scratch);
         match subtree {
             None => search.run(),
             Some(task) => search.run_task(task),
@@ -409,7 +426,10 @@ pub(super) fn search_components(
         for task in search.take_spawned().into_iter().rev() {
             spawner.spawn(SearchTask::Subtree(task));
         }
-        state.stats.cpu_micros += busy.elapsed().as_micros() as u64;
+        if let Some(span) = &mut span {
+            span.counter("branches", stats.branches - branches);
+        }
+        stats.cpu_micros += busy.elapsed().as_micros() as u64;
     });
 
     let mut merged = SearchStats::default();

@@ -21,8 +21,15 @@
 //! task, and a panicking task still decrements `pending` via a drop guard so the pool
 //! cannot hang inside [`std::thread::scope`].
 //!
-//! The pool is generic over the task type and a per-worker state; `rfc_core` uses it
-//! for both solve (subtree tasks) and enumerate (component tasks).
+//! The calling thread is worker 0, as the spawning thread works in Cilk-style
+//! schedulers (Blumofe and Leiserson, "Scheduling multithreaded computations by work
+//! stealing", JACM 1999): a pool of `n` workers starts `n − 1` threads, and a
+//! one-worker pool starts none and runs every task on the caller, in injector order.
+//!
+//! The pool is generic over the task type and a per-worker state. It is the one way
+//! `rfc_core` fans work out over threads: the branch-and-bound (component and subtree
+//! tasks, at every thread count), enumeration (component tasks), batch solves (one
+//! task per query) and the portfolio race (one task per member).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -150,16 +157,18 @@ impl<T> Drop for PendingGuard<'_, T> {
     }
 }
 
-/// Runs `initial` tasks to completion on `workers` threads, threading a mutable
-/// per-worker state through every task a worker runs. Returns the states for the
-/// caller to merge.
+/// Runs `initial` tasks to completion on `workers` workers, threading a mutable
+/// per-worker state through every task a worker runs. Returns the states, worker 0's
+/// first, for the caller to merge.
 ///
-/// `run_task(state, spawner, task)` may call [`Spawner::spawn`] to schedule more
-/// tasks; the pool exits when every spawned task has finished. Workers take work as
-/// soon as they start, and termination rests on `pending` alone, so no worker waits
-/// for another to exist: if the OS refuses a thread, `Scope::spawn` panics, the
-/// workers already running drain the pool, and the scope re-raises the panic
-/// instead of hanging.
+/// The calling thread is worker 0; the other `workers − 1` are spawned before it
+/// takes its first task. `run_task(state, spawner, task)` may call
+/// [`Spawner::spawn`] to schedule more tasks; the pool exits when every spawned task
+/// has finished. Workers take work as soon as they start, and termination rests on
+/// `pending` alone, so no worker waits for another to exist: if the OS refuses a
+/// thread, `Scope::spawn` panics on the caller before worker 0 runs, the workers
+/// already running drain the pool, and the scope re-raises the panic instead of
+/// hanging.
 pub(crate) fn run_pool<T, S, F>(
     workers: usize,
     initial: Vec<T>,
@@ -191,44 +200,52 @@ where
     let shared = &shared;
 
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (worker, mut state) in states.into_iter().enumerate() {
-            handles.push(scope.spawn(move || {
-                let spawner = Spawner { shared, worker };
-                loop {
-                    if let Some(task) = next_task(shared, worker) {
-                        let guard = PendingGuard { shared };
-                        run_task(&mut state, &spawner, task);
-                        drop(guard);
-                        continue;
-                    }
-                    if shared.pending.load(Ordering::SeqCst) == 0 {
-                        break;
-                    }
-                    // No work visible but tasks are still in flight: park until a
-                    // spawn (or the final completion) notifies, with a timeout as a
-                    // missed-wakeup backstop. The `idlers` count makes this parked
-                    // worker visible to spawners, which otherwise skip the notify.
-                    let idle = shared.idle_lock.lock().unwrap();
-                    shared.counters.parks.fetch_add(1, Ordering::Relaxed);
-                    shared.idlers.fetch_add(1, Ordering::SeqCst);
-                    if shared.pending.load(Ordering::SeqCst) == 0 {
-                        shared.idlers.fetch_sub(1, Ordering::SeqCst);
-                        break;
-                    }
-                    let _ = shared.idle_cv.wait_timeout(idle, IDLE_PARK).unwrap();
-                    shared.idlers.fetch_sub(1, Ordering::SeqCst);
-                }
-                state
-            }));
-        }
-        let states: Vec<S> = handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
+        let mut states = states.into_iter();
+        let first = states.next().expect("a pool has at least one worker");
+        let handles: Vec<_> = (1..)
+            .zip(states)
+            .map(|(worker, state)| scope.spawn(move || work(shared, worker, state, run_task)))
             .collect();
+        let mut states = vec![work(shared, 0, first, run_task)];
+        for handle in handles {
+            states.push(handle.join().expect("pool worker panicked"));
+        }
         shared.counters.flush(workers);
         states
     })
+}
+
+/// One worker's loop: runs tasks until the pool has none pending, then returns its
+/// state.
+fn work<T, S, F>(shared: &Shared<T>, worker: usize, mut state: S, run_task: &F) -> S
+where
+    F: Fn(&mut S, &Spawner<'_, T>, T),
+{
+    let spawner = Spawner { shared, worker };
+    loop {
+        if let Some(task) = next_task(shared, worker) {
+            let guard = PendingGuard { shared };
+            run_task(&mut state, &spawner, task);
+            drop(guard);
+            continue;
+        }
+        if shared.pending.load(Ordering::SeqCst) == 0 {
+            return state;
+        }
+        // No work visible but tasks are still in flight: park until a spawn (or the
+        // final completion) notifies, with a timeout as a missed-wakeup backstop. The
+        // `idlers` count makes this parked worker visible to spawners, which
+        // otherwise skip the notify.
+        let idle = shared.idle_lock.lock().unwrap();
+        shared.counters.parks.fetch_add(1, Ordering::Relaxed);
+        shared.idlers.fetch_add(1, Ordering::SeqCst);
+        if shared.pending.load(Ordering::SeqCst) == 0 {
+            shared.idlers.fetch_sub(1, Ordering::SeqCst);
+            return state;
+        }
+        let _ = shared.idle_cv.wait_timeout(idle, IDLE_PARK).unwrap();
+        shared.idlers.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Finds the next task for `worker`: own deque (LIFO), then the injector, then
@@ -346,6 +363,21 @@ mod tests {
         let mut seen = states.into_iter().next().unwrap();
         seen.sort_unstable();
         assert_eq!(seen, vec![10, 20, 21, 30]);
+    }
+
+    /// The caller is worker 0, so a one-worker pool starts no thread: every task,
+    /// spawned ones included, runs on the calling thread.
+    #[test]
+    fn a_one_worker_pool_runs_every_task_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran = run_pool(1, vec![0usize, 1], vec![vec![]], |ran, spawner, task| {
+            ran.push(std::thread::current().id());
+            if task < 6 {
+                spawner.spawn(task + 2);
+            }
+        });
+        assert_eq!(ran[0].len(), 8);
+        assert!(ran[0].iter().all(|&id| id == caller));
     }
 
     /// An empty initial set exits immediately without deadlock.

@@ -17,8 +17,8 @@
 //!   [`Termination`] says what the result means: `Optimal` and `Infeasible` are exact
 //!   answers, `BudgetExhausted` and `Cancelled` carry the verified best-so-far.
 //! * **Batching** — [`RfcSolver::solve_batch`] fans independent queries across worker
-//!   threads (the same [`ThreadCount`] infrastructure the component search uses) while
-//!   all of them share the solver's cached preprocessing.
+//!   threads (the same [`ThreadCount`] setting and work-stealing pool the component
+//!   search uses) while all of them share the solver's cached preprocessing.
 //!
 //! The classic free functions ([`max_fair_clique`](crate::search::max_fair_clique) and
 //! friends) remain as thin compatibility wrappers over a throwaway solver.
@@ -572,7 +572,36 @@ impl RfcSolver {
     /// budget exhaustion and cancellation are expressed through [`Termination`], not
     /// through `Err`.
     pub fn solve(&self, query: &Query) -> Result<Solution, SolveError> {
-        self.solve_with_threads(query, query.config.threads)
+        let num_vertices = self.graph.num_vertices();
+        run_solve(
+            "solve",
+            query,
+            num_vertices,
+            self.num_colors,
+            |run, capacity| {
+                let (reduced, hit) =
+                    match self.reduce(run.params.k, &query.config.reductions, &run.ctrl) {
+                        Ok(pair) => pair,
+                        Err(partial) => return Searched::stopped(partial),
+                    };
+                let pool = SharedIncumbent::with_capacity(capacity);
+                let (params, ctrl) = (run.params, &run.ctrl);
+                let (mut stats, _) =
+                    search_phase(&reduced, params, &query.config, &pool, ctrl, |_| false);
+                stats.reduction = reduced.stats.clone();
+                Searched {
+                    cliques: pool
+                        .into_cliques()
+                        .into_iter()
+                        .map(|vertices| FairClique::from_vertices(&self.graph, vertices))
+                        .collect(),
+                    stats,
+                    reduction_cache_hit: hit,
+                    reduced: vec![reduced],
+                    termination: None,
+                }
+            },
+        )
     }
 
     /// Runs the linear-time `HeurRFC` heuristic for a query's fairness model on the
@@ -637,12 +666,13 @@ impl RfcSolver {
     /// Answers many independent queries, fanning them across worker threads while all
     /// of them share this solver's cached preprocessing.
     ///
-    /// `threads` controls the *batch-level* fan-out. With more than one query and
-    /// `threads` resolving above 1, the queries are dispatched in order onto a
-    /// work-stealing pool and each query's own search is forced to
+    /// `threads` controls the *batch-level* fan-out: the queries are the tasks of one
+    /// work-stealing pool, dispatched in order. With more than one query and
+    /// `threads` resolving above 1, each query's own search is forced to
     /// [`ThreadCount::Serial`], so the machine is never oversubscribed and every
     /// individual result is as deterministic as a serial solve. Otherwise the queries
-    /// run one after another with their own `config.threads` untouched.
+    /// run one after another on the calling thread with their own `config.threads`
+    /// untouched.
     ///
     /// Results come back in query order, one per query.
     pub fn solve_batch(
@@ -656,59 +686,23 @@ impl RfcSolver {
         } else {
             threads.resolve().min(queries.len())
         };
-        if workers <= 1 {
-            return queries.iter().map(|query| self.solve(query)).collect();
-        }
-        let (tasks, states) = ((0..queries.len()).collect(), vec![Vec::new(); workers]);
-        let done = run_pool(workers, tasks, states, |done, _, i| {
-            done.push((i, self.solve_with_threads(&queries[i], ThreadCount::Serial)));
+        let (tasks, states) = (
+            queries.iter().enumerate().collect(),
+            vec![Vec::new(); workers],
+        );
+        let done = run_pool(workers, tasks, states, |done, _, (i, query)| {
+            let solution = if workers > 1 {
+                let mut serial = query.clone();
+                serial.config.threads = ThreadCount::Serial;
+                self.solve(&serial)
+            } else {
+                self.solve(query)
+            };
+            done.push((i, solution));
         });
         let mut done: Vec<_> = done.into_iter().flatten().collect();
         done.sort_unstable_by_key(|&(i, _)| i);
         done.into_iter().map(|(_, solution)| solution).collect()
-    }
-
-    /// The solve pipeline, with the search-phase thread count pinned by the caller
-    /// (batch workers force serial inner searches).
-    fn solve_with_threads(
-        &self,
-        query: &Query,
-        threads: ThreadCount,
-    ) -> Result<Solution, SolveError> {
-        let num_vertices = self.graph.num_vertices();
-        run_solve(
-            "solve",
-            query,
-            num_vertices,
-            self.num_colors,
-            |run, capacity| {
-                let (reduced, hit) =
-                    match self.reduce(run.params.k, &query.config.reductions, &run.ctrl) {
-                        Ok(pair) => pair,
-                        Err(partial) => return Searched::stopped(partial),
-                    };
-                let pool = SharedIncumbent::with_capacity(capacity);
-                let config = SearchConfig {
-                    threads,
-                    ..query.config.clone()
-                };
-                let (params, ctrl) = (run.params, &run.ctrl);
-                let (mut stats, _) =
-                    search_phase(&reduced, params, &config, &pool, ctrl, |_| false);
-                stats.reduction = reduced.stats.clone();
-                Searched {
-                    cliques: pool
-                        .into_cliques()
-                        .into_iter()
-                        .map(|vertices| FairClique::from_vertices(&self.graph, vertices))
-                        .collect(),
-                    stats,
-                    reduction_cache_hit: hit,
-                    reduced: vec![reduced],
-                    termination: None,
-                }
-            },
-        )
     }
 
     /// The library's reduce step, shared with the portfolio: fetches (or

@@ -164,6 +164,40 @@ fn tracing_does_not_change_answers_and_spans_account_for_the_solve() {
     assert!(summary.contains("search"), "{summary}");
 }
 
+/// A parallel solve runs its components as pool tasks, each under a `component`
+/// span: on the calling thread, worker 0, it nests under `search`, and on a
+/// spawned worker it opens as a root.
+#[test]
+fn a_parallel_solve_traces_its_components() {
+    let _tracer = exclusive_tracer();
+    let query = Query::new(FairnessModel::Relative { k: 5, delta: 3 })
+        .with_config(SearchConfig::default().with_threads(ThreadCount::Fixed(2)));
+    let (sink, lines) = BufferSink::new();
+    let guard = trace::install(Box::new(sink));
+    let solution = RfcSolver::new(nba_graph()).solve(&query).unwrap();
+    drop(guard);
+    assert_eq!(solution.termination, Termination::Optimal);
+
+    let events = parse_events(&lines.lock().unwrap());
+    let opens: Vec<&Event> = events.iter().filter(|e| e.ev == "open").collect();
+    let closes = events.iter().filter(|e| e.ev == "close").count();
+    assert_eq!(opens.len(), closes, "unbalanced spans");
+    let search = opens
+        .iter()
+        .find(|e| e.name == "search")
+        .expect("search span");
+    let components: Vec<&&Event> = opens.iter().filter(|e| e.name == "component").collect();
+    assert!(!components.is_empty(), "no component span");
+    for component in components {
+        assert!(
+            component.parent.is_none() || component.parent == Some(search.id),
+            "component #{} under {:?}",
+            component.id,
+            component.parent
+        );
+    }
+}
+
 #[test]
 fn enumerate_trace_balances_and_answers_match() {
     let _tracer = exclusive_tracer();
